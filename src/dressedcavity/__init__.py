@@ -14,7 +14,7 @@ from .entanglement import (EntanglementMeasures, concurrence, entanglement_of_fo
                            family_concurrence, measures, negativity)
 from .model import (CouplingMatrix, ModeLadder, ModelParams, build_coupling_matrix,
                     build_mode_ladder, natural_from_si, si_from_natural)
-from .spectral import DressedSpectrum, diagonalize, dressed_spectrum, secular_roots
+from .spectral import DressedSpectrum, diagonalize, dressed_spectrum
 from .thermal import OccupationSeries, bose_einstein, cavity_occupation_summary, occupation_series
 
 __all__ = [
@@ -26,6 +26,6 @@ __all__ = [
     "cavity_occupation_summary", "concurrence", "decay_rate_fit", "diagonalize",
     "dressed_spectrum", "entanglement_of_formation", "family_concurrence", "measures",
     "natural_from_si", "negativity", "occupation_series", "positivity_check",
-    "reduced_density_closed", "secular_roots", "si_from_natural", "survival_series",
+    "reduced_density_closed", "si_from_natural", "survival_series",
     "thermal_trace_oracle",
 ]

@@ -40,6 +40,8 @@ class EntangledStateSpec:
     def __post_init__(self):
         if not 0.0 <= self.xi <= 1.0:
             raise DomainError(f"xi must lie in [0, 1], got {self.xi}")
+        if not math.isfinite(self.phi):
+            raise DomainError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
     @property

@@ -21,7 +21,7 @@ class ModelInstabilityError(PhysicsError):
 
 
 class BracketingError(PhysicsError):
-    """A secular root sits too close to a pole to be bracketed reliably."""
+    """A secular root did not converge inside its bracket."""
 
 
 class InsufficientDataError(PhysicsError):

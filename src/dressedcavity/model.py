@@ -72,6 +72,9 @@ class ModelParams:
     n_modes: int
 
     def __post_init__(self):
+        for name in ("omega_bar", "g", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_bar <= 0.0:
             raise DomainError(f"omega_bar must be positive, got {self.omega_bar}")
         if self.g < 0.0:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import amplitude_matrix
+from .dynamics import amplitude_blocks
 from .errors import DomainError
 from .model import ModeLadder
 from .spectral import DressedSpectrum
@@ -63,7 +63,17 @@ def bose_einstein(omega: float, beta: float) -> float:
 
 
 def _bose_einstein_vector(omegas: np.ndarray, beta: float) -> np.ndarray:
-    return np.array([bose_einstein(w, beta) for w in omegas])
+    """bose_einstein over an array of frequencies, with the same series and overflow branches."""
+    x = beta * np.asarray(omegas, dtype=float)
+    if x.size and (np.min(omegas) <= 0.0 or beta <= 0.0):
+        raise DomainError(f"omega and beta must be positive, got min omega "
+                          f"{np.min(omegas)}, beta {beta}")
+    out = np.zeros_like(x)
+    series = x < SERIES_THRESHOLD
+    exact = ~series & ~(x > OVERFLOW_THRESHOLD)
+    out[series] = 1.0 / x[series] - 0.5 + x[series] / 12.0
+    out[exact] = 1.0 / np.expm1(x[exact])
+    return out
 
 
 def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float,
@@ -71,7 +81,9 @@ def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float
     """Occupation of the dressed atom over a time grid at inverse temperature beta.
 
     The ladder supplies the mode frequencies entering the Bose-Einstein
-    weights of the field labels; it must match the spectrum's size.
+    weights of the field labels; it must match the spectrum's size.  The
+    weights |f_0nu|^2 = re^2 + im^2 are summed block by block in t, so the
+    full amplitude array is never held.
     """
     if n0_init < 0.0:
         raise DomainError(f"n0_init must be nonnegative, got {n0_init}")
@@ -79,9 +91,13 @@ def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float
         raise DomainError(
             f"ladder has {ladder.n_modes} modes but spectrum has {spectrum.size - 1} field labels")
     t = np.asarray(t_grid, dtype=float)
-    amp = amplitude_matrix(spectrum, t)
-    nbar = _bose_einstein_vector(ladder.frequencies, beta)
-    occupation = np.abs(amp[0]) ** 2 * n0_init + nbar @ (np.abs(amp[1:]) ** 2)
+    weights = np.concatenate(([n0_init], _bose_einstein_vector(ladder.frequencies, beta)))
+    occupation = np.empty(t.size)
+    for block, re, im in amplitude_blocks(spectrum, t):
+        re *= re
+        im *= im
+        re += im
+        occupation[block] = weights @ re
     return OccupationSeries(t=t, occupation=occupation, beta=beta, n0_init=n0_init)
 
 

@@ -176,6 +176,20 @@ class TestExitCodes:
         assert run_cli("spectrum", "--omega-bar", -1.0, "--out", tmp_path / "out") == 2
         assert "physics contract" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("dynamics", "--omega-bar", "nan"),
+        ("thermal", "--g", "inf"),
+        ("entanglement", "--phi", "nan"),
+    ])
+    def test_non_finite_input_exits_2_without_csv(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert run_cli(command, flag, value, "--n-modes", 8, "--samples", 16,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and "finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_temperature_sweep_constant_entanglement_columns(self, tmp_path):

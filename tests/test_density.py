@@ -56,6 +56,11 @@ class TestEntangledStateSpec:
         with pytest.raises(DomainError):
             EntangledStateSpec(xi=xi, phi=0.0)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(DomainError):
+            EntangledStateSpec(xi=0.5, phi=phi)
+
 
 class TestClosedForm:
     def test_pure_excited_a(self):

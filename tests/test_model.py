@@ -107,3 +107,11 @@ class TestCouplingMatrix:
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(DomainError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["omega_bar", "g", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected(name, value):
+    kwargs = {"omega_bar": 1.0, "g": 0.1, "radius": 1.0, "n_modes": 1, name: value}
+    with pytest.raises(DomainError):
+        ModelParams(**kwargs)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dressedcavity.errors import BracketingError, DomainError, ModelInstabilityError
+from dressedcavity.dynamics import survival_amplitude
+from dressedcavity.errors import (BracketingError, ContractViolationError, DomainError,
+                                  ModelInstabilityError)
 from dressedcavity.model import CouplingMatrix, ModelParams, build_coupling_matrix, build_mode_ladder
-from dressedcavity.spectral import (diagonalize, dressed_spectrum, interlacing_counts,
-                                    secular_roots)
+from dressedcavity.spectral import DressedSpectrum, diagonalize, dressed_spectrum, interlacing_counts
+import dressedcavity.spectral as spectral
 
 from conftest import random_params
 
@@ -61,37 +65,116 @@ def test_nonpositive_eigenvalue_raises():
         diagonalize(CouplingMatrix(matrix=np.array([[-1.0, 0.0], [0.0, 1.0]])))
 
 
+def _dense(params):
+    """Reference eigenpairs of the same coupling matrix from dense eigh."""
+    matrix = build_coupling_matrix(params, build_mode_ladder(params))
+    return diagonalize(matrix), np.linalg.eigh(matrix.matrix)
+
+
 class TestSecularRoots:
     def test_worked_quadratic(self):
         # (1 - lam)^2 = 0.04 lam  ->  lam^2 - 2.04 lam + 1 = 0
         expected = np.sort(np.roots([1.0, -2.04, 1.0]).real)
-        roots = secular_roots(WORKED, build_mode_ladder(WORKED))
+        roots = dressed_spectrum(WORKED).omega_dressed
         assert np.allclose(roots ** 2, expected, rtol=1e-12)
         assert np.allclose(roots ** 2, WORKED_LAMBDA, rtol=1e-12)
 
     def test_weak_coupling_approaches_bare(self):
         params = ModelParams(omega_bar=1.3, g=1e-9, radius=math.pi, n_modes=3)
-        roots = secular_roots(params, build_mode_ladder(params))
+        roots = dressed_spectrum(params).omega_dressed
         assert np.allclose(roots, sorted([1.3, 1.0, 2.0, 3.0]), atol=1e-6)
 
     def test_cross_validation_n50(self):
         params = ModelParams(omega_bar=1.0, g=0.01, radius=50.0 * math.pi, n_modes=50)
-        ladder = build_mode_ladder(params)
-        spec = diagonalize(build_coupling_matrix(params, ladder))
-        roots = secular_roots(params, ladder)
-        assert np.max(np.abs(roots - spec.omega_dressed) / spec.omega_dressed) < 1e-8
+        spec, (eigenvalues, _) = _dense(params)
+        dense = np.sqrt(eigenvalues)
+        assert np.max(np.abs(dense - spec.omega_dressed) / spec.omega_dressed) < 1e-8
 
-    def test_g_zero_rejected(self):
+    def test_g_zero_deflates_to_bare_modes(self):
         params = ModelParams(omega_bar=1.0, g=0.0, radius=math.pi, n_modes=2)
-        with pytest.raises(DomainError):
-            secular_roots(params, build_mode_ladder(params))
+        spec = dressed_spectrum(params)
+        assert np.array_equal(spec.omega_dressed, [1.0, 1.0, 2.0])
+        assert np.array_equal(np.abs(spec.components), np.eye(3))
 
-    def test_pole_collision_reported(self):
-        # omega_bar resonant with omega_1 and eta ~ 1.4e-13: the avoided
-        # crossing sits within the pole-rejection tolerance
+    def test_pole_collision_matches_eigh(self):
+        # omega_bar resonant with omega_1 and eta*omega_1 ~ 1.4e-13, above the
+        # deflation tolerance: the solver resolves a 2.8e-13 avoided crossing
         params = ModelParams(omega_bar=1.0, g=1e-26, radius=math.pi, n_modes=2)
+        spec, (eigenvalues, _) = _dense(params)
+        assert np.max(np.abs(spec.omega_dressed ** 2 - eigenvalues)) <= 1e-12
+        v = spec.components
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-12
+
+    def test_border_below_tolerance_deflates(self):
+        # eta*omega_k ~ 1e-16 is under DEFLATION_RTOL*max|M|: exact bare pairs
+        params = ModelParams(omega_bar=1.5, g=1e-33, radius=math.pi, n_modes=3)
+        spec, (eigenvalues, _) = _dense(params)
+        assert np.max(np.abs(spec.omega_dressed ** 2 - eigenvalues)) <= 1e-12
+        assert np.array_equal(np.abs(spec.components), np.eye(4)[:, [1, 0, 2, 3]])
+
+    def test_zero_border_entry_deflates(self):
+        # a general arrowhead with a decoupled mode in the middle of the ladder
+        rng = np.random.default_rng(5)
+        d = np.sort(rng.uniform(1.0, 5.0, 30))
+        z = rng.normal(size=30)
+        z[9] = 0.0
+        m = np.diag(np.concatenate(([40.0], d)))
+        m[0, 1:] = m[1:, 0] = z
+        matrix = CouplingMatrix(matrix=m)
+        spec = diagonalize(matrix)
+        eigenvalues, _ = np.linalg.eigh(m)
+        assert np.max(np.abs(spec.omega_dressed ** 2 - eigenvalues)) <= 1e-12
+        v = spec.components
+        assert np.max(np.abs(v.T @ v - np.eye(31))) <= 1e-12
+        assert spec.reconstruction_residual(matrix) <= 1e-14
+        decoupled = np.argmax(np.abs(v[10]))
+        assert np.array_equal(v[:, decoupled], np.eye(31)[10])
+        assert spec.omega_dressed[decoupled] == math.sqrt(d[9])
+
+    @pytest.mark.parametrize("d", [(2.0, 1.0, 3.0), (1.0, 1.0, 3.0)])
+    def test_unordered_or_repeated_modes_rejected(self, d):
+        m = np.diag((10.0,) + d)
+        m[0, 1:] = m[1:, 0] = 0.5
+        with pytest.raises(ContractViolationError):
+            diagonalize(CouplingMatrix(matrix=m))
+
+    def test_non_arrowhead_rejected(self):
+        m = np.diag([3.0, 1.0, 2.0])
+        m[1, 2] = m[2, 1] = 0.1
+        with pytest.raises(ContractViolationError):
+            diagonalize(CouplingMatrix(matrix=m))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_non_finite_entry_rejected(self, entry):
+        m = np.diag([3.0, 1.0, 2.0])
+        m[0, 1:] = m[1:, 0] = 0.5
+        m[entry] = m[entry[::-1]] = math.nan
+        with pytest.raises(DomainError):
+            diagonalize(CouplingMatrix(matrix=m))
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_ITERATIONS", 0)
         with pytest.raises(BracketingError):
-            secular_roots(params, build_mode_ladder(params))
+            dressed_spectrum(ModelParams(1.0, 0.01, 2.0, 4))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_matches_dense_eigh(seed):
+    spec, (eigenvalues, vectors) = _dense(random_params(np.random.default_rng(seed)))
+    lam = spec.omega_dressed ** 2
+    v = spec.components
+    assert np.max(np.abs(lam - eigenvalues) / eigenvalues) <= 1e-10
+    assert np.max(np.abs(spec.atom_weights - vectors[0] ** 2)) <= 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(spec.size))) <= 1e-10
+    assert np.all(v[0] >= 0.0)
+
+
+def test_free_space_survival_matches_eigh_n2000():
+    params = ModelParams(omega_bar=1.0, g=0.01, radius=1000.0 * math.pi, n_modes=2000)
+    spec, (eigenvalues, vectors) = _dense(params)
+    dense = DressedSpectrum(omega_dressed=np.sqrt(eigenvalues), components=vectors)
+    t = np.linspace(0.0, 100.0, 201)
+    assert np.max(np.abs(survival_amplitude(spec, t) - survival_amplitude(dense, t))) <= 1e-12
 
 
 def test_interlacing_counts(rng):

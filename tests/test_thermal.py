@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dressedcavity.dynamics as dynamics
 from dressedcavity.errors import DomainError
 from dressedcavity.model import ModelParams, build_mode_ladder, natural_from_si
 from dressedcavity.spectral import dressed_spectrum
-from dressedcavity.thermal import bose_einstein, cavity_occupation_summary, occupation_series
+from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, _bose_einstein_vector,
+                                   bose_einstein, cavity_occupation_summary, occupation_series)
 
 
 class TestBoseEinstein:
@@ -48,6 +50,24 @@ class TestBoseEinstein:
             bose_einstein(**kwargs)
 
 
+class TestBoseEinsteinVector:
+    def test_matches_scalar_across_branches(self):
+        x = np.array([1e-9, 0.5 * SERIES_THRESHOLD, np.nextafter(SERIES_THRESHOLD, 0.0),
+                      SERIES_THRESHOLD, 2.0 * SERIES_THRESHOLD, 0.3, 1.0, 40.0,
+                      np.nextafter(OVERFLOW_THRESHOLD, 0.0), OVERFLOW_THRESHOLD,
+                      np.nextafter(OVERFLOW_THRESHOLD, 1e3), 2.0 * OVERFLOW_THRESHOLD])
+        for beta in (0.5, 1.0, 4.0):
+            vector = _bose_einstein_vector(x / beta, beta)
+            scalar = np.array([bose_einstein(w, beta) for w in x / beta])
+            assert np.allclose(vector, scalar, rtol=1e-15, atol=0.0)
+            assert np.array_equal(vector == 0.0, scalar == 0.0)
+
+    @pytest.mark.parametrize("omegas, beta", [([1.0, 0.0], 1.0), ([1.0, 2.0], 0.0)])
+    def test_domain(self, omegas, beta):
+        with pytest.raises(DomainError):
+            _bose_einstein_vector(np.array(omegas), beta)
+
+
 class TestOccupationSeries:
     def setup_method(self):
         self.params = ModelParams(omega_bar=1.0, g=0.02, radius=2.0, n_modes=12)
@@ -72,6 +92,18 @@ class TestOccupationSeries:
         occ_hot = occupation_series(self.spectrum, self.ladder, 0.5, 1.0, t).occupation
         occ_cold = occupation_series(self.spectrum, self.ladder, 2.0, 1.0, t).occupation
         assert np.all(occ_hot >= occ_cold - 1e-14)
+
+    def test_blocks_match_one_shot(self, monkeypatch):
+        # 7 samples per block (13 labels into 96 elements) and T = 100 leaves a ragged last block
+        monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 96)
+        t = np.linspace(0.0, 40.0, 100)
+        series = occupation_series(self.spectrum, self.ladder, 0.7, 1.3, t)
+        v = self.spectrum.components
+        phases = np.exp(-1j * np.outer(self.spectrum.omega_dressed, t))
+        power = np.abs(v @ (v[0][:, None] * phases)) ** 2
+        nbar = np.array([bose_einstein(w, 0.7) for w in self.ladder.frequencies])
+        one_shot = 1.3 * power[0] + nbar @ power[1:]
+        assert np.max(np.abs(series.occupation - one_shot)) <= 1e-13
 
     def test_ladder_size_mismatch(self):
         wrong = build_mode_ladder(ModelParams(1.0, 0.02, 2.0, 5))
