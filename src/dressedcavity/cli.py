@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ from .density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
                       reduced_density_closed, thermal_trace_oracle)
 from .dynamics import amplitude_matrix, amplitudes, decay_rate_fit, survival_amplitude, survival_series
 from .entanglement import family_concurrence, measures
-from .errors import PhysicsError, ResourceCapError
+from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, build_mode_ladder, natural_from_si
 from .reporting import write_csv, write_manifest
 from .spectral import diagonalize
@@ -92,6 +93,12 @@ class NaturalRun:
 
 
 def resolve_natural(config: RunConfig) -> NaturalRun:
+    for name in ("beta", "temperature", "n0_init"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if config.temperature is not None and config.temperature <= 0.0:
+        raise DomainError(f"temperature must be positive, got {config.temperature}")
     si_inputs = None
     if config.si:
         converted = natural_from_si(config.omega_bar, config.radius, config.temperature)
@@ -284,9 +291,14 @@ def cmd_verify(config: RunConfig) -> int:
     closed form and from the first beta's oracle output; all cells must pass
     at 1e-12 for exit code 0.
     """
+    if not config.beta_list or not config.t_list:
+        raise UsageError("verify needs at least one value in each of beta_list and t_list")
     started = time.monotonic()
     run = resolve_natural(config)
     out_dir = Path(config.out)
+    baths = [ThermalBathSpec(beta=beta, n_max=config.n_max,
+                             n_modes_oracle=config.n_modes_oracle)
+             for beta in config.beta_list]
     oracle_params = ModelParams(omega_bar=run.params.omega_bar, g=run.params.g,
                                 radius=run.params.radius, n_modes=config.n_modes_oracle)
     ladder = build_mode_ladder(oracle_params)
@@ -300,9 +312,7 @@ def cmd_verify(config: RunConfig) -> int:
         f00 = amplitudes(spectrum, t).f[0]
         closed = reduced_density_closed(run.state, f00, f00).matrix
         reference: np.ndarray | None = None
-        for beta in config.beta_list:
-            bath = ThermalBathSpec(beta=beta, n_max=config.n_max,
-                                   n_modes_oracle=config.n_modes_oracle)
+        for bath in baths:
             oracle = thermal_trace_oracle(run.state, spectrum, bath, t,
                                           weight_scheme=scheme).matrix
             if reference is None:
@@ -311,7 +321,7 @@ def cmd_verify(config: RunConfig) -> int:
             dev_cross = float(np.max(np.abs(oracle - reference)))
             ok = dev_closed <= VERIFY_TOLERANCE and dev_cross <= VERIFY_TOLERANCE
             all_pass = all_pass and ok
-            rows.append((beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
+            rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
 
     csv = write_csv(out_dir / "verify.csv",
                     ["beta[1/natural-frequency]", "t[natural-time]",
@@ -474,6 +484,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**values)
     if config.fit_window is not None and len(config.fit_window) != 2:
         raise UsageError("fit_window needs exactly two values: lo,hi")
+    if config.samples < 1:
+        raise UsageError(f"samples must be >= 1, got {config.samples}")
+    if config.jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {config.jobs}")
     return config
 
 

@@ -6,6 +6,11 @@ field background state by state, evolves the single excitation over the
 dressed labels, and literally traces out the field occupations.  The two
 must agree for every temperature: the thermal weights are diagonal in the
 number basis and normalized, so they factor out of every matrix element.
+
+The trace never builds a dense operator.  Each background's evolved state
+is a sparse map from field occupations to atom-level amplitudes (n_modes+1
+labels), and the field is traced by contracting matching labels, so the
+oracle costs O(backgrounds * n_modes^2) scalar operations.
 """
 
 from __future__ import annotations
@@ -56,13 +61,13 @@ class ThermalBathSpec:
     beta: float
     n_max: int
     n_modes_oracle: int = 1
-    # cap on (n_max+1)^n_modes_oracle; the traced operators are dense in a
-    # padded space of dimension 2*(n_max+2)^n_modes_oracle, so keep it small
+    # cap on the backgrounds (n_max+1)^n_modes_oracle; the sparse trace does
+    # O(n_modes_oracle^2) scalar work per background, so this bounds its cost
     max_basis_states: int = 1024
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not math.isfinite(self.beta) or self.beta <= 0.0:
+            raise DomainError(f"beta must be finite and positive, got {self.beta}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
         if not 1 <= self.n_modes_oracle <= 3:
@@ -155,48 +160,53 @@ def reduced_density_closed(state: EntangledStateSpec, f_aa: complex,
     return ReducedDensityMatrix(matrix=rho)
 
 
+def _contract(block: list[list[complex]], weight: float, left: dict, right: dict) -> None:
+    """block[a][b] += weight * sum_f left(a, f) conj(right(b, f)) over shared field labels f.
+
+    States map a field occupation tuple f to the amplitudes [level 0, level 1]
+    of the atom; labels present in only one state contribute nothing.
+    """
+    for field, lhs in left.items():
+        rhs = right.get(field)
+        if rhs is None:
+            continue
+        for a in range(2):
+            for b in range(2):
+                block[a][b] += weight * lhs[a] * rhs[b].conjugate()
+
+
 def _field_trace_blocks(amp: np.ndarray, weights: list[np.ndarray],
                         n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thermal-averaged subsystem operators, traced over field occupations.
 
-    Builds, background by background, the weighted operators
-    sum_n W(n) |1(t); n><1(t); n|, |0; n><0; n|, and |0; n><1(t); n| in a
-    concrete basis (atom level, field occupations up to n_max+1), then
-    contracts the field labels.  Returns the three 2x2 atom-level blocks.
+    Enumerates every background n, weights it by the product of per-mode
+    weights W(n), and builds the evolved state |1(t); n> as a sparse map
+    from field occupations to atom-level amplitudes: amp[0] on (1, n) and
+    amp[j] on (0, n + e_j); the ground state is (0, n) -> 1.  The field
+    labels of sum_n W(n) |1(t); n><1(t); n|, |0; n><0; n| and
+    |0; n><1(t); n| are then contracted by matching labels, so a background
+    costs O(n_modes^2) scalar work.  Returns the three 2x2 atom-level blocks.
     """
     n_modes = len(weights)
-    occ_dim = n_max + 2  # room for the one extra quantum the excitation adds
-    dim_field = occ_dim ** n_modes
-    dim = 2 * dim_field
-
-    def field_index(occ) -> int:
-        idx = 0
-        for o in occ:
-            idx = idx * occ_dim + o
-        return idx
-
-    op_excited = np.zeros((dim, dim), dtype=complex)
-    op_ground = np.zeros((dim, dim), dtype=complex)
-    op_cross = np.zeros((dim, dim), dtype=complex)
+    amp = [complex(a) for a in amp]
+    weights = [w.tolist() for w in weights]
+    block_exc = [[0j, 0j], [0j, 0j]]
+    block_gnd = [[0j, 0j], [0j, 0j]]
+    block_cross = [[0j, 0j], [0j, 0j]]
     for occ in bath_basis_states(n_modes, n_max):
         weight = 1.0
         for k, n in enumerate(occ):
             weight *= weights[k][n]
-        evolved = np.zeros(dim, dtype=complex)
-        evolved[dim_field + field_index(occ)] = amp[0]
+        evolved = {occ: [0j, amp[0]]}
         for j in range(1, n_modes + 1):
             bumped = occ[:j - 1] + (occ[j - 1] + 1,) + occ[j:]
-            evolved[field_index(bumped)] = amp[j]
-        ground = np.zeros(dim, dtype=complex)
-        ground[field_index(occ)] = 1.0
-        op_excited += weight * np.outer(evolved, evolved.conj())
-        op_ground += weight * np.outer(ground, ground.conj())
-        op_cross += weight * np.outer(ground, evolved.conj())
-
-    def trace_field(op):
-        return np.einsum("afbf->ab", op.reshape(2, dim_field, 2, dim_field))
-
-    return trace_field(op_excited), trace_field(op_ground), trace_field(op_cross)
+            evolved.setdefault(bumped, [0j, 0j])[0] += amp[j]
+        ground = {occ: [1 + 0j, 0j]}
+        _contract(block_exc, weight, evolved, evolved)
+        _contract(block_gnd, weight, ground, ground)
+        _contract(block_cross, weight, ground, evolved)
+    return (np.array(block_exc, dtype=complex), np.array(block_gnd, dtype=complex),
+            np.array(block_cross, dtype=complex))
 
 
 def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,

@@ -167,6 +167,38 @@ class TestVerifyCommand:
                        "--out", tmp_path / "out") == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_cap_reach_three_modes(self, tmp_path, capsys):
+        # 10^3 = 1000 backgrounds fit under the 1024 cap; 11^3 = 1331 do not
+        out = tmp_path / "n9"
+        assert run_cli("verify", "--n-modes-oracle", 3, "--n-max", 9, "--out", out) == 0
+        _, _, rows = read_csv(out / "verify.csv")
+        assert len(rows) == 9 and all(row[-1] == "PASS" for row in rows)
+        capsys.readouterr()
+        out = tmp_path / "n10"
+        assert run_cli("verify", "--n-modes-oracle", 3, "--n-max", 10, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap exceeded:") and "1331" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--t-list", "--beta-list"])
+    def test_zero_cells_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run_cli("verify", flag, "", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert "VERIFY" not in captured.out
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_beta_list_exits_2_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("verify", "--beta-list", "nan,1", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "VERIFY" not in captured.out
+        assert captured.err.startswith("physics contract violation:")
+        assert "finite" in captured.err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_subcommand(self, capsys):
@@ -180,6 +212,9 @@ class TestExitCodes:
         ("dynamics", "--omega-bar", "nan"),
         ("thermal", "--g", "inf"),
         ("entanglement", "--phi", "nan"),
+        ("thermal", "--beta", "nan"),
+        ("thermal", "--temperature", "inf"),
+        ("thermal", "--n0-init", "nan"),
     ])
     def test_non_finite_input_exits_2_without_csv(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
@@ -188,6 +223,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("physics contract violation:") and "finite" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+
+    def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("thermal", "--temperature", 0, "--n-modes", 8, "--samples", 16,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and "temperature" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--samples", 0, "--n-modes", 8, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "samples" in err
         assert not out.exists()
 
 
@@ -242,6 +294,13 @@ class TestSweepCommand:
         min_survival = floats(rows, 6)
         assert min_survival[0] > 0.9
         assert min_survival[1] < 0.05
+
+    def test_zero_jobs_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--xi-grid", "0.5", "--jobs", 0, "--n-modes", 8,
+                       "--samples", 16, "--out", out) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", tmp_path / "out") == 1

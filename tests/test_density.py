@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dressedcavity.density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
-                                   bath_basis_states, bath_weights, positivity_check,
-                                   reduced_density_closed, thermal_trace_oracle)
+                                   _field_trace_blocks, bath_basis_states, bath_weights,
+                                   positivity_check, reduced_density_closed,
+                                   thermal_trace_oracle)
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import ContractViolationError, DomainError, ResourceCapError
 from dressedcavity.model import ModelParams
@@ -16,6 +17,45 @@ from dressedcavity.spectral import dressed_spectrum
 
 def oracle_spectrum(n_modes, g=0.01, omega_bar=1.0, radius=1.0):
     return dressed_spectrum(ModelParams(omega_bar, g, radius, n_modes))
+
+
+def dense_field_trace_blocks(amp, weights, n_max):
+    """Reference trace: dense weighted operators in the padded space
+    (atom level, field occupations up to n_max+1), field labels contracted
+    with einsum.  Costs O(backgrounds * (2(n_max+2)^n_modes)^2)."""
+    n_modes = len(weights)
+    occ_dim = n_max + 2  # room for the one extra quantum the excitation adds
+    dim_field = occ_dim ** n_modes
+    dim = 2 * dim_field
+
+    def field_index(occ) -> int:
+        idx = 0
+        for o in occ:
+            idx = idx * occ_dim + o
+        return idx
+
+    op_excited = np.zeros((dim, dim), dtype=complex)
+    op_ground = np.zeros((dim, dim), dtype=complex)
+    op_cross = np.zeros((dim, dim), dtype=complex)
+    for occ in bath_basis_states(n_modes, n_max):
+        weight = 1.0
+        for k, n in enumerate(occ):
+            weight *= weights[k][n]
+        evolved = np.zeros(dim, dtype=complex)
+        evolved[dim_field + field_index(occ)] = amp[0]
+        for j in range(1, n_modes + 1):
+            bumped = occ[:j - 1] + (occ[j - 1] + 1,) + occ[j:]
+            evolved[field_index(bumped)] = amp[j]
+        ground = np.zeros(dim, dtype=complex)
+        ground[field_index(occ)] = 1.0
+        op_excited += weight * np.outer(evolved, evolved.conj())
+        op_ground += weight * np.outer(ground, ground.conj())
+        op_cross += weight * np.outer(ground, evolved.conj())
+
+    def trace_field(op):
+        return np.einsum("afbf->ab", op.reshape(2, dim_field, 2, dim_field))
+
+    return trace_field(op_excited), trace_field(op_ground), trace_field(op_cross)
 
 
 class TestBathPieces:
@@ -165,6 +205,21 @@ class TestThermalTraceOracle:
             rho = thermal_trace_oracle(state, spec, bath, 1.3).matrix
             assert np.max(np.abs(rho - reference)) <= 1e-12
 
+    @pytest.mark.parametrize("scheme", ["normalized", "per_level_partition"])
+    @pytest.mark.parametrize("n_max", [1, 2])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_sparse_blocks_match_dense_reference(self, n_modes, n_max, scheme):
+        # random, unnormalized amplitudes: the match must not lean on unitarity
+        rng = np.random.default_rng(100 * n_modes + 10 * n_max + len(scheme))
+        amp = rng.normal(size=n_modes + 1) + 1j * rng.normal(size=n_modes + 1)
+        weights = [bath_weights(w, 0.7, n_max, scheme)
+                   for w in rng.uniform(0.5, 2.0, size=n_modes)]
+        sparse = _field_trace_blocks(amp, weights, n_max)
+        dense = dense_field_trace_blocks(amp, weights, n_max)
+        for got, want in zip(sparse, dense):
+            assert got.shape == (2, 2)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
     def test_spectrum_size_mismatch_rejected(self):
         bath = ThermalBathSpec(beta=1.0, n_max=2, n_modes_oracle=2)
         with pytest.raises(ContractViolationError):
@@ -221,6 +276,9 @@ class TestSpecValidation:
     def test_bath_spec_bounds(self):
         with pytest.raises(DomainError):
             ThermalBathSpec(beta=0.0, n_max=3)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ThermalBathSpec(beta=beta, n_max=3)
         with pytest.raises(DomainError):
             ThermalBathSpec(beta=1.0, n_max=0)
         with pytest.raises(DomainError):
