@@ -2,28 +2,39 @@
 artifacts with run manifests, and parameter sweeps.
 
 Subcommands: spectrum, dynamics, density, entanglement, thermal, verify,
-sweep.  Exit codes: 0 success, 1 usage error, 2 physics-contract violation
-(including a failed verify), 3 resource cap exceeded.
+sweep.  The first five are `TableCommand` rows of the command table
+`COMMANDS` (CSV file, columns, row builder) and share one runner: resolve,
+spectral stage, rows, CSV, manifest.  `sweep` runs the `dynamics` row at
+every grid point.  `RunConfig` is the one config schema: file keys and
+flags are its fields, coerced by `_coerce`, and every float in it is
+checked finite before any output is written.
+
+Exit codes: 0 success, 1 usage error, 2 physics-contract violation
+(including a failed verify, a non-finite config number and a sweep whose
+every point failed), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
-                      reduced_density_closed, thermal_trace_oracle)
-from .dynamics import amplitude_matrix, amplitudes, decay_rate_fit, survival_amplitude, survival_series
+from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
+                      thermal_trace_oracle)
+from .dynamics import (SurvivalSeries, amplitude_matrix, amplitudes, decay_rate_fit,
+                       survival_amplitude, survival_series)
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, build_mode_ladder, natural_from_si
@@ -35,13 +46,6 @@ VERIFY_TOLERANCE = 1e-12
 
 # Fixed sweep axis order; rows follow the cartesian product in this order.
 SWEEP_AXES = ("xi", "phi", "temperature", "radius", "g")
-
-_FLOAT_FIELDS = {"omega_bar", "g", "radius", "xi", "phi", "beta", "temperature",
-                 "n0_init", "t_max"}
-_INT_FIELDS = {"n_modes", "samples", "n_modes_oracle", "n_max", "jobs"}
-_BOOL_FIELDS = {"si", "negative_control"}
-_LIST_FIELDS = {"beta_list", "t_list", "fit_window", "xi_grid", "phi_grid",
-                "temperature_grid", "radius_grid", "g_grid"}
 
 
 class UsageError(Exception):
@@ -69,15 +73,22 @@ class RunConfig:
     n_max: int = 3
     beta_list: tuple[float, ...] = (0.2, 1.0, 5.0)
     t_list: tuple[float, ...] = (0.0, 0.7, 3.1)
-    negative_control: bool = False
-    si: bool = False
-    out: str = "runs"
-    jobs: int = 1
+    negative_control: bool = field(default=False, metadata={
+        "help": "verify with the deliberately broken bath normalization"})
+    si: bool = field(default=False, metadata={
+        "help": "interpret omega-bar/radius/temperature as rad/s, m, K"})
+    out: str = field(default="runs", metadata={"help": "output directory"})
+    jobs: int = field(default=1, metadata={"help": "parallel workers for sweep"})
     xi_grid: tuple[float, ...] | None = None
     phi_grid: tuple[float, ...] | None = None
     temperature_grid: tuple[float, ...] | None = None
     radius_grid: tuple[float, ...] | None = None
     g_grid: tuple[float, ...] | None = None
+
+
+# Each field's kind, read from its annotation (a string under postponed
+# evaluation): float, int, bool, str, or tuple for a comma-separated list.
+_KINDS = {f.name: f.type.split(" |")[0].split("[")[0] for f in dataclasses.fields(RunConfig)}
 
 
 @dataclass(frozen=True)
@@ -93,10 +104,6 @@ class NaturalRun:
 
 
 def resolve_natural(config: RunConfig) -> NaturalRun:
-    for name in ("beta", "temperature", "n0_init"):
-        value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
     if config.temperature is not None and config.temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {config.temperature}")
     si_inputs = None
@@ -120,7 +127,6 @@ def resolve_natural(config: RunConfig) -> NaturalRun:
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` file; `#` starts a comment, lists are comma separated."""
     values: dict = {}
-    valid = {f.name for f in dataclasses.fields(RunConfig)}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,29 +135,40 @@ def parse_config_file(path: Path) -> dict:
         key = key.strip()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in valid:
+        if key not in _KINDS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = _coerce(key, value.strip(), where=f"{path}:{lineno}")
     return values
 
 
 def _coerce(key: str, text: str, where: str):
+    kind = _KINDS[key]
     try:
-        if key in _FLOAT_FIELDS:
+        if kind == "float":
             return float(text)
-        if key in _INT_FIELDS:
+        if kind == "int":
             return int(text)
-        if key in _BOOL_FIELDS:
+        if kind == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if key in _LIST_FIELDS:
+        if kind == "tuple":
             return tuple(float(v) for v in text.split(",") if v.strip())
         return text
     except ValueError as exc:
         raise UsageError(f"{where}: bad value for {key}: {exc}") from None
+
+
+def _check_finite(config: RunConfig) -> None:
+    """Every float of the config, and every list entry, must be finite."""
+    for key, kind in _KINDS.items():
+        value = getattr(config, key)
+        if kind not in ("float", "tuple") or value is None:
+            continue
+        if not all(math.isfinite(v) for v in (value if kind == "tuple" else (value,))):
+            raise DomainError(f"{key} must be finite, got {value}")
 
 
 def _metadata(run: NaturalRun, extra: dict | None = None) -> dict:
@@ -186,102 +203,93 @@ def _pipeline(run: NaturalRun):
     }
 
 
-def _finish(out_dir: Path, run: NaturalRun, config: RunConfig, convergence: dict,
-            artifacts: list[Path], started: float, extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, config: RunConfig, started: float, csv: Path,
+                    run: NaturalRun | None = None, convergence: dict | None = None,
+                    **fields) -> None:
+    """Every command's manifest: the shared header, the natural units and
+    convergence of a resolved run, then the command's own fields."""
     payload = {"tool": "dressedcavity", "version": __version__,
-               "config": dataclasses.asdict(config),
-               "natural_units": {"omega_bar": run.params.omega_bar, "g": run.params.g,
-                                 "radius": run.params.radius, "beta": run.beta},
-               "si_inputs": run.si_inputs,
-               "convergence": convergence,
-               "wall_clock_seconds": time.monotonic() - started}
-    payload.update(extra or {})
-    write_manifest(out_dir, payload, artifacts)
+               "config": dataclasses.asdict(config)}
+    if run is not None:
+        payload.update(natural_units={"omega_bar": run.params.omega_bar, "g": run.params.g,
+                                      "radius": run.params.radius, "beta": run.beta},
+                       si_inputs=run.si_inputs, convergence=convergence)
+    payload.update(fields, wall_clock_seconds=time.monotonic() - started)
+    write_manifest(out_dir, payload, [csv])
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    started = time.monotonic()
-    run = resolve_natural(config)
-    out_dir = Path(config.out)
-    ladder, spectrum, convergence = _pipeline(run)
-    rows = [(s, spectrum.omega_dressed[s], spectrum.components[0, s])
-            for s in range(spectrum.size)]
-    csv = write_csv(out_dir / "spectrum.csv",
-                    ["s[index]", "Omega_s[natural-frequency]", "t_0_s[dimensionless]"],
-                    rows, metadata=_metadata(run))
-    _finish(out_dir, run, config, convergence, [csv], started)
-    return 0
+class Table(NamedTuple):
+    """A row builder's CSV rows, extra metadata and manifest fields, and the
+    survival series behind the `dynamics` rows, which `sweep` fits."""
+
+    rows: Iterable
+    metadata: dict | None = None
+    manifest: dict | None = None
+    series: SurvivalSeries | None = None
 
 
-def cmd_dynamics(config: RunConfig) -> int:
-    started = time.monotonic()
-    run = resolve_natural(config)
-    out_dir = Path(config.out)
-    ladder, spectrum, convergence = _pipeline(run)
+@dataclass(frozen=True)
+class TableCommand:
+    """A command table row: CSV file, columns, `build(run, ladder, spectrum) -> Table`."""
+
+    file: str
+    columns: tuple[str, ...]
+    build: Callable[..., Table]
+
+    def execute(self, config: RunConfig):
+        """resolve -> spectral stage -> rows -> CSV -> manifest; returns
+        (run, ladder, spectrum, table) for callers that derive more."""
+        started = time.monotonic()
+        run = resolve_natural(config)
+        out_dir = Path(config.out)
+        ladder, spectrum, convergence = _pipeline(run)
+        table = self.build(run, ladder, spectrum)
+        csv = write_csv(out_dir / self.file, self.columns, table.rows,
+                        metadata=_metadata(run, table.metadata))
+        _write_manifest(out_dir, config, started, csv, run, convergence, **(table.manifest or {}))
+        return run, ladder, spectrum, table
+
+    def __call__(self, config: RunConfig) -> int:
+        self.execute(config)
+        return 0
+
+
+def _spectrum_rows(run, ladder, spectrum) -> Table:
+    return Table([(s, spectrum.omega_dressed[s], spectrum.components[0, s])
+                  for s in range(spectrum.size)])
+
+
+def _dynamics_rows(run, ladder, spectrum) -> Table:
     series = survival_series(spectrum, run.t_grid)
-    rows = zip(series.t, series.survival, series.phase)
-    csv = write_csv(out_dir / "dynamics.csv",
-                    ["t[natural-time]", "survival[probability]", "phase[rad]"],
-                    rows, metadata=_metadata(run))
-    extra = {"min_survival": float(np.min(series.survival))}
-    _finish(out_dir, run, config, convergence, [csv], started, extra=extra)
-    return 0
+    return Table(zip(series.t, series.survival, series.phase),
+                 manifest={"min_survival": float(np.min(series.survival))}, series=series)
 
 
-def cmd_density(config: RunConfig) -> int:
-    started = time.monotonic()
-    run = resolve_natural(config)
-    out_dir = Path(config.out)
-    ladder, spectrum, convergence = _pipeline(run)
+def _density_rows(run, ladder, spectrum) -> Table:
     f00 = survival_amplitude(spectrum, run.t_grid)
     rows = []
     for t, f in zip(run.t_grid, f00):
         rho = reduced_density_closed(run.state, f, f).matrix
         rows.append((t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
                      rho[2, 1].real, rho[2, 1].imag))
-    csv = write_csv(out_dir / "density.csv",
-                    ["t[natural-time]", "rho_00_00[probability]", "rho_01_01[probability]",
-                     "rho_10_10[probability]", "re_rho_10_01[dimensionless]",
-                     "im_rho_10_01[dimensionless]"],
-                    rows, metadata=_metadata(run, {"xi": run.state.xi, "phi": run.state.phi}))
-    _finish(out_dir, run, config, convergence, [csv], started)
-    return 0
+    return Table(rows, {"xi": run.state.xi, "phi": run.state.phi})
 
 
-def cmd_entanglement(config: RunConfig) -> int:
-    started = time.monotonic()
-    run = resolve_natural(config)
-    out_dir = Path(config.out)
-    ladder, spectrum, convergence = _pipeline(run)
+def _entanglement_rows(run, ladder, spectrum) -> Table:
     f00 = survival_amplitude(spectrum, run.t_grid)
     rows = []
     for t, f in zip(run.t_grid, f00):
         m = measures(reduced_density_closed(run.state, f, f))
         rows.append((t, float(abs(f) ** 2), m.concurrence, m.eof, m.negativity))
-    c0 = family_concurrence(run.state.xi, 1.0)
-    csv = write_csv(out_dir / "entanglement.csv",
-                    ["t[natural-time]", "survival[probability]", "concurrence[dimensionless]",
-                     "eof[ebits]", "negativity[dimensionless]"],
-                    rows, metadata=_metadata(run, {"xi": run.state.xi, "phi": run.state.phi,
-                                                   "c0": c0}))
-    _finish(out_dir, run, config, convergence, [csv], started)
-    return 0
+    return Table(rows, {"xi": run.state.xi, "phi": run.state.phi,
+                        "c0": family_concurrence(run.state.xi, 1.0)})
 
 
-def cmd_thermal(config: RunConfig) -> int:
-    started = time.monotonic()
-    run = resolve_natural(config)
-    out_dir = Path(config.out)
-    ladder, spectrum, convergence = _pipeline(run)
+def _thermal_rows(run, ladder, spectrum) -> Table:
     series = occupation_series(spectrum, ladder, run.beta, run.n0_init, run.t_grid)
-    rows = zip(series.t, series.occupation)
-    csv = write_csv(out_dir / "thermal.csv",
-                    ["t[natural-time]", "occupation[quanta]"],
-                    rows, metadata=_metadata(run, {"n0_init": run.n0_init,
-                                                   "equilibrium_bose_einstein":
-                                                   bose_einstein(run.params.omega_bar, run.beta)}))
-    _finish(out_dir, run, config, convergence, [csv], started)
-    return 0
+    return Table(zip(series.t, series.occupation),
+                 {"n0_init": run.n0_init,
+                  "equilibrium_bose_einstein": bose_einstein(run.params.omega_bar, run.beta)})
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -333,8 +341,7 @@ def cmd_verify(config: RunConfig) -> int:
                               "xi": run.state.xi, "phi": run.state.phi})
     convergence = {"n_modes": config.n_modes_oracle,
                    "eigensolver_residual": spectrum.reconstruction_residual(matrix)}
-    _finish(out_dir, run, config, convergence, [csv], started,
-            extra={"verify_passed": all_pass})
+    _write_manifest(out_dir, config, started, csv, run, convergence, verify_passed=all_pass)
     for row in rows:
         print(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
               f"dev_cross={row[3]:.3e} {row[4]}")
@@ -342,40 +349,25 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all_pass else 2
 
 
-def _sweep_point(task) -> dict:
+def _sweep_point(task) -> tuple:
+    """One `sweep.csv` row, in its column order."""
     index, config = task
-    row = {"index": index,
-           **{axis: getattr(config, axis) for axis in SWEEP_AXES}}
+    axes = (index, *(getattr(config, axis) for axis in SWEEP_AXES))
     try:
-        run = resolve_natural(config)
-        out_dir = Path(config.out)
-        started = time.monotonic()
-        ladder, spectrum, convergence = _pipeline(run)
-        series = survival_series(spectrum, run.t_grid)
+        run, ladder, spectrum, table = COMMANDS["dynamics"].execute(config)
         occ = occupation_series(spectrum, ladder, run.beta, run.n0_init, run.t_grid)
         long_time = occ.occupation[occ.t >= 0.5 * config.t_max]
         window = config.fit_window or (0.05 * config.t_max, 0.8 * config.t_max)
         gamma = r_squared = None
         try:
-            fit = decay_rate_fit(series, window)
+            fit = decay_rate_fit(table.series, window)
             gamma, r_squared = fit.rate, fit.r_squared
         except PhysicsError:
             pass  # recorded as empty columns; not a point failure
-        rows = zip(series.t, series.survival, series.phase)
-        csv = write_csv(out_dir / "dynamics.csv",
-                        ["t[natural-time]", "survival[probability]", "phase[rad]"],
-                        rows, metadata=_metadata(run))
-        _finish(out_dir, run, config, convergence, [csv], started)
-        row.update({"min_survival": float(np.min(series.survival)),
-                    "gamma": gamma, "r_squared": r_squared,
-                    "c0": family_concurrence(config.xi, 1.0),
-                    "occupation_long_time_mean": float(np.mean(long_time)),
-                    "status": "ok"})
+        return (*axes, table.manifest["min_survival"], gamma, r_squared,
+                family_concurrence(config.xi, 1.0), float(np.mean(long_time)), "ok")
     except (PhysicsError, ResourceCapError) as exc:
-        row.update({"min_survival": None, "gamma": None, "r_squared": None,
-                    "c0": None, "occupation_long_time_mean": None,
-                    "status": f"error: {exc}"})
-    return row
+        return (*axes, None, None, None, None, None, f"error: {exc}")
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -397,37 +389,41 @@ def cmd_sweep(config: RunConfig) -> int:
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            rows = list(pool.map(_sweep_point, tasks))
     else:
-        results = [_sweep_point(task) for task in tasks]
-    results.sort(key=lambda row: row["index"])
+        rows = [_sweep_point(task) for task in tasks]
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
                "gamma[natural-frequency]", "r_squared[dimensionless]", "c0[dimensionless]",
                "occupation_long_time_mean[quanta]", "status"]
-    rows = [(r["index"], r["xi"], r["phi"], r["temperature"], r["radius"], r["g"],
-             r["min_survival"], r["gamma"], r["r_squared"], r["c0"],
-             r["occupation_long_time_mean"], r["status"]) for r in results]
     csv = write_csv(out_dir / "sweep.csv", columns, rows,
                     metadata={"axes": ",".join(axis for axis, _ in active),
                               "points": len(tasks), "jobs": config.jobs})
-    failures = sum(1 for r in results if r["status"] != "ok")
-    payload = {"tool": "dressedcavity", "version": __version__,
-               "config": dataclasses.asdict(config),
-               "points": len(tasks), "failures": failures,
-               "wall_clock_seconds": time.monotonic() - started}
-    write_manifest(out_dir, payload, [csv])
+    failures = sum(1 for row in rows if row[-1] != "ok")
+    _write_manifest(out_dir, config, started, csv, points=len(tasks), failures=failures)
     print(f"sweep: {len(tasks)} points, {failures} failures -> {csv}")
+    if failures == len(tasks):
+        print(f"physics contract violation: all {failures} sweep points failed (see {csv})",
+              file=sys.stderr)
+        return 2
     return 0
 
 
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "dynamics": cmd_dynamics,
-    "density": cmd_density,
-    "entanglement": cmd_entanglement,
-    "thermal": cmd_thermal,
+    "spectrum": TableCommand("spectrum.csv", ("s[index]", "Omega_s[natural-frequency]",
+                                              "t_0_s[dimensionless]"), _spectrum_rows),
+    "dynamics": TableCommand("dynamics.csv", ("t[natural-time]", "survival[probability]",
+                                              "phase[rad]"), _dynamics_rows),
+    "density": TableCommand("density.csv", (
+        "t[natural-time]", "rho_00_00[probability]", "rho_01_01[probability]",
+        "rho_10_10[probability]", "re_rho_10_01[dimensionless]", "im_rho_10_01[dimensionless]"),
+        _density_rows),
+    "entanglement": TableCommand("entanglement.csv", (
+        "t[natural-time]", "survival[probability]", "concurrence[dimensionless]",
+        "eof[ebits]", "negativity[dimensionless]"), _entanglement_rows),
+    "thermal": TableCommand("thermal.csv", ("t[natural-time]", "occupation[quanta]"),
+                            _thermal_rows),
     "verify": cmd_verify,
     "sweep": cmd_sweep,
 }
@@ -439,22 +435,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """`--config` plus one flag per `RunConfig` field, coerced by `_coerce`."""
     parser.add_argument("--config", type=Path, help="key = value config file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, help="parallel workers for sweep")
-    parser.add_argument("--si", action="store_true", default=None,
-                        help="interpret omega-bar/radius/temperature as rad/s, m, K")
-    for flag, kind in (("--omega-bar", float), ("--g", float), ("--radius", float),
-                       ("--n-modes", int), ("--xi", float), ("--phi", float),
-                       ("--temperature", float), ("--beta", float), ("--n0-init", float),
-                       ("--t-max", float), ("--samples", int), ("--n-modes-oracle", int),
-                       ("--n-max", int)):
-        parser.add_argument(flag, type=kind)
-    for flag in ("--beta-list", "--t-list", "--fit-window", "--xi-grid", "--phi-grid",
-                 "--temperature-grid", "--radius-grid", "--g-grid"):
-        parser.add_argument(flag, type=str)
-    parser.add_argument("--negative-control", action="store_true", default=None,
-                        help="verify with the deliberately broken bath normalization")
+    for spec in dataclasses.fields(RunConfig):
+        flag = "--" + spec.name.replace("_", "-")
+        if _KINDS[spec.name] == "bool":
+            parser.add_argument(flag, action="store_true", default=None,
+                                help=spec.metadata.get("help"))
+        else:
+            parser.add_argument(flag, type=functools.partial(_coerce, spec.name, where=flag),
+                                help=spec.metadata.get("help"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,13 +464,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not args.config.exists():
             raise UsageError(f"config file not found: {args.config}")
         values.update(parse_config_file(args.config))
-    for key in (f.name for f in dataclasses.fields(RunConfig)):
-        flag_value = getattr(args, key, None)
-        if flag_value is None:
-            continue
-        if key in _LIST_FIELDS and isinstance(flag_value, str):
-            flag_value = _coerce(key, flag_value, where=f"--{key.replace('_', '-')}")
-        values[key] = flag_value
+    values.update({key: getattr(args, key) for key in _KINDS
+                   if getattr(args, key) is not None})
     config = RunConfig(**values)
     if config.fit_window is not None and len(config.fit_window) != 2:
         raise UsageError("fit_window needs exactly two values: lo,hi")
@@ -488,6 +473,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"samples must be >= 1, got {config.samples}")
     if config.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {config.jobs}")
+    _check_finite(config)
     return config
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dressedcavity.cli import RunConfig, cmd_entanglement, main
+from dressedcavity.cli import COMMANDS, RunConfig, main
 from dressedcavity.density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                                    thermal_trace_oracle)
 from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
@@ -204,7 +204,7 @@ def test_criterion_8_end_to_end_beta_invariance(tmp_path):
         config = RunConfig(omega_bar=4.0e14, g=4.0e12, radius=1e-6,
                            temperature=temperature, si=True, n_modes=64,
                            t_max=20.0, samples=101, xi=0.5, phi=0.0, out=str(out))
-        assert cmd_entanglement(config) == 0
+        assert COMMANDS["entanglement"](config) == 0
         _, columns, rows = read_csv(out / "entanglement.csv")
         idx = {name.split("[")[0]: i for i, name in enumerate(columns)}
         columns_by_temperature[temperature] = np.array(

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dressedcavity.cli import RunConfig, main, parse_config_file, resolve_natural
+from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args, main,
+                              parse_config_file, resolve_natural)
 from dressedcavity.model import BOLTZMANN, HBAR
 from dressedcavity.reporting import read_csv, sha256_of
 
@@ -47,6 +48,23 @@ si = false
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["g"] == 0.125
         assert manifest["config"]["xi"] == 0.25
+
+    def test_every_field_is_a_flag_and_a_key(self, tmp_path):
+        # one schema: each RunConfig field parses the same from a flag and a file
+        sample = {"float": "0.25", "int": "3", "bool": "true", "str": "x", "tuple": "0.5,1.5"}
+        texts = {key: sample[kind] for key, kind in _KINDS.items()}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()))
+        flags = []
+        for key, text in texts.items():
+            flags.append("--" + key.replace("_", "-"))
+            if _KINDS[key] != "bool":
+                flags.append(text)
+        parser = build_parser()
+        from_file = config_from_args(parser.parse_args(["spectrum", "--config", str(cfg)]))
+        from_flags = config_from_args(parser.parse_args(["spectrum", *flags]))
+        assert from_file == from_flags
+        assert from_flags != RunConfig()
 
     def test_si_conversion_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -215,6 +233,11 @@ class TestExitCodes:
         ("thermal", "--beta", "nan"),
         ("thermal", "--temperature", "inf"),
         ("thermal", "--n0-init", "nan"),
+        ("dynamics", "--t-max", "nan"),
+        ("entanglement", "--t-max", "inf"),
+        ("verify", "--t-list", "0.7,nan"),
+        ("sweep", "--fit-window", "nan,inf"),
+        ("sweep", "--xi-grid", "0.5,nan"),
     ])
     def test_non_finite_input_exits_2_without_csv(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
@@ -275,6 +298,12 @@ class TestSweepCommand:
         assert all(row[-1] == "ok" for row in rows)
         assert (out / "points" / "point_0000" / "dynamics.csv").exists()
         assert (out / "points" / "point_0001" / "manifest.json").exists()
+        # a point writes through the same dynamics command as a standalone run
+        alone = tmp_path / "alone"
+        assert run_cli("dynamics", "--g", 0.0, "--n-modes", 8, "--t-max", 2,
+                       "--samples", 16, "--out", alone) == 0
+        assert (out / "points" / "point_0000" / "dynamics.csv").read_bytes() == \
+            (alone / "dynamics.csv").read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -305,6 +334,15 @@ class TestSweepCommand:
     def test_no_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", tmp_path / "out") == 1
         assert "sweep needs" in capsys.readouterr().err
+
+    def test_all_points_failed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--radius-grid=-1,-2", "--n-modes", 8,
+                       "--t-max", 2, "--samples", 16, "--out", out) == 2
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 2 and all(row[-1].startswith("error:") for row in rows)
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and err.count("\n") == 1
 
     def test_partial_failure_recorded(self, tmp_path):
         out = tmp_path / "out"
