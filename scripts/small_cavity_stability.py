@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from dressedcavity.density import EntangledStateSpec, reduced_density_closed
-from dressedcavity.dynamics import survival_amplitude, survival_series
+from dressedcavity.dynamics import amplitudes, survival_series
 from dressedcavity.entanglement import family_concurrence, measures
 from dressedcavity.model import ModelParams
 from dressedcavity.reporting import write_csv
@@ -36,7 +36,7 @@ def run(out: Path, g: float, radius: float, n_modes: int, xi: float,
     # sparse checkpoint of the full measure set along the way
     state = EntangledStateSpec(xi, 0.0)
     checkpoints = []
-    for tc, f in zip(t[::samples // 20], survival_amplitude(spectrum, t[::samples // 20])):
+    for tc, f in zip(t[::samples // 20], amplitudes(spectrum, t[::samples // 20], 0)):
         m = measures(reduced_density_closed(state, f, f))
         checkpoints.append((tc, float(abs(f) ** 2), m.concurrence, m.eof, m.negativity))
     write_csv(out / "stability.csv",

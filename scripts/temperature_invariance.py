@@ -26,7 +26,7 @@ def run(out: Path, betas, t: float, xi: float, phi: float, n_modes_oracle: int,
     params = ModelParams(omega_bar=1.0, g=0.01, radius=1.0, n_modes=n_modes_oracle)
     spectrum = dressed_spectrum(params)
     state = EntangledStateSpec(xi, phi)
-    f00 = amplitudes(spectrum, t).f[0]
+    f00 = amplitudes(spectrum, [t])[0, 0]
     closed = reduced_density_closed(state, f00, f00)
     rows = []
     for scheme in ("normalized", "per_level_partition"):

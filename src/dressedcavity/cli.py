@@ -4,14 +4,18 @@ artifacts with run manifests, and parameter sweeps.
 Subcommands: spectrum, dynamics, density, entanglement, thermal, verify,
 sweep.  The first five are `TableCommand` rows of the command table
 `COMMANDS` (CSV file, columns, row builder) and share one runner: resolve,
-spectral stage, rows, CSV, manifest.  `sweep` runs the `dynamics` row at
-every grid point.  `RunConfig` is the one config schema: file keys and
-flags are its fields, coerced by `_coerce`, and every float in it is
-checked finite before any output is written.
+spectral stage (`_pipeline`), rows, CSV, manifest.  `verify` runs the same
+spectral stage on the model with `n_modes_oracle` modes.  `sweep` runs the
+`dynamics` row at every grid point, after checking once that the shared
+time grid holds enough samples for its fit.  `RunConfig` is the one config
+schema: file keys and flags are its fields, coerced by `_coerce`; every
+float in it is checked finite, and t_max in range, before any output is
+written.
 
-Exit codes: 0 success, 1 usage error, 2 physics-contract violation
-(including a failed verify, a non-finite config number and a sweep whose
-every point failed), 3 resource cap exceeded.
+Exit codes: 0 success, 1 usage error (including a sweep fit window that
+holds fewer than 3 samples), 2 physics-contract violation (including a
+failed verify, a non-finite or out-of-range config number and a sweep
+whose every point failed), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ import numpy as np
 from . import __version__
 from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                       thermal_trace_oracle)
-from .dynamics import (SurvivalSeries, amplitude_matrix, amplitudes, decay_rate_fit,
-                       survival_amplitude, survival_series)
+from .dynamics import SurvivalSeries, amplitudes, decay_rate_fit, survival_series
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, build_mode_ladder, natural_from_si
@@ -43,6 +46,10 @@ from .spectral import diagonalize
 from .thermal import bose_einstein, occupation_series
 
 VERIFY_TOLERANCE = 1e-12
+# t_max lies in [1/TIME_LIMIT, TIME_LIMIT] and |t_list| below TIME_LIMIT:
+# with the model's squared frequencies capped at 1e150 every phase Omega*t
+# stays finite, and the squared times of the decay fit stay normal doubles.
+TIME_LIMIT = 1e150
 
 # Fixed sweep axis order; rows follow the cartesian product in this order.
 SWEEP_AXES = ("xi", "phi", "temperature", "radius", "g")
@@ -117,6 +124,8 @@ def resolve_natural(config: RunConfig) -> NaturalRun:
     else:
         omega_bar, g, radius = config.omega_bar, config.g, config.radius
         beta = 1.0 / config.temperature if config.temperature is not None else config.beta
+    if not math.isfinite(beta):
+        raise DomainError(f"temperature {config.temperature} gives a non-finite beta {beta}")
     params = ModelParams(omega_bar=omega_bar, g=g, radius=radius, n_modes=config.n_modes)
     state = EntangledStateSpec(xi=config.xi, phi=config.phi)
     t_grid = np.linspace(0.0, config.t_max, config.samples)
@@ -193,7 +202,7 @@ def _pipeline(run: NaturalRun):
     eig_residual = spectrum.reconstruction_residual(matrix)
     # Unitarity spot check on a coarse subgrid keeps the cost flat in n_modes.
     probe = run.t_grid[:: max(1, run.t_grid.size // 16)]
-    amp = amplitude_matrix(spectrum, probe)
+    amp = amplitudes(spectrum, probe)
     unitarity = float(np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0)))
     return ladder, spectrum, {
         "n_modes": run.params.n_modes,
@@ -266,7 +275,7 @@ def _dynamics_rows(run, ladder, spectrum) -> Table:
 
 
 def _density_rows(run, ladder, spectrum) -> Table:
-    f00 = survival_amplitude(spectrum, run.t_grid)
+    f00 = amplitudes(spectrum, run.t_grid, 0)
     rows = []
     for t, f in zip(run.t_grid, f00):
         rho = reduced_density_closed(run.state, f, f).matrix
@@ -276,7 +285,7 @@ def _density_rows(run, ladder, spectrum) -> Table:
 
 
 def _entanglement_rows(run, ladder, spectrum) -> Table:
-    f00 = survival_amplitude(spectrum, run.t_grid)
+    f00 = amplitudes(spectrum, run.t_grid, 0)
     rows = []
     for t, f in zip(run.t_grid, f00):
         m = measures(reduced_density_closed(run.state, f, f))
@@ -307,17 +316,14 @@ def cmd_verify(config: RunConfig) -> int:
     baths = [ThermalBathSpec(beta=beta, n_max=config.n_max,
                              n_modes_oracle=config.n_modes_oracle)
              for beta in config.beta_list]
-    oracle_params = ModelParams(omega_bar=run.params.omega_bar, g=run.params.g,
-                                radius=run.params.radius, n_modes=config.n_modes_oracle)
-    ladder = build_mode_ladder(oracle_params)
-    matrix = build_coupling_matrix(oracle_params, ladder)
-    spectrum = diagonalize(matrix)
+    oracle_params = dataclasses.replace(run.params, n_modes=config.n_modes_oracle)
+    _, spectrum, convergence = _pipeline(dataclasses.replace(run, params=oracle_params))
     scheme = "per_level_partition" if config.negative_control else "normalized"
 
     rows = []
     all_pass = True
     for t in config.t_list:
-        f00 = amplitudes(spectrum, t).f[0]
+        f00 = amplitudes(spectrum, [t])[0, 0]
         closed = reduced_density_closed(run.state, f00, f00).matrix
         reference: np.ndarray | None = None
         for bath in baths:
@@ -339,8 +345,6 @@ def cmd_verify(config: RunConfig) -> int:
                     metadata={"n_modes_oracle": config.n_modes_oracle, "n_max": config.n_max,
                               "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
                               "xi": run.state.xi, "phi": run.state.phi})
-    convergence = {"n_modes": config.n_modes_oracle,
-                   "eigensolver_residual": spectrum.reconstruction_residual(matrix)}
     _write_manifest(out_dir, config, started, csv, run, convergence, verify_passed=all_pass)
     for row in rows:
         print(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
@@ -351,13 +355,12 @@ def cmd_verify(config: RunConfig) -> int:
 
 def _sweep_point(task) -> tuple:
     """One `sweep.csv` row, in its column order."""
-    index, config = task
+    index, config, window = task
     axes = (index, *(getattr(config, axis) for axis in SWEEP_AXES))
     try:
         run, ladder, spectrum, table = COMMANDS["dynamics"].execute(config)
         occ = occupation_series(spectrum, ladder, run.beta, run.n0_init, run.t_grid)
         long_time = occ.occupation[occ.t >= 0.5 * config.t_max]
-        window = config.fit_window or (0.05 * config.t_max, 0.8 * config.t_max)
         gamma = r_squared = None
         try:
             fit = decay_rate_fit(table.series, window)
@@ -378,14 +381,22 @@ def cmd_sweep(config: RunConfig) -> int:
     if not active:
         raise UsageError("sweep needs at least one of "
                          + ", ".join(f"{axis}_grid" for axis in SWEEP_AXES))
+    # Every point shares this grid.  Its last sample is t_max, so a grid with
+    # three samples in the fit window also has one in the long-time window
+    # t >= t_max/2 that the occupation mean averages over.
+    t = np.linspace(0.0, config.t_max, config.samples)
+    lo, hi = window = config.fit_window or (0.05 * config.t_max, 0.8 * config.t_max)
+    held = int(np.count_nonzero((t >= lo) & (t <= hi)))
+    if held < 3:
+        raise UsageError(f"fit window [{lo:g}, {hi:g}] holds {held} of the {t.size} samples "
+                         f"on [0, {config.t_max:g}]; the decay fit needs at least 3")
     tasks = []
     for index, combo in enumerate(itertools.product(*(values for _, values in active))):
-        point = dataclasses.replace(config, out=str(out_dir / "points" / f"point_{index:04d}"))
-        for (axis, _), value in zip(active, combo):
-            point = dataclasses.replace(point, **{axis: value})
-        for axis in SWEEP_AXES:
-            point = dataclasses.replace(point, **{f"{axis}_grid": None})
-        tasks.append((index, point))
+        point = dataclasses.replace(
+            config, out=str(out_dir / "points" / f"point_{index:04d}"),
+            **{f"{axis}_grid": None for axis in SWEEP_AXES},
+            **{axis: value for (axis, _), value in zip(active, combo)})
+        tasks.append((index, point, window))
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -467,13 +478,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     values.update({key: getattr(args, key) for key in _KINDS
                    if getattr(args, key) is not None})
     config = RunConfig(**values)
-    if config.fit_window is not None and len(config.fit_window) != 2:
-        raise UsageError("fit_window needs exactly two values: lo,hi")
+    if config.fit_window is not None and (len(config.fit_window) != 2
+                                          or config.fit_window[0] >= config.fit_window[1]):
+        raise UsageError("fit_window needs exactly two values lo,hi with lo < hi")
     if config.samples < 1:
         raise UsageError(f"samples must be >= 1, got {config.samples}")
     if config.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {config.jobs}")
     _check_finite(config)
+    if not 1.0 / TIME_LIMIT <= config.t_max <= TIME_LIMIT:
+        raise DomainError(f"t_max must lie in [{1.0 / TIME_LIMIT:g}, {TIME_LIMIT:g}], "
+                          f"got {config.t_max}")
+    if any(abs(t) > TIME_LIMIT for t in config.t_list):
+        raise DomainError(f"t_list entries must lie within +-{TIME_LIMIT:g}, got {config.t_list}")
     return config
 
 

@@ -11,6 +11,10 @@ The trace never builds a dense operator.  Each background's evolved state
 is a sparse map from field occupations to atom-level amplitudes (n_modes+1
 labels), and the field is traced by contracting matching labels, so the
 oracle costs O(backgrounds * n_modes^2) scalar operations.
+
+Both routes take their amplitudes from `dynamics.amplitudes`.  The matrices
+built here are checked Hermitian on construction; positivity is checked
+once, where the entanglement measures consume them.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from .dynamics import amplitudes
 from .errors import ContractViolationError, DomainError, ResourceCapError
 from .spectral import DressedSpectrum
 
-# Ordered two-qubit basis {|00>, |01>, |10>, |11>}; index = 2*p_A + p_B.
-BASIS_LABELS = ("00", "01", "10", "11")
-
+# Matrices use the ordered two-qubit basis {|00>, |01>, |10>, |11>};
+# index = 2*p_A + p_B.
 HERMITICITY_ATOL = 1e-12
-POSITIVITY_FLOOR = -1e-10
+# Largest bath beta: beta*omega*n stays finite for every model frequency
+# (squared frequencies are capped at 1e150) and every occupation n.
+BETA_LIMIT = 1e150
 
 WeightScheme = Literal["normalized", "per_level_partition"]
 
@@ -66,8 +71,9 @@ class ThermalBathSpec:
     max_basis_states: int = 1024
 
     def __post_init__(self):
-        if not math.isfinite(self.beta) or self.beta <= 0.0:
-            raise DomainError(f"beta must be finite and positive, got {self.beta}")
+        if not 0.0 < self.beta <= BETA_LIMIT:
+            raise DomainError(f"beta must be finite, positive and at most {BETA_LIMIT:g}, "
+                              f"got {self.beta}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
         if not 1 <= self.n_modes_oracle <= 3:
@@ -95,18 +101,6 @@ class ReducedDensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class PositivityReport:
-    """Ascending eigenvalues of a reduced matrix plus a pass flag."""
-
-    eigenvalues: np.ndarray
-    min_eigenvalue: float
-    passed: bool
 
 
 def bath_basis_states(n_modes: int, n_max: int) -> Iterator[tuple[int, ...]]:
@@ -229,7 +223,7 @@ def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,
         raise ResourceCapError(
             f"bath basis has {bath.basis_size} states "
             f"(n_max={bath.n_max}, n_modes={n_modes}); cap is {bath.max_basis_states}")
-    amp = amplitudes(spectrum, t).f
+    amp = amplitudes(spectrum, [t])[:, 0]
     # Cancellation makes the weight frequencies immaterial; the dressed
     # frequencies of the field-like labels keep the enumeration concrete.
     weights = [bath_weights(w, bath.beta, bath.n_max, weight_scheme)
@@ -255,11 +249,3 @@ def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,
         raise ContractViolationError(f"oracle trace deviates from 1: {reduced.trace!r}")
     return reduced
 
-
-def positivity_check(rho: ReducedDensityMatrix) -> PositivityReport:
-    """Ascending eigenvalues with a flag for anything below the -1e-10 floor."""
-    eigenvalues = rho.eigenvalues()
-    min_eigenvalue = float(eigenvalues[0])
-    return PositivityReport(eigenvalues=eigenvalues,
-                            min_eigenvalue=min_eigenvalue,
-                            passed=min_eigenvalue >= POSITIVITY_FLOOR)

@@ -5,6 +5,11 @@ from direct spectral summation: f_0nu(t) = sum_s t_0^s t_nu^s exp(-i Omega_s t).
 No integrator, no accumulation error in t.  The weights are real, so every
 sum runs as two real products against cos(Omega_s t) and sin(Omega_s t),
 over blocks of t that keep the phase tables small.
+
+`amplitudes(spectrum, t_grid, labels)` is the one route to the complex
+amplitudes; everything that needs f_0nu (survival, the CLI's unitarity
+probe and row builders, the thermal-trace oracle) calls it, and only the
+thermal occupation streams the blocks of `amplitude_blocks` directly.
 """
 
 from __future__ import annotations
@@ -20,23 +25,6 @@ from .spectral import DressedSpectrum
 # Phase-table entries per block of t (two tables of 8 MB each); smaller
 # blocks cost matrix-product efficiency at N ~ 2000.
 BLOCK_ELEMENTS = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeSet:
-    """Complex amplitudes f_0nu(t) over all dressed labels at one time."""
-
-    t: float
-    f: np.ndarray
-
-    @property
-    def survival(self) -> float:
-        """|f_00|^2, the probability the excitation is still on the atom."""
-        return float(abs(self.f[0]) ** 2)
-
-    @property
-    def norm_residual(self) -> float:
-        return float(abs(np.sum(np.abs(self.f) ** 2) - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +72,14 @@ def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice
         yield block, rows @ cos, im
 
 
-def _spectral_sum(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)) -> np.ndarray:
-    """Complex f_0nu(t) assembled from amplitude_blocks."""
+def amplitudes(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)) -> np.ndarray:
+    """Complex f_0nu(t) over a time grid, assembled from amplitude_blocks.
+
+    f_0nu(t) = sum_s t_0^s t_nu^s exp(-i Omega_s t); at t = 0 this is the
+    completeness relation, so f_00 = 1 and all others vanish.  The label
+    axis comes first (dropped for a single integer label) and the time axis
+    last; pass [t] for a single time.
+    """
     t = np.asarray(t_grid, dtype=float)
     shape = spectrum.components[labels, 0].shape + t.shape
     out = np.empty(shape, dtype=complex)
@@ -95,31 +89,12 @@ def _spectral_sum(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(No
     return out
 
 
-def amplitudes(spectrum: DressedSpectrum, t: float) -> AmplitudeSet:
-    """Amplitude on every dressed label nu at time t.
-
-    f_0nu(t) = sum_s t_0^s t_nu^s exp(-i Omega_s t); at t = 0 this is the
-    completeness relation, so f_00 = 1 and all others vanish.
-    """
-    return AmplitudeSet(t=float(t), f=_spectral_sum(spectrum, [float(t)])[:, 0])
-
-
-def amplitude_matrix(spectrum: DressedSpectrum, t_grid: np.ndarray) -> np.ndarray:
-    """f_0nu over a grid, shape (n_labels, n_times)."""
-    return _spectral_sum(spectrum, t_grid)
-
-
-def survival_amplitude(spectrum: DressedSpectrum, t_grid: np.ndarray) -> np.ndarray:
-    """f_00 over a grid; cheaper than the full amplitude matrix."""
-    return _spectral_sum(spectrum, t_grid, labels=0)
-
-
 def survival_series(spectrum: DressedSpectrum, t_grid: np.ndarray) -> SurvivalSeries:
     """Survival probability and phase of f_00 on an increasing time grid."""
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise InsufficientDataError("time grid is empty")
-    f00 = survival_amplitude(spectrum, t)
+    f00 = amplitudes(spectrum, t, 0)
     return SurvivalSeries(t=t, survival=np.abs(f00) ** 2, phase=np.angle(f00))
 
 

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import POSITIVITY_FLOOR, ReducedDensityMatrix
+from .density import ReducedDensityMatrix
 from .errors import ContractViolationError, DomainError
+
+# Eigenvalues of a physical state may dip below zero by rounding only.
+POSITIVITY_FLOOR = -1e-10
 
 # sigma_y (x) sigma_y in the ordered basis {|00>,|01>,|10>,|11>}.
 _SPIN_FLIP = np.array([
@@ -33,6 +36,7 @@ class EntanglementMeasures:
 
 
 def _require_physical(rho: ReducedDensityMatrix) -> np.ndarray:
+    """The matrix of rho, once its lowest eigenvalue clears POSITIVITY_FLOOR."""
     m = rho.matrix
     if float(np.linalg.eigvalsh(m)[0]) < POSITIVITY_FLOOR:
         raise ContractViolationError("density matrix is not positive semidefinite")

@@ -22,6 +22,11 @@ HBAR = PLANCK / (2.0 * math.pi)  # J s
 BOLTZMANN = 1.380649e-23         # J / K
 LIGHT_SPEED = 299792458.0        # m / s
 
+# Largest squared frequency a coupling-matrix entry may reach (and the
+# inverse of the smallest omega_bar^2): the eigensolver squares the entries
+# again, and span/omega_bar is reported, so both stay far inside double range.
+SQUARED_FREQUENCY_LIMIT = 1e150
+
 
 class NaturalInputs(NamedTuple):
     omega: float
@@ -45,7 +50,10 @@ def natural_from_si(omega_si: float, radius_si: float,
     if temperature_si is not None:
         if temperature_si <= 0.0:
             raise DomainError(f"temperature_si must be positive, got {temperature_si}")
-        beta = HBAR * omega_si / (BOLTZMANN * temperature_si)
+        thermal_energy = BOLTZMANN * temperature_si
+        if thermal_energy == 0.0:
+            raise DomainError(f"k_B*T underflows to 0 at temperature_si {temperature_si}")
+        beta = HBAR * omega_si / thermal_energy
     return NaturalInputs(1.0, radius_si * omega_si / LIGHT_SPEED, beta)
 
 
@@ -83,6 +91,14 @@ class ModelParams:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
+        span = self.n_modes * self.delta_omega
+        squares = (self.omega_bar * self.omega_bar, span * span, 2.0 * self.g * span)
+        limit = SQUARED_FREQUENCY_LIMIT
+        if not 1.0 / limit <= squares[0] <= max(squares) <= limit:
+            raise DomainError(
+                f"omega_bar^2 must lie in [{1.0 / limit:g}, {limit:g}] and the mode span^2 and "
+                f"2*g*span must not exceed {limit:g}; got omega_bar={self.omega_bar}, "
+                f"span={span}, g={self.g}")
 
     @property
     def delta_omega(self) -> float:

@@ -116,10 +116,11 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
 
     The mode entries d of the diagonal must ascend strictly wherever their
     border entry does not deflate, as every mode ladder does.  Raises
-    ModelInstabilityError when any eigenvalue is nonpositive, which signals
-    invalid parameters (the arrowhead form is positive definite for every
-    valid parameter set), and BracketingError when a secular root fails to
-    converge.
+    ModelInstabilityError when any eigenvalue is nonpositive: the arrowhead
+    form is positive definite for every valid parameter set, so for a model
+    matrix this means the lowest eigenvalue is below the double-precision
+    resolution eps*max|M| (the mode span dwarfs omega_bar).  Raises
+    BracketingError when a secular root fails to converge.
     """
     a, z, d = _arrowhead_parts(matrix)
     n = d.size
@@ -134,7 +135,10 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     lam = lam[rank]
     if lam[0] <= 0.0:
         raise ModelInstabilityError(
-            f"nonpositive squared frequency {lam[0]!r}; invalid parameters")
+            f"lowest squared frequency {float(lam[0])!r} is not positive; the model's "
+            "coupling matrix is positive definite, so its lowest eigenvalue is below the "
+            f"double-precision resolution eps*max|M| = {EPS * _max_abs(a, z, d):.3g}: "
+            "the mode span dwarfs omega_bar")
     if dead.size == 0:
         vt = vt_live  # rows ascend, columns follow the modes
     else:

@@ -25,6 +25,10 @@ from .spectral import DressedSpectrum
 # above ~700 the exponential overflows a double and the occupation is 0.
 SERIES_THRESHOLD = 1e-6
 OVERFLOW_THRESHOLD = 700.0
+# Occupations stay at most this, so their sums weighted by |f_0nu|^2 (which
+# add up to 1) stay finite: n0_init is capped here, and nbar ~ 1/x reaches
+# it at x = 1/OCCUPATION_LIMIT.
+OCCUPATION_LIMIT = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +53,10 @@ class OccupationSummary(NamedTuple):
 
 def bose_einstein(omega: float, beta: float) -> float:
     """Mean thermal occupation 1/(exp(beta*omega) - 1) in natural units."""
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
     x = beta * omega
+    if omega <= 0.0 or beta <= 0.0 or x < 1.0 / OCCUPATION_LIMIT:
+        raise DomainError(f"omega and beta must be positive with beta*omega >= "
+                          f"{1.0 / OCCUPATION_LIMIT:g}, got omega {omega}, beta {beta}")
     if x > OVERFLOW_THRESHOLD:
         return 0.0
     if x < SERIES_THRESHOLD:
@@ -64,10 +67,12 @@ def bose_einstein(omega: float, beta: float) -> float:
 
 def _bose_einstein_vector(omegas: np.ndarray, beta: float) -> np.ndarray:
     """bose_einstein over an array of frequencies, with the same series and overflow branches."""
-    x = beta * np.asarray(omegas, dtype=float)
-    if x.size and (np.min(omegas) <= 0.0 or beta <= 0.0):
-        raise DomainError(f"omega and beta must be positive, got min omega "
-                          f"{np.min(omegas)}, beta {beta}")
+    with np.errstate(over="ignore"):  # an infinite x takes the overflow branch
+        x = beta * np.asarray(omegas, dtype=float)
+    floor = 1.0 / OCCUPATION_LIMIT
+    if x.size and (np.min(omegas) <= 0.0 or beta <= 0.0 or np.min(x) < floor):
+        raise DomainError(f"omega and beta must be positive with beta*omega >= {floor:g}, "
+                          f"got min omega {np.min(omegas)}, beta {beta}")
     out = np.zeros_like(x)
     series = x < SERIES_THRESHOLD
     exact = ~series & ~(x > OVERFLOW_THRESHOLD)
@@ -85,8 +90,8 @@ def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float
     weights |f_0nu|^2 = re^2 + im^2 are summed block by block in t, so the
     full amplitude array is never held.
     """
-    if n0_init < 0.0:
-        raise DomainError(f"n0_init must be nonnegative, got {n0_init}")
+    if not 0.0 <= n0_init <= OCCUPATION_LIMIT:
+        raise DomainError(f"n0_init must lie in [0, {OCCUPATION_LIMIT:g}], got {n0_init}")
     if ladder.n_modes != spectrum.size - 1:
         raise DomainError(
             f"ladder has {ladder.n_modes} modes but spectrum has {spectrum.size - 1} field labels")

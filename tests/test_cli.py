@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args, main,
                               parse_config_file, resolve_natural)
@@ -249,6 +255,44 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("t_max", ["-5", "0", "1e-151", "1e151"])
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics", "density", "entanglement",
+                                         "thermal", "verify", "sweep"])
+    def test_nonpositive_t_max_exits_2_without_csv(self, tmp_path, capsys, command, t_max):
+        out = tmp_path / "out"
+        assert run_cli(command, f"--t-max={t_max}", "--xi-grid", "0.5", "--n-modes", 8,
+                       "--samples", 16, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and "t_max must lie in" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ("--t-list", "0.5,1e151")),                # Omega*t could overflow
+        ("thermal", ("--temperature", "5e-324")),             # beta = 1/T overflows
+        ("thermal", ("--si", "--temperature", "5e-324")),     # k_B*T underflows
+        ("thermal", ("--beta", "5e-324")),                    # nbar ~ 1/(beta*omega) overflows
+        ("thermal", ("--n0-init", "1e301")),                  # the weighted sum overflows
+        ("verify", ("--beta-list", "1e151")),                 # beta*omega*n could overflow
+        ("spectrum", ("--omega-bar", "5e-324", "--g", "5e-324")),  # span/omega_bar overflows
+    ])
+    def test_values_outside_double_range_exit_2(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        assert run_cli(command, *flags, "--n-modes", 8, "--samples", 16, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unresolvable_spectrum_names_the_resolution(self, tmp_path, capsys):
+        # --si defaults: 1 rad/s in a 1 m sphere puts the modes ~1e9 above omega_bar
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--si", "--n-modes", 2, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and err.count("\n") == 1
+        assert "np.float64" not in err
+        assert "double-precision resolution eps*max|M|" in err and "omega_bar" in err
+        assert not out.exists()
+
     def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("thermal", "--temperature", 0, "--n-modes", 8, "--samples", 16,
@@ -331,6 +375,20 @@ class TestSweepCommand:
         assert "jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--fit-window", "5,1"),                          # reversed
+        ("--fit-window", "3,3"),                          # empty
+        ("--samples", "1"),                               # nothing in either window
+        ("--fit-window", "49.99,60", "--samples", "10"),  # one sample in the fit window
+    ])
+    def test_unusable_window_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--xi-grid", "0.5", "--n-modes", 8, *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "window" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_no_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", tmp_path / "out") == 1
         assert "sweep needs" in capsys.readouterr().err
@@ -352,3 +410,69 @@ class TestSweepCommand:
         _, _, rows = read_csv(out / "sweep.csv")
         assert rows[0][-1] == "ok"
         assert rows[1][-1].startswith("error:")
+
+
+# Edge values every float flag is fuzzed with, beside ordinary ones.
+EDGE_FLOATS = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -1e-300,
+               1e300, -1e300, 1.7976931348623157e308)
+NUMBER = st.sampled_from(EDGE_FLOATS) | st.floats(-10.0, 100.0)
+
+
+def comma_list(min_size, max_size):
+    return st.lists(NUMBER, min_size=min_size, max_size=max_size).map(
+        lambda values: ",".join(map(repr, values)))
+
+
+FLOAT_FLAGS = ("omega_bar", "g", "radius", "xi", "phi", "beta", "temperature", "n0_init",
+               "t_max")
+FLAGS = {
+    **{name: NUMBER.map(repr) for name in FLOAT_FLAGS},
+    "n_modes": st.integers(-1, 16).map(str),
+    "samples": st.integers(-1, 32).map(str),
+    "n_modes_oracle": st.integers(0, 3).map(str),
+    "n_max": st.integers(0, 3).map(str),
+    "beta_list": comma_list(0, 3),
+    "t_list": comma_list(0, 3),
+    "fit_window": comma_list(0, 3),
+    "si": st.just(None),
+    "negative_control": st.just(None),
+}
+GRIDS = {f"{axis}_grid": comma_list(1, 2) for axis in ("xi", "phi", "temperature", "radius", "g")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(["spectrum", "dynamics", "density", "entanglement", "thermal",
+                                "verify", "sweep"]),
+       names=st.lists(st.sampled_from(sorted(FLAGS)), max_size=6, unique=True),
+       data=st.data())
+def test_fuzzed_cli_exits_cleanly(command, names, data):
+    # every input ends in exit 0 with finite tables, or in a documented nonzero exit
+    if command == "sweep":
+        names += data.draw(st.lists(st.sampled_from(sorted(GRIDS)), min_size=1, max_size=2,
+                                    unique=True))
+    argv = [command]
+    for name in names:
+        value = data.draw((FLAGS | GRIDS)[name], label=name)
+        flag = "--" + name.replace("_", "-")
+        argv.append(flag if value is None else f"{flag}={value}")
+    if "n_modes" not in names:
+        argv.append("--n-modes=8")
+    if "samples" not in names:
+        argv.append("--samples=16")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, f"--out={out}"])
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            assert err.getvalue().count("\n") <= 1
+            return
+        for csv in out.rglob("*.csv"):
+            for row in read_csv(csv)[2]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # status text or an empty fit column
+                    assert math.isfinite(value), (csv.name, row)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dressedcavity.density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
                                    _field_trace_blocks, bath_basis_states, bath_weights,
-                                   positivity_check, reduced_density_closed,
-                                   thermal_trace_oracle)
+                                   reduced_density_closed, thermal_trace_oracle)
 from dressedcavity.dynamics import amplitudes
+from dressedcavity.entanglement import POSITIVITY_FLOOR, concurrence, negativity
 from dressedcavity.errors import ContractViolationError, DomainError, ResourceCapError
 from dressedcavity.model import ModelParams
 from dressedcavity.spectral import dressed_spectrum
@@ -144,7 +144,7 @@ class TestClosedForm:
         rho = reduced_density_closed(state, mod_a * np.exp(1j * arg_a),
                                      mod_b * np.exp(1j * arg_b))
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert positivity_check(rho).passed
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= POSITIVITY_FLOOR
 
 
 class TestThermalTraceOracle:
@@ -152,7 +152,7 @@ class TestThermalTraceOracle:
         # the brute-force run the closed form must reproduce, for every beta
         spec = oracle_spectrum(1)
         state = EntangledStateSpec(0.3, 1.1)
-        f00 = amplitudes(spec, 0.7).f[0]
+        f00 = amplitudes(spec, [0.7])[0, 0]
         closed = reduced_density_closed(state, f00, f00).matrix
         results = []
         for beta in (0.2, 1.0, 5.0):
@@ -189,7 +189,7 @@ class TestThermalTraceOracle:
         for xi, phi in ((0.3, 1.1), (0.5, 0.0), (0.9, 4.0)):
             state = EntangledStateSpec(xi, phi)
             for t in (0.0, 0.7, 3.1):
-                f00 = amplitudes(spec, t).f[0]
+                f00 = amplitudes(spec, [t])[0, 0]
                 closed = reduced_density_closed(state, f00, f00).matrix
                 bath = ThermalBathSpec(beta=1.0, n_max=3, n_modes_oracle=2)
                 rho = thermal_trace_oracle(state, spec, bath, t).matrix
@@ -236,7 +236,7 @@ class TestThermalTraceOracle:
         # unit trace and the temperature cancellation
         spec = oracle_spectrum(1)
         state = EntangledStateSpec(0.3, 1.1)
-        f00 = amplitudes(spec, 0.7).f[0]
+        f00 = amplitudes(spec, [0.7])[0, 0]
         closed = reduced_density_closed(state, f00, f00).matrix
         broken = {}
         for beta in (0.2, 1.0):
@@ -252,31 +252,33 @@ class TestThermalTraceOracle:
 class TestPositivityCheck:
     def test_ground_state_eigenvalues(self):
         rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 0.0, 0.0)
-        report = positivity_check(rho)
-        assert np.allclose(report.eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
-        assert report.passed
+        eigenvalues = np.linalg.eigvalsh(rho.matrix)
+        assert np.allclose(eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
+        assert eigenvalues[0] >= POSITIVITY_FLOOR
 
     def test_bell_state_is_pure(self):
         rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.0, 1.0)
-        assert np.allclose(positivity_check(rho).eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(np.linalg.eigvalsh(rho.matrix), [0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
     def test_half_decayed_bell(self):
         f00 = math.sqrt(0.5)
         rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), f00, f00)
-        assert np.allclose(positivity_check(rho).eigenvalues, [0.0, 0.0, 0.5, 0.5], atol=1e-14)
+        assert np.allclose(np.linalg.eigvalsh(rho.matrix), [0.0, 0.0, 0.5, 0.5], atol=1e-14)
 
     def test_flags_negative_eigenvalue(self):
         rho = ReducedDensityMatrix(matrix=np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-        report = positivity_check(rho)
-        assert not report.passed
-        assert report.min_eigenvalue == pytest.approx(-0.5)
+        assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(-0.5)
+        # the one positivity rule: the measures refuse a non-physical state
+        for measure in (concurrence, negativity):
+            with pytest.raises(ContractViolationError, match="positive semidefinite"):
+                measure(rho)
 
 
 class TestSpecValidation:
     def test_bath_spec_bounds(self):
         with pytest.raises(DomainError):
             ThermalBathSpec(beta=0.0, n_max=3)
-        for beta in (math.nan, math.inf):
+        for beta in (math.nan, math.inf, 1e151):  # 1e151 * omega * n could overflow
             with pytest.raises(DomainError):
                 ThermalBathSpec(beta=beta, n_max=3)
         with pytest.raises(DomainError):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dressedcavity.dynamics import (amplitude_matrix, amplitudes, decay_rate_fit,
-                                    survival_series, wigner_weisskopf_rate)
+from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
+                                    wigner_weisskopf_rate)
 from dressedcavity.errors import FitWindowError, InsufficientDataError
 from dressedcavity.model import ModelParams
 from dressedcavity.spectral import DressedSpectrum, dressed_spectrum
@@ -14,20 +14,29 @@ from conftest import random_params
 WORKED = ModelParams(omega_bar=1.0, g=0.02, radius=math.pi, n_modes=1)
 
 
+def at(spec, t):
+    """f_0nu over every label at the single time t."""
+    return amplitudes(spec, [t])[:, 0]
+
+
+def norm_residual(f):
+    return abs(float(np.sum(np.abs(f) ** 2)) - 1.0)
+
+
 def test_initial_amplitudes_are_delta():
-    amp = amplitudes(dressed_spectrum(WORKED), 0.0)
-    assert amp.f[0] == pytest.approx(1.0, abs=1e-14)
-    assert abs(amp.f[1]) < 1e-14
-    assert amp.survival == pytest.approx(1.0, abs=1e-13)
+    f = at(dressed_spectrum(WORKED), 0.0)
+    assert f[0] == pytest.approx(1.0, abs=1e-14)
+    assert abs(f[1]) < 1e-14
+    assert abs(f[0]) ** 2 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_decoupled_atom_keeps_phase():
     params = ModelParams(omega_bar=1.3, g=0.0, radius=math.pi, n_modes=3)
     spec = dressed_spectrum(params)
     for t in (0.3, 2.0, 17.5):
-        amp = amplitudes(spec, t)
-        assert amp.f[0] == pytest.approx(np.exp(-1.3j * t), abs=1e-12)
-        assert amp.survival == pytest.approx(1.0, abs=1e-12)
+        f = at(spec, t)
+        assert f[0] == pytest.approx(np.exp(-1.3j * t), abs=1e-12)
+        assert abs(f[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_level_rabi_oscillation():
@@ -37,41 +46,45 @@ def test_two_level_rabi_oscillation():
     gap = spec.omega_dressed[1] - spec.omega_dressed[0]
     for t in np.linspace(0.0, 40.0, 101):
         expected = 1.0 - math.sin(2 * theta) ** 2 * math.sin(gap * t / 2.0) ** 2
-        assert amplitudes(spec, t).survival == pytest.approx(expected, abs=1e-12)
+        assert abs(at(spec, t)[0]) ** 2 == pytest.approx(expected, abs=1e-12)
 
 
 def test_unitarity_random_draws(rng):
     for _ in range(100):
         spec = dressed_spectrum(random_params(rng))
         t = float(rng.uniform(0.0, 50.0))
-        assert amplitudes(spec, t).norm_residual <= 1e-10
+        assert norm_residual(at(spec, t)) <= 1e-10
 
 
 def test_survival_invariant_under_eigenvector_sign_flips(rng):
     spec = dressed_spectrum(ModelParams(1.0, 0.01, 4.0, 12))
     t = 3.7
-    reference = abs(amplitudes(spec, t).f[0])
+    reference = abs(at(spec, t)[0])
     for _ in range(20):
         signs = rng.choice([-1.0, 1.0], size=spec.size)
         flipped = DressedSpectrum(omega_dressed=spec.omega_dressed,
                                   components=spec.components * signs[None, :])
-        assert abs(amplitudes(flipped, t).f[0]) == reference  # bitwise stable
+        assert abs(at(flipped, t)[0]) == reference  # bitwise stable
 
 
 def test_time_reversal_conjugation(rng):
     spec = dressed_spectrum(ModelParams(1.0, 0.03, 2.5, 8))
     for t in (0.1, 1.7, 12.0):
-        forward = amplitudes(spec, t).f
-        backward = amplitudes(spec, -t).f
+        forward = at(spec, t)
+        backward = at(spec, -t)
         assert np.max(np.abs(backward - np.conj(forward))) < 1e-12
 
 
 def test_amplitude_matrix_matches_single_times():
     spec = dressed_spectrum(ModelParams(1.0, 0.02, 3.0, 6))
     grid = np.array([0.0, 0.9, 4.2])
-    mat = amplitude_matrix(spec, grid)
+    mat = amplitudes(spec, grid)
+    assert mat.shape == (spec.size, grid.size)
     for j, t in enumerate(grid):
-        assert np.allclose(mat[:, j], amplitudes(spec, t).f, atol=1e-14)
+        assert np.allclose(mat[:, j], at(spec, t), atol=1e-14)
+    # an integer label drops the label axis and picks that row
+    assert amplitudes(spec, grid, 0).shape == grid.shape
+    assert np.allclose(amplitudes(spec, grid, 0), mat[0], atol=1e-14)
 
 
 class TestSurvivalSeries:
@@ -143,7 +156,7 @@ def test_convergence_rate_in_mode_cutoff():
     previous = None
     for n_modes in (8, 16, 32, 64):
         spec = dressed_spectrum(ModelParams(1.0, 0.01, 1.0, n_modes))
-        f00 = np.abs(amplitude_matrix(spec, probe)[0])
+        f00 = np.abs(amplitudes(spec, probe)[0])
         if previous is not None:
             changes.append(np.max(np.abs(f00 - previous)))
         previous = f00

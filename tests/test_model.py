@@ -42,6 +42,11 @@ class TestNaturalFromSi:
         with pytest.raises(DomainError):
             natural_from_si(*args)
 
+    def test_underflowing_temperature_rejected(self):
+        # k_B * 5e-324 K rounds to 0; that was a ZeroDivisionError
+        with pytest.raises(DomainError, match="underflows"):
+            natural_from_si(4.0e14, 1e-6, 5e-324)
+
     @given(omega=st.floats(1e6, 1e18), radius=st.floats(1e-9, 1.0),
            temperature=st.floats(1e-3, 1e6))
     def test_round_trip(self, omega, radius, temperature):
@@ -106,6 +111,19 @@ class TestCouplingMatrix:
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(DomainError):
+        ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"omega_bar": 1e76, "g": 0.1, "radius": 1.0, "n_modes": 1},     # omega_bar^2 > 1e150
+    {"omega_bar": 1e-76, "g": 0.1, "radius": 1.0, "n_modes": 1},    # omega_bar^2 < 1e-150
+    {"omega_bar": 1.0, "g": 0.1, "radius": 1e-76, "n_modes": 1},    # span^2 > 1e150
+    {"omega_bar": 1.0, "g": 1e151, "radius": 1.0, "n_modes": 1},    # 2 g span > 1e150
+    {"omega_bar": 1.0, "g": 0.0, "radius": 5e-324, "n_modes": 1},   # infinite span, 0 * inf
+])
+def test_scales_outside_double_range_rejected(kwargs):
+    # each of these overflowed or underflowed in the matrix or the eigensolver
+    with pytest.raises(DomainError, match="omega_bar\\^2 must lie in"):
         ModelParams(**kwargs)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dressedcavity.dynamics import survival_amplitude
+from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import (BracketingError, ContractViolationError, DomainError,
                                   ModelInstabilityError)
 from dressedcavity.model import CouplingMatrix, ModelParams, build_coupling_matrix, build_mode_ladder
@@ -174,7 +174,7 @@ def test_free_space_survival_matches_eigh_n2000():
     spec, (eigenvalues, vectors) = _dense(params)
     dense = DressedSpectrum(omega_dressed=np.sqrt(eigenvalues), components=vectors)
     t = np.linspace(0.0, 100.0, 201)
-    assert np.max(np.abs(survival_amplitude(spec, t) - survival_amplitude(dense, t))) <= 1e-12
+    assert np.max(np.abs(amplitudes(spec, t, 0) - amplitudes(dense, t, 0))) <= 1e-12
 
 
 def test_interlacing_counts(rng):

@@ -44,7 +44,8 @@ class TestBoseEinstein:
         assert bose_einstein(1.0, lo) >= bose_einstein(1.0, hi)
 
     @pytest.mark.parametrize("kwargs", [{"omega": 0.0, "beta": 1.0},
-                                        {"omega": 1.0, "beta": 0.0}])
+                                        {"omega": 1.0, "beta": 0.0},
+                                        {"omega": 1.0, "beta": 5e-324}])  # 1/x overflows
     def test_domain(self, kwargs):
         with pytest.raises(DomainError):
             bose_einstein(**kwargs)
@@ -62,10 +63,15 @@ class TestBoseEinsteinVector:
             assert np.allclose(vector, scalar, rtol=1e-15, atol=0.0)
             assert np.array_equal(vector == 0.0, scalar == 0.0)
 
-    @pytest.mark.parametrize("omegas, beta", [([1.0, 0.0], 1.0), ([1.0, 2.0], 0.0)])
+    @pytest.mark.parametrize("omegas, beta", [([1.0, 0.0], 1.0), ([1.0, 2.0], 0.0),
+                                              ([1.0, 2.0], 5e-324)])
     def test_domain(self, omegas, beta):
         with pytest.raises(DomainError):
             _bose_einstein_vector(np.array(omegas), beta)
+
+    def test_overflowing_beta_omega_is_empty(self):
+        # beta*omega overflows to inf: the overflow branch, with no RuntimeWarning
+        assert np.array_equal(_bose_einstein_vector(np.array([1.0, 2.0]), 1.7e308), [0.0, 0.0])
 
 
 class TestOccupationSeries:
@@ -113,6 +119,11 @@ class TestOccupationSeries:
     def test_negative_initial_occupation(self):
         with pytest.raises(DomainError):
             occupation_series(self.spectrum, self.ladder, 1.0, -1.0, np.array([0.0]))
+
+    def test_initial_occupation_above_double_range_limit(self):
+        # 1e301 quanta could overflow the weighted sum (a matmul overflow warning)
+        with pytest.raises(DomainError):
+            occupation_series(self.spectrum, self.ladder, 1.0, 1e301, np.array([0.0]))
 
 
 class TestCavitySummary:
