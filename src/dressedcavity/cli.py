@@ -13,7 +13,8 @@ float in it is checked finite, and t_max in range, before any output is
 written.
 
 Exit codes: 0 success, 1 usage error (including a sweep fit window that
-holds fewer than 3 samples), 2 physics-contract violation (including a
+holds fewer than 3 samples, and --si without both --omega-bar and
+--radius), 2 physics-contract violation (including a
 failed verify, a non-finite or out-of-range config number and a sweep
 whose every point failed), 3 resource cap exceeded.
 """
@@ -477,6 +478,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         values.update(parse_config_file(args.config))
     values.update({key: getattr(args, key) for key in _KINDS
                    if getattr(args, key) is not None})
+    # the defaults are natural units; read as 1 rad/s and 1 m they cannot be resolved
+    if values.get("si") and not ("omega_bar" in values
+                                 and ("radius" in values or values.get("radius_grid"))):
+        raise UsageError("--si needs --omega-bar (rad/s) and --radius (m), by flag or "
+                         "config file; the defaults are natural units")
     config = RunConfig(**values)
     if config.fit_window is not None and (len(config.fit_window) != 2
                                           or config.fit_window[0] >= config.fit_window[1]):

@@ -3,7 +3,9 @@
 Internally everything runs in natural units hbar = c = k_B = 1; SI values
 are converted once at the boundary.  The atom (index 0) couples to N field
 modes of a perfectly reflecting sphere of radius R, giving a symmetric
-arrowhead matrix of squared frequencies.
+arrowhead matrix of squared frequencies.  `CouplingMatrix` holds only its
+O(N) parts (atom entry a, border z, mode diagonal d); the dense (N+1)^2
+array is never formed.
 """
 
 from __future__ import annotations
@@ -133,27 +135,34 @@ class ModeLadder:
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Symmetric (N+1)x(N+1) arrowhead matrix of squared frequencies.
+    """Symmetric (N+1)x(N+1) arrowhead matrix of squared frequencies, held as
+    its O(N) parts: M = [[a, z^T], [z, diag(d)]].
 
-    Index 0 is the atom coordinate, 1..N the field modes.  The diagonal
-    counterterm N*eta^2 completes the square, so the form is positive
-    definite for any coupling.
+    Index 0 is the atom coordinate (entry a), 1..N the field modes (border z,
+    diagonal d).  Nothing off the arrow is stored, so every instance is
+    symmetric and an arrowhead by construction.  The counterterm N*eta^2 in
+    a completes the square, so the model's form is positive definite for
+    any coupling.
     """
 
-    matrix: np.ndarray
+    a: float
+    z: np.ndarray
+    d: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolationError(f"coupling matrix must be square, got shape {m.shape}")
-        scale = np.max(np.abs(m))
-        if scale > 0.0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
-            raise ContractViolationError("coupling matrix is not symmetric")
+        a, z, d = float(self.a), np.asarray(self.z, dtype=float), np.asarray(self.d, dtype=float)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "d", d)
+        if z.ndim != 1 or z.shape != d.shape or z.size == 0:
+            raise DomainError(f"border z and mode diagonal d must be 1-d of one nonzero "
+                              f"length, got shapes {z.shape} and {d.shape}")
+        if not (math.isfinite(a) and np.all(np.isfinite(z)) and np.all(np.isfinite(d))):
+            raise DomainError("coupling matrix has a non-finite entry")
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.d.size + 1
 
 
 def build_mode_ladder(params: ModelParams) -> ModeLadder:
@@ -163,21 +172,15 @@ def build_mode_ladder(params: ModelParams) -> ModeLadder:
 
 
 def build_coupling_matrix(params: ModelParams, ladder: ModeLadder) -> CouplingMatrix:
-    """Arrowhead quadratic form for the atom-field coupled oscillators.
+    """Arrowhead quadratic form for the atom-field coupled oscillators, in O(N).
 
-    M[0,0] = omega_bar^2 + N*eta^2, M[k,k] = omega_k^2, M[0,k] = -eta*omega_k
+    a = omega_bar^2 + N*eta^2, d_k = omega_k^2, z_k = -eta*omega_k
     with eta = sqrt(2 g delta_omega).
     """
     if ladder.n_modes != params.n_modes:
         raise ContractViolationError(
             f"ladder has {ladder.n_modes} modes, params expect {params.n_modes}")
-    n = params.n_modes
     w = ladder.frequencies
     eta = params.eta
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = params.omega_bar ** 2 + n * eta ** 2
-    idx = np.arange(1, n + 1)
-    m[idx, idx] = w ** 2
-    m[0, 1:] = -eta * w
-    m[1:, 0] = -eta * w
-    return CouplingMatrix(matrix=m)
+    return CouplingMatrix(a=params.omega_bar ** 2 + params.n_modes * eta ** 2,
+                          z=-eta * w, d=w ** 2)

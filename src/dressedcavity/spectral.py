@@ -1,8 +1,9 @@
 """Dressed spectrum: the arrowhead coupling matrix solved through its secular
 equation in O(N^2) time.
 
-Write the matrix as M = [[a, z^T], [z, diag(d)]] (a the atom entry, z the
-border, d the squared mode frequencies).  Its eigenvalues are the roots of
+The matrix arrives as its arrowhead parts M = [[a, z^T], [z, diag(d)]]
+(a the atom entry, z the border, d the squared mode frequencies) and is never
+formed densely.  Its eigenvalues are the roots of
 
     F(lam) = lam - a + sum_k z_k^2 / (d_k - lam),
 
@@ -23,6 +24,10 @@ which fixes the sign convention t_0^s >= 0.  A border entry at or below
 DEFLATION_RTOL * max|M| is deflated to the exact eigenpair (d_k, e_k); this
 covers g = 0.  The eigenfrequencies Omega_s are the square roots of the
 eigenvalues; dense eigh remains the small-N cross-check in the tests.
+
+The component matrix is the stage's only (N+1)^2 array (two on the
+deflation path); its size is checked against SPECTRAL_BYTES_CAP before it
+is allocated, and a larger model stops with ResourceCapError (exit 3).
 """
 
 from __future__ import annotations
@@ -32,13 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, ContractViolationError, DomainError, ModelInstabilityError
+from .errors import (BracketingError, ContractViolationError, ModelInstabilityError,
+                     ResourceCapError)
 from .model import CouplingMatrix, ModeLadder, ModelParams, build_coupling_matrix, build_mode_ladder
 
 EPS = float(np.finfo(float).eps)
 # Border entries at or below this fraction of max|M| deflate.
 DEFLATION_RTOL = 8.0 * EPS
 MAX_ITERATIONS = 50
+# Bytes of (N+1)^2-sized component arrays diagonalize may hold at once; 2 GiB
+# is one such array of doubles at n_modes = 16383.
+SPECTRAL_BYTES_CAP = 2 << 30
 # Roots are solved in blocks of rows; a block's temporaries hold about this
 # many doubles, so no temporary is (N+1)^2 in size.
 BLOCK_ELEMENTS = 1 << 16
@@ -81,7 +90,7 @@ class DressedSpectrum:
         Uses the arrowhead structure, so it costs O(N^2) time and works on
         blocks of eigenvectors.
         """
-        a, z, d = _arrowhead_parts(matrix)
+        a, z, d = matrix.a, matrix.z, matrix.d
         vt = self.components.T
         lam = self.omega_dressed ** 2
         worst = float(np.max(np.abs(vt[:, 1:] @ z + (a - lam) * vt[:, 0])))
@@ -96,19 +105,7 @@ class DressedSpectrum:
 
 
 def _max_abs(a: float, z: np.ndarray, d: np.ndarray) -> float:
-    return max(abs(a), float(np.max(np.abs(z), initial=0.0)), float(np.max(np.abs(d), initial=0.0)))
-
-
-def _arrowhead_parts(matrix: CouplingMatrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """(a, z, d) of an arrowhead matrix; anything off the arrow must be zero."""
-    m = matrix.matrix
-    diagonal = np.diagonal(m)
-    if np.count_nonzero(m[1:, 1:]) != np.count_nonzero(diagonal[1:]):
-        raise ContractViolationError("coupling matrix is not an arrowhead")
-    a, z, d = float(m[0, 0]), m[0, 1:].copy(), diagonal[1:].copy()
-    if not (math.isfinite(a) and np.all(np.isfinite(z)) and np.all(np.isfinite(d))):
-        raise DomainError("coupling matrix has a non-finite entry")
-    return a, z, d
+    return max(abs(a), float(np.max(np.abs(z))), float(np.max(np.abs(d))))
 
 
 def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
@@ -120,15 +117,23 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     form is positive definite for every valid parameter set, so for a model
     matrix this means the lowest eigenvalue is below the double-precision
     resolution eps*max|M| (the mode span dwarfs omega_bar).  Raises
-    BracketingError when a secular root fails to converge.
+    BracketingError when a secular root fails to converge, and
+    ResourceCapError, before any (N+1)^2 array exists, when the component
+    arrays would exceed SPECTRAL_BYTES_CAP.
     """
-    a, z, d = _arrowhead_parts(matrix)
+    a, z, d = matrix.a, matrix.z, matrix.d
     n = d.size
     tol = DEFLATION_RTOL * _max_abs(a, z, d)
     live = np.flatnonzero(np.abs(z) > tol)
     dead = np.flatnonzero(np.abs(z) <= tol)
     if np.any(np.diff(d[live]) <= tol):
         raise ContractViolationError("coupled mode entries must ascend strictly")
+    # the secular rows, plus the full matrix they are scattered into on deflation
+    held = 8 * ((live.size + 1) ** 2 + ((n + 1) ** 2 if dead.size else 0))
+    if held > SPECTRAL_BYTES_CAP:
+        raise ResourceCapError(
+            f"the spectral stage would hold {held / 2 ** 20:.0f} MiB of eigenvector "
+            f"components at n_modes={n}, above the {SPECTRAL_BYTES_CAP / 2 ** 20:.0f} MiB cap")
     lam_live, vt_live = _secular_eigenpairs(a, d[live], z[live])
     lam = np.concatenate((lam_live, d[dead]))
     rank = np.argsort(lam, kind="stable")

@@ -10,7 +10,6 @@ weights concentrate near resonance and the value settles at nbar(omega_bar).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,24 +50,17 @@ class OccupationSummary(NamedTuple):
     maximum: float
 
 
-def bose_einstein(omega: float, beta: float) -> float:
-    """Mean thermal occupation 1/(exp(beta*omega) - 1) in natural units."""
-    x = beta * omega
-    if omega <= 0.0 or beta <= 0.0 or x < 1.0 / OCCUPATION_LIMIT:
-        raise DomainError(f"omega and beta must be positive with beta*omega >= "
-                          f"{1.0 / OCCUPATION_LIMIT:g}, got omega {omega}, beta {beta}")
-    if x > OVERFLOW_THRESHOLD:
-        return 0.0
-    if x < SERIES_THRESHOLD:
-        # 1/(e^x - 1) = 1/x - 1/2 + x/12 + O(x^3)
-        return 1.0 / x - 0.5 + x / 12.0
-    return 1.0 / math.expm1(x)
+def bose_einstein(omega: float | np.ndarray, beta: float) -> float | np.ndarray:
+    """Mean thermal occupation 1/(exp(beta*omega) - 1) in natural units.
 
-
-def _bose_einstein_vector(omegas: np.ndarray, beta: float) -> np.ndarray:
-    """bose_einstein over an array of frequencies, with the same series and overflow branches."""
+    omega is one frequency (giving a float) or an array of them (giving an
+    array).  Below SERIES_THRESHOLD the exponential is expanded in series;
+    above OVERFLOW_THRESHOLD, including a beta*omega that overflows to inf,
+    the occupation is 0.
+    """
+    omegas = np.asarray(omega, dtype=float)
     with np.errstate(over="ignore"):  # an infinite x takes the overflow branch
-        x = beta * np.asarray(omegas, dtype=float)
+        x = beta * omegas
     floor = 1.0 / OCCUPATION_LIMIT
     if x.size and (np.min(omegas) <= 0.0 or beta <= 0.0 or np.min(x) < floor):
         raise DomainError(f"omega and beta must be positive with beta*omega >= {floor:g}, "
@@ -76,9 +68,10 @@ def _bose_einstein_vector(omegas: np.ndarray, beta: float) -> np.ndarray:
     out = np.zeros_like(x)
     series = x < SERIES_THRESHOLD
     exact = ~series & ~(x > OVERFLOW_THRESHOLD)
+    # 1/(e^x - 1) = 1/x - 1/2 + x/12 + O(x^3)
     out[series] = 1.0 / x[series] - 0.5 + x[series] / 12.0
     out[exact] = 1.0 / np.expm1(x[exact])
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float,
@@ -96,7 +89,7 @@ def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float
         raise DomainError(
             f"ladder has {ladder.n_modes} modes but spectrum has {spectrum.size - 1} field labels")
     t = np.asarray(t_grid, dtype=float)
-    weights = np.concatenate(([n0_init], _bose_einstein_vector(ladder.frequencies, beta)))
+    weights = np.concatenate(([n0_init], bose_einstein(ladder.frequencies, beta)))
     occupation = np.empty(t.size)
     for block, re, im in amplitude_blocks(spectrum, t):
         re *= re

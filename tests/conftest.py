@@ -24,6 +24,13 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def dense(coupling):
+    """The (N+1)x(N+1) arrowhead matrix a CouplingMatrix stands for, for eigh cross-checks."""
+    m = np.diag(np.concatenate(([coupling.a], coupling.d)))
+    m[0, 1:] = m[1:, 0] = coupling.z
+    return m
+
+
 def random_params(rng, n_max=120):
     """A random valid parameter set for invariant sweeps."""
     return ModelParams(omega_bar=float(rng.uniform(0.3, 3.0)),

@@ -14,6 +14,7 @@ from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args
                               parse_config_file, resolve_natural)
 from dressedcavity.model import BOLTZMANN, HBAR
 from dressedcavity.reporting import read_csv, sha256_of
+import dressedcavity.spectral as spectral
 
 
 def run_cli(*args):
@@ -270,7 +271,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flags", [
         ("verify", ("--t-list", "0.5,1e151")),                # Omega*t could overflow
         ("thermal", ("--temperature", "5e-324")),             # beta = 1/T overflows
-        ("thermal", ("--si", "--temperature", "5e-324")),     # k_B*T underflows
+        ("thermal", ("--si", "--omega-bar", "1", "--radius", "1",
+                     "--temperature", "5e-324")),             # k_B*T underflows
         ("thermal", ("--beta", "5e-324")),                    # nbar ~ 1/(beta*omega) overflows
         ("thermal", ("--n0-init", "1e301")),                  # the weighted sum overflows
         ("verify", ("--beta-list", "1e151")),                 # beta*omega*n could overflow
@@ -284,14 +286,52 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unresolvable_spectrum_names_the_resolution(self, tmp_path, capsys):
-        # --si defaults: 1 rad/s in a 1 m sphere puts the modes ~1e9 above omega_bar
+        # 1 rad/s in a 1 m sphere puts the modes ~1e9 above omega_bar
         out = tmp_path / "out"
-        assert run_cli("spectrum", "--si", "--n-modes", 2, "--out", out) == 2
+        assert run_cli("spectrum", "--si", "--omega-bar", 1, "--radius", 1, "--n-modes", 2,
+                       "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("physics contract violation:") and err.count("\n") == 1
         assert "np.float64" not in err
         assert "double-precision resolution eps*max|M|" in err and "omega_bar" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [(), ("--omega-bar", "4e14"), ("--radius", "1e-6"),
+                                       ("--omega-bar", "4e14", "--radius-grid", "")])
+    def test_si_without_both_scales_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--si", *flags, "--n-modes", 2, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--omega-bar" in err and "--radius" in err
+        assert not out.exists()
+
+    def test_si_scales_from_config_file_or_radius_grid(self, tmp_path):
+        cfg = tmp_path / "si.cfg"
+        cfg.write_text("si = true\nomega_bar = 4.0e14\nradius = 1e-6\n")
+        assert run_cli("spectrum", "--config", cfg, "--n-modes", 2,
+                       "--out", tmp_path / "file") == 0
+        assert run_cli("sweep", "--si", "--omega-bar", 4.0e14, "--radius-grid", "1e-6,2e-6",
+                       "--g", 4.0e12, "--n-modes", 2, "--t-max", 2, "--samples", 16,
+                       "--out", tmp_path / "sweep") == 0
+
+    def test_spectral_cap_exits_3_without_output(self, tmp_path, capsys, monkeypatch):
+        # 65^2 doubles of components are 33800 bytes, over a 32 KiB cap
+        monkeypatch.setattr(spectral, "SPECTRAL_BYTES_CAP", 1 << 15)
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--n-modes", 64, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap exceeded:") and err.count("\n") == 1
+        assert not out.exists()
+        assert run_cli("spectrum", "--n-modes", 63, "--out", out) == 0
+
+    def test_spectral_cap_is_a_sweep_error_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "SPECTRAL_BYTES_CAP", 1 << 15)
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--xi-grid", "0.3,0.6", "--n-modes", 64, "--t-max", 2,
+                       "--samples", 16, "--out", out) == 2
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 2 and all("MiB cap" in row[-1] for row in rows)
 
     def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"

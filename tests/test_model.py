@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dressedcavity.model import (BOLTZMANN, HBAR, LIGHT_SPEED, CouplingMatrix, M
                                  build_coupling_matrix, build_mode_ladder, natural_from_si,
                                  si_from_natural)
 
-from conftest import random_params
+from conftest import dense, random_params
 
 # Direct evaluation of hbar*omega/(k_B*T) with the exact SI constants.
 BETA_OMEGA_300K = HBAR * 4.0e14 / (BOLTZMANN * 300.0)
@@ -76,25 +77,43 @@ class TestCouplingMatrix:
     def test_decoupled_is_diagonal(self):
         params = ModelParams(1.5, 0.0, math.pi, 4)
         ladder = build_mode_ladder(params)
-        m = build_coupling_matrix(params, ladder).matrix
+        m = dense(build_coupling_matrix(params, ladder))
         assert np.allclose(m, np.diag([1.5 ** 2, 1.0, 4.0, 9.0, 16.0]))
 
     def test_worked_two_by_two(self):
         params = ModelParams(1.0, 0.02, math.pi, 1)
-        m = build_coupling_matrix(params, build_mode_ladder(params)).matrix
+        m = dense(build_coupling_matrix(params, build_mode_ladder(params)))
         assert params.eta ** 2 == pytest.approx(0.04, rel=1e-15)
         assert np.allclose(m, [[1.04, -0.2], [-0.2, 1.0]], atol=1e-15)
 
     def test_symmetric_and_positive_definite_random(self, rng):
         for _ in range(100):
             params = random_params(rng)
-            m = build_coupling_matrix(params, build_mode_ladder(params)).matrix
-            assert np.array_equal(m, m.T)
-            assert np.linalg.eigvalsh(m)[0] > 0.0
+            coupling = build_coupling_matrix(params, build_mode_ladder(params))
+            assert coupling.z.shape == coupling.d.shape == (params.n_modes,)
+            assert coupling.size == params.n_modes + 1
+            assert np.linalg.eigvalsh(dense(coupling))[0] > 0.0
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ContractViolationError):
-            CouplingMatrix(matrix=np.array([[1.0, 0.5], [0.2, 1.0]]))
+    @pytest.mark.parametrize("z, d", [
+        ([[0.5]], [[1.0]]),        # not 1-d
+        ([0.5, 0.5], [1.0]),       # border and diagonal lengths differ
+        ([], []),                  # no field mode
+    ])
+    def test_malformed_parts_rejected(self, z, d):
+        with pytest.raises(DomainError, match="1-d of one nonzero length"):
+            CouplingMatrix(a=1.0, z=np.array(z), d=np.array(d))
+
+    def test_build_is_linear_in_memory(self):
+        # the O(N) parts only: a dense (N+1)^2 build would allocate 128 MB here
+        params = ModelParams(1.0, 0.01, 2000.0 * math.pi, 4000)
+        ladder = build_mode_ladder(params)
+        tracemalloc.start()
+        try:
+            build_coupling_matrix(params, ladder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_ladder_mismatch_rejected(self):
         params = ModelParams(1.0, 0.01, math.pi, 3)

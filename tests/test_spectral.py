@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import (BracketingError, ContractViolationError, DomainError,
-                                  ModelInstabilityError)
+                                  ModelInstabilityError, ResourceCapError)
 from dressedcavity.model import CouplingMatrix, ModelParams, build_coupling_matrix, build_mode_ladder
 from dressedcavity.spectral import DressedSpectrum, diagonalize, dressed_spectrum, interlacing_counts
 import dressedcavity.spectral as spectral
 
-from conftest import random_params
+from conftest import dense, random_params
 
 WORKED = ModelParams(omega_bar=1.0, g=0.02, radius=math.pi, n_modes=1)
 # Closed-form eigenvalues of [[1.04, -0.2], [-0.2, 1.0]].
@@ -62,13 +62,13 @@ def test_reconstruction_residual(rng):
 
 def test_nonpositive_eigenvalue_raises():
     with pytest.raises(ModelInstabilityError):
-        diagonalize(CouplingMatrix(matrix=np.array([[-1.0, 0.0], [0.0, 1.0]])))
+        diagonalize(CouplingMatrix(a=-1.0, z=np.array([0.0]), d=np.array([1.0])))
 
 
 def _dense(params):
     """Reference eigenpairs of the same coupling matrix from dense eigh."""
     matrix = build_coupling_matrix(params, build_mode_ladder(params))
-    return diagonalize(matrix), np.linalg.eigh(matrix.matrix)
+    return diagonalize(matrix), np.linalg.eigh(dense(matrix))
 
 
 class TestSecularRoots:
@@ -118,11 +118,9 @@ class TestSecularRoots:
         d = np.sort(rng.uniform(1.0, 5.0, 30))
         z = rng.normal(size=30)
         z[9] = 0.0
-        m = np.diag(np.concatenate(([40.0], d)))
-        m[0, 1:] = m[1:, 0] = z
-        matrix = CouplingMatrix(matrix=m)
+        matrix = CouplingMatrix(a=40.0, z=z, d=d)
         spec = diagonalize(matrix)
-        eigenvalues, _ = np.linalg.eigh(m)
+        eigenvalues, _ = np.linalg.eigh(dense(matrix))
         assert np.max(np.abs(spec.omega_dressed ** 2 - eigenvalues)) <= 1e-12
         v = spec.components
         assert np.max(np.abs(v.T @ v - np.eye(31))) <= 1e-12
@@ -133,24 +131,32 @@ class TestSecularRoots:
 
     @pytest.mark.parametrize("d", [(2.0, 1.0, 3.0), (1.0, 1.0, 3.0)])
     def test_unordered_or_repeated_modes_rejected(self, d):
-        m = np.diag((10.0,) + d)
-        m[0, 1:] = m[1:, 0] = 0.5
         with pytest.raises(ContractViolationError):
-            diagonalize(CouplingMatrix(matrix=m))
-
-    def test_non_arrowhead_rejected(self):
-        m = np.diag([3.0, 1.0, 2.0])
-        m[1, 2] = m[2, 1] = 0.1
-        with pytest.raises(ContractViolationError):
-            diagonalize(CouplingMatrix(matrix=m))
+            diagonalize(CouplingMatrix(a=10.0, z=np.full(3, 0.5), d=np.array(d)))
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
     def test_non_finite_entry_rejected(self, entry):
-        m = np.diag([3.0, 1.0, 2.0])
-        m[0, 1:] = m[1:, 0] = 0.5
-        m[entry] = m[entry[::-1]] = math.nan
+        # entry (row, column) of the dense matrix: the atom entry, the border, the diagonal
+        parts = {"a": 3.0, "z": np.array([0.5, 0.5]), "d": np.array([1.0, 2.0])}
+        if entry == (0, 0):
+            parts["a"] = math.nan
+        else:
+            parts["z" if entry == (0, 1) else "d"][0] = math.nan
         with pytest.raises(DomainError):
-            diagonalize(CouplingMatrix(matrix=m))
+            diagonalize(CouplingMatrix(**parts))
+
+    def test_component_bytes_capped_before_allocation(self, monkeypatch):
+        # one border entry deflates: 30 secular rows (30^2) plus the full 31^2 matrix
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=30)
+        z[9] = 0.0
+        matrix = CouplingMatrix(a=40.0, z=z, d=np.sort(rng.uniform(1.0, 5.0, 30)))
+        held = 8 * (30 ** 2 + 31 ** 2)
+        monkeypatch.setattr(spectral, "SPECTRAL_BYTES_CAP", held - 1)
+        with pytest.raises(ResourceCapError):
+            diagonalize(matrix)
+        monkeypatch.setattr(spectral, "SPECTRAL_BYTES_CAP", held)
+        assert diagonalize(matrix).size == 31
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_ITERATIONS", 0)

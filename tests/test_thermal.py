@@ -9,8 +9,8 @@ import dressedcavity.dynamics as dynamics
 from dressedcavity.errors import DomainError
 from dressedcavity.model import ModelParams, build_mode_ladder, natural_from_si
 from dressedcavity.spectral import dressed_spectrum
-from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, _bose_einstein_vector,
-                                   bose_einstein, cavity_occupation_summary, occupation_series)
+from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
+                                   cavity_occupation_summary, occupation_series)
 
 
 class TestBoseEinstein:
@@ -57,21 +57,27 @@ class TestBoseEinsteinVector:
                       SERIES_THRESHOLD, 2.0 * SERIES_THRESHOLD, 0.3, 1.0, 40.0,
                       np.nextafter(OVERFLOW_THRESHOLD, 0.0), OVERFLOW_THRESHOLD,
                       np.nextafter(OVERFLOW_THRESHOLD, 1e3), 2.0 * OVERFLOW_THRESHOLD])
+        # the formula each branch stands for: series below the threshold, 0 above overflow
+        expected = np.array([1.0 / v - 0.5 + v / 12.0 if v < SERIES_THRESHOLD
+                             else 0.0 if v > OVERFLOW_THRESHOLD else 1.0 / math.expm1(v)
+                             for v in x])
         for beta in (0.5, 1.0, 4.0):
-            vector = _bose_einstein_vector(x / beta, beta)
+            vector = bose_einstein(x / beta, beta)
             scalar = np.array([bose_einstein(w, beta) for w in x / beta])
-            assert np.allclose(vector, scalar, rtol=1e-15, atol=0.0)
-            assert np.array_equal(vector == 0.0, scalar == 0.0)
+            for values in (vector, scalar):
+                assert np.allclose(values, expected, rtol=1e-15, atol=0.0)
+                assert np.array_equal(values == 0.0, expected == 0.0)
+            assert all(type(bose_einstein(w, beta)) is float for w in x / beta)
 
     @pytest.mark.parametrize("omegas, beta", [([1.0, 0.0], 1.0), ([1.0, 2.0], 0.0),
                                               ([1.0, 2.0], 5e-324)])
     def test_domain(self, omegas, beta):
         with pytest.raises(DomainError):
-            _bose_einstein_vector(np.array(omegas), beta)
+            bose_einstein(np.array(omegas), beta)
 
     def test_overflowing_beta_omega_is_empty(self):
         # beta*omega overflows to inf: the overflow branch, with no RuntimeWarning
-        assert np.array_equal(_bose_einstein_vector(np.array([1.0, 2.0]), 1.7e308), [0.0, 0.0])
+        assert np.array_equal(bose_einstein(np.array([1.0, 2.0]), 1.7e308), [0.0, 0.0])
 
 
 class TestOccupationSeries:
