@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from dressedcavity.dynamics import decay_rate_fit, survival_series, wigner_weisskopf_rate
-from dressedcavity.model import ModelParams, build_mode_ladder
+from dressedcavity.model import ModelParams
 from dressedcavity.reporting import write_csv
 from dressedcavity.spectral import dressed_spectrum
 from dressedcavity.thermal import bose_einstein, occupation_series
@@ -38,16 +38,15 @@ def run(out: Path, g: float, radius: float, n_modes: int, beta: float) -> None:
               metadata={"g": g, "radius": radius, "n_modes": n_modes,
                         "gamma_fit": fit.rate, "gamma_golden_rule": oracle})
 
-    ladder = build_mode_ladder(params)
     t_occ = np.linspace(0.0, 300.0, 601)
-    occ = occupation_series(spectrum, ladder, beta, 1.0, t_occ)
+    occ = occupation_series(spectrum, params, beta, 1.0, t_occ)
     target = bose_einstein(1.0, beta)
-    long_time = float(np.mean(occ.occupation[occ.t >= 150.0]))
+    long_time = float(np.mean(occ[t_occ >= 150.0]))
     print(f"occupation at beta={beta}: long-time mean {long_time:.5f} "
           f"vs Bose-Einstein {target:.5f}")
     write_csv(out / "occupation.csv",
               ["t[natural-time]", "occupation[quanta]"],
-              zip(occ.t, occ.occupation),
+              zip(t_occ, occ),
               metadata={"beta": beta, "n0_init": 1.0, "equilibrium": target})
     print(f"wrote {out}/survival.csv and {out}/occupation.csv")
 

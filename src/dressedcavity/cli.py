@@ -5,12 +5,15 @@ Subcommands: spectrum, dynamics, density, entanglement, thermal, verify,
 sweep.  The first five are `TableCommand` rows of the command table
 `COMMANDS` (CSV file, columns, row builder) and share one runner: resolve,
 spectral stage (`_pipeline`), rows, CSV, manifest.  `verify` runs the same
-spectral stage on the model with `n_modes_oracle` modes.  `sweep` runs the
-`dynamics` row at every grid point, after checking once that the shared
-time grid holds enough samples for its fit.  `RunConfig` is the one config
-schema: file keys and flags are its fields, coerced by `_coerce`; every
-float in it is checked finite, and t_max in range, before any output is
-written.
+spectral stage on the model with `n_modes_oracle` modes; when the phases
+Omega*t at its largest |t| have lost more than its tolerance to rounding
+(`phase_precision` in the manifest's convergence), it warns on stderr and
+in the manifest's `warnings`, and the exit code does not change.  `sweep`
+runs the `dynamics` row at every grid point, after checking once that the
+shared time grid holds enough samples for its fit.  `RunConfig` is the one
+config schema: file keys and flags are its fields, coerced by `_coerce`;
+every float in it is checked finite, and t_max in range, before any output
+is written.
 
 Exit codes: 0 success, 1 usage error (including a sweep fit window that
 holds fewer than 3 samples, and --si without both --omega-bar and
@@ -41,9 +44,9 @@ from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_close
 from .dynamics import SurvivalSeries, amplitudes, decay_rate_fit, survival_series
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
-from .model import ModelParams, build_coupling_matrix, build_mode_ladder, natural_from_si
+from .model import ModelParams, build_coupling_matrix, natural_from_si
 from .reporting import write_csv, write_manifest
-from .spectral import diagonalize
+from .spectral import EPS, diagonalize
 from .thermal import bose_einstein, occupation_series
 
 VERIFY_TOLERANCE = 1e-12
@@ -197,17 +200,16 @@ def _metadata(run: NaturalRun, extra: dict | None = None) -> dict:
 
 def _pipeline(run: NaturalRun):
     """Shared spectral stage plus the residuals the manifest reports."""
-    ladder = build_mode_ladder(run.params)
-    matrix = build_coupling_matrix(run.params, ladder)
+    matrix = build_coupling_matrix(run.params)
     spectrum = diagonalize(matrix)
     eig_residual = spectrum.reconstruction_residual(matrix)
     # Unitarity spot check on a coarse subgrid keeps the cost flat in n_modes.
     probe = run.t_grid[:: max(1, run.t_grid.size // 16)]
     amp = amplitudes(spectrum, probe)
     unitarity = float(np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0)))
-    return ladder, spectrum, {
+    return spectrum, {
         "n_modes": run.params.n_modes,
-        "mode_span_over_omega_bar": ladder.frequencies[-1] / run.params.omega_bar,
+        "mode_span_over_omega_bar": run.params.mode_frequencies[-1] / run.params.omega_bar,
         "eigensolver_residual": eig_residual,
         "unitarity_residual": unitarity,
     }
@@ -240,7 +242,7 @@ class Table(NamedTuple):
 
 @dataclass(frozen=True)
 class TableCommand:
-    """A command table row: CSV file, columns, `build(run, ladder, spectrum) -> Table`."""
+    """A command table row: CSV file, columns, `build(run, spectrum) -> Table`."""
 
     file: str
     columns: tuple[str, ...]
@@ -248,34 +250,34 @@ class TableCommand:
 
     def execute(self, config: RunConfig):
         """resolve -> spectral stage -> rows -> CSV -> manifest; returns
-        (run, ladder, spectrum, table) for callers that derive more."""
+        (run, spectrum, table) for callers that derive more."""
         started = time.monotonic()
         run = resolve_natural(config)
         out_dir = Path(config.out)
-        ladder, spectrum, convergence = _pipeline(run)
-        table = self.build(run, ladder, spectrum)
+        spectrum, convergence = _pipeline(run)
+        table = self.build(run, spectrum)
         csv = write_csv(out_dir / self.file, self.columns, table.rows,
                         metadata=_metadata(run, table.metadata))
         _write_manifest(out_dir, config, started, csv, run, convergence, **(table.manifest or {}))
-        return run, ladder, spectrum, table
+        return run, spectrum, table
 
     def __call__(self, config: RunConfig) -> int:
         self.execute(config)
         return 0
 
 
-def _spectrum_rows(run, ladder, spectrum) -> Table:
+def _spectrum_rows(run, spectrum) -> Table:
     return Table([(s, spectrum.omega_dressed[s], spectrum.components[0, s])
                   for s in range(spectrum.size)])
 
 
-def _dynamics_rows(run, ladder, spectrum) -> Table:
+def _dynamics_rows(run, spectrum) -> Table:
     series = survival_series(spectrum, run.t_grid)
     return Table(zip(series.t, series.survival, series.phase),
                  manifest={"min_survival": float(np.min(series.survival))}, series=series)
 
 
-def _density_rows(run, ladder, spectrum) -> Table:
+def _density_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
     rows = []
     for t, f in zip(run.t_grid, f00):
@@ -285,7 +287,7 @@ def _density_rows(run, ladder, spectrum) -> Table:
     return Table(rows, {"xi": run.state.xi, "phi": run.state.phi})
 
 
-def _entanglement_rows(run, ladder, spectrum) -> Table:
+def _entanglement_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
     rows = []
     for t, f in zip(run.t_grid, f00):
@@ -295,9 +297,9 @@ def _entanglement_rows(run, ladder, spectrum) -> Table:
                         "c0": family_concurrence(run.state.xi, 1.0)})
 
 
-def _thermal_rows(run, ladder, spectrum) -> Table:
-    series = occupation_series(spectrum, ladder, run.beta, run.n0_init, run.t_grid)
-    return Table(zip(series.t, series.occupation),
+def _thermal_rows(run, spectrum) -> Table:
+    occupation = occupation_series(spectrum, run.params, run.beta, run.n0_init, run.t_grid)
+    return Table(zip(run.t_grid, occupation),
                  {"n0_init": run.n0_init,
                   "equilibrium_bose_einstein": bose_einstein(run.params.omega_bar, run.beta)})
 
@@ -318,7 +320,10 @@ def cmd_verify(config: RunConfig) -> int:
                              n_modes_oracle=config.n_modes_oracle)
              for beta in config.beta_list]
     oracle_params = dataclasses.replace(run.params, n_modes=config.n_modes_oracle)
-    _, spectrum, convergence = _pipeline(dataclasses.replace(run, params=oracle_params))
+    spectrum, convergence = _pipeline(dataclasses.replace(run, params=oracle_params))
+    # digits the phases Omega*t lose to rounding at the largest |t|
+    convergence["phase_precision"] = (max(abs(t) for t in config.t_list)
+                                      * spectrum.omega_dressed[-1] * EPS)
     scheme = "per_level_partition" if config.negative_control else "normalized"
 
     rows = []
@@ -338,6 +343,12 @@ def cmd_verify(config: RunConfig) -> int:
             all_pass = all_pass and ok
             rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
 
+    warnings = []
+    if convergence["phase_precision"] > VERIFY_TOLERANCE:
+        warnings.append(
+            f"phase precision max|t|*Omega_max*eps = {convergence['phase_precision']:.3g} "
+            f"exceeds the verify tolerance {VERIFY_TOLERANCE:g}; both routes share the "
+            f"rounded phases, so their agreement shows nothing")
     csv = write_csv(out_dir / "verify.csv",
                     ["beta[1/natural-frequency]", "t[natural-time]",
                      "max_dev_vs_closed[dimensionless]", "max_dev_vs_first_beta[dimensionless]",
@@ -346,7 +357,10 @@ def cmd_verify(config: RunConfig) -> int:
                     metadata={"n_modes_oracle": config.n_modes_oracle, "n_max": config.n_max,
                               "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
                               "xi": run.state.xi, "phi": run.state.phi})
-    _write_manifest(out_dir, config, started, csv, run, convergence, verify_passed=all_pass)
+    _write_manifest(out_dir, config, started, csv, run, convergence, verify_passed=all_pass,
+                    warnings=warnings)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     for row in rows:
         print(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
               f"dev_cross={row[3]:.3e} {row[4]}")
@@ -359,9 +373,9 @@ def _sweep_point(task) -> tuple:
     index, config, window = task
     axes = (index, *(getattr(config, axis) for axis in SWEEP_AXES))
     try:
-        run, ladder, spectrum, table = COMMANDS["dynamics"].execute(config)
-        occ = occupation_series(spectrum, ladder, run.beta, run.n0_init, run.t_grid)
-        long_time = occ.occupation[occ.t >= 0.5 * config.t_max]
+        run, spectrum, table = COMMANDS["dynamics"].execute(config)
+        occupation = occupation_series(spectrum, run.params, run.beta, run.n0_init, run.t_grid)
+        long_time = occupation[run.t_grid >= 0.5 * config.t_max]
         gamma = r_squared = None
         try:
             fit = decay_rate_fit(table.series, window)

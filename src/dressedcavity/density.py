@@ -36,6 +36,10 @@ HERMITICITY_ATOL = 1e-12
 # Largest bath beta: beta*omega*n stays finite for every model frequency
 # (squared frequencies are capped at 1e150) and every occupation n.
 BETA_LIMIT = 1e150
+# Cap on the backgrounds (n_max+1)^n_modes_oracle of one oracle call; the
+# sparse trace does O(n_modes_oracle^2) scalar work per background, so this
+# bounds its cost.
+MAX_BACKGROUNDS = 1024
 
 WeightScheme = Literal["normalized", "per_level_partition"]
 
@@ -66,9 +70,6 @@ class ThermalBathSpec:
     beta: float
     n_max: int
     n_modes_oracle: int = 1
-    # cap on the backgrounds (n_max+1)^n_modes_oracle; the sparse trace does
-    # O(n_modes_oracle^2) scalar work per background, so this bounds its cost
-    max_basis_states: int = 1024
 
     def __post_init__(self):
         if not 0.0 < self.beta <= BETA_LIMIT:
@@ -219,10 +220,10 @@ def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,
     if spectrum.size != n_modes + 1:
         raise ContractViolationError(
             f"oracle spectrum must have {n_modes + 1} labels, got {spectrum.size}")
-    if bath.basis_size > bath.max_basis_states:
+    if bath.basis_size > MAX_BACKGROUNDS:
         raise ResourceCapError(
             f"bath basis has {bath.basis_size} states "
-            f"(n_max={bath.n_max}, n_modes={n_modes}); cap is {bath.max_basis_states}")
+            f"(n_max={bath.n_max}, n_modes={n_modes}); cap is {MAX_BACKGROUNDS}")
     amp = amplitudes(spectrum, [t])[:, 0]
     # Cancellation makes the weight frequencies immaterial; the dressed
     # frequencies of the field-like labels keep the enumeration concrete.

@@ -52,7 +52,10 @@ def concurrence(rho: ReducedDensityMatrix) -> float:
     sqrt(rho) rho~ sqrt(rho); the non-Hermitian route loses half the digits
     near degeneracies.
     """
-    m = _require_physical(rho)
+    return _concurrence(_require_physical(rho))
+
+
+def _concurrence(m: np.ndarray) -> float:
     evals, vecs = np.linalg.eigh(m)
     # null-space noise must be zeroed exactly, or the square root turns
     # eps-level eigenvalue noise into sqrt(eps)-level lambda noise
@@ -76,23 +79,32 @@ def entanglement_of_formation(c: float) -> float:
 
 def partial_transpose(rho: ReducedDensityMatrix) -> np.ndarray:
     """Partial transpose on qubit B: swap the B labels of row and column."""
-    m = rho.matrix.reshape(2, 2, 2, 2)  # (p_A, p_B, r_A, r_B)
-    return np.ascontiguousarray(m.transpose(0, 3, 2, 1)).reshape(4, 4)
+    return _partial_transpose(rho.matrix)
+
+
+def _partial_transpose(m: np.ndarray) -> np.ndarray:
+    # axes (p_A, p_B, r_A, r_B); the final reshape copies into C order
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def negativity(rho: ReducedDensityMatrix) -> float:
     """Trace norm of the partial transpose minus 1, i.e. twice the total
     weight of negative eigenvalues."""
-    _require_physical(rho)
-    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho))
+    return _negativity(_require_physical(rho))
+
+
+def _negativity(m: np.ndarray) -> float:
+    eigenvalues = np.linalg.eigvalsh(_partial_transpose(m))
     return float(np.sum(np.abs(eigenvalues)) - np.sum(eigenvalues))
 
 
 def measures(rho: ReducedDensityMatrix) -> EntanglementMeasures:
-    c = concurrence(rho)
+    """Concurrence, EoF and negativity of rho, with one positivity check."""
+    m = _require_physical(rho)
+    c = _concurrence(m)
     return EntanglementMeasures(concurrence=c,
                                 eof=entanglement_of_formation(c),
-                                negativity=negativity(rho))
+                                negativity=_negativity(m))
 
 
 def family_concurrence(xi: float, survival: float) -> float:

@@ -2,10 +2,12 @@
 
 Internally everything runs in natural units hbar = c = k_B = 1; SI values
 are converted once at the boundary.  The atom (index 0) couples to N field
-modes of a perfectly reflecting sphere of radius R, giving a symmetric
-arrowhead matrix of squared frequencies.  `CouplingMatrix` holds only its
-O(N) parts (atom entry a, border z, mode diagonal d); the dense (N+1)^2
-array is never formed.
+modes of a perfectly reflecting sphere of radius R, whose frequencies
+omega_k = k*pi/R are a property of the parameters
+(`ModelParams.mode_frequencies`), giving a symmetric arrowhead matrix of
+squared frequencies.  `CouplingMatrix` holds only its O(N) parts (atom
+entry a, border z, mode diagonal d); the dense (N+1)^2 array is never
+formed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError
+from .errors import DomainError
 
 # Exact SI defining constants (2019 redefinition).
 PLANCK = 6.62607015e-34          # J s
@@ -112,25 +114,10 @@ class ModelParams:
         """Per-mode coupling amplitude sqrt(2 g delta_omega)."""
         return math.sqrt(2.0 * self.g * self.delta_omega)
 
-
-@dataclass(frozen=True, eq=False)
-class ModeLadder:
-    """Field mode frequencies omega_k = k*pi/R, k = 1..N."""
-
-    frequencies: np.ndarray
-    spacing: float
-
-    def __post_init__(self):
-        freq = np.asarray(self.frequencies, dtype=float)
-        object.__setattr__(self, "frequencies", freq)
-        if freq.ndim != 1 or freq.size < 1:
-            raise ContractViolationError("mode ladder must be a nonempty 1-d array")
-        if np.any(np.diff(freq) <= 0.0) or freq[0] <= 0.0:
-            raise ContractViolationError("mode frequencies must be positive and strictly increasing")
-
     @property
-    def n_modes(self) -> int:
-        return self.frequencies.size
+    def mode_frequencies(self) -> np.ndarray:
+        """Field mode frequencies omega_k = k*pi/R, k = 1..N."""
+        return self.delta_omega * np.arange(1, self.n_modes + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,22 +152,13 @@ class CouplingMatrix:
         return self.d.size + 1
 
 
-def build_mode_ladder(params: ModelParams) -> ModeLadder:
-    """Linear ladder omega_k = k*pi/R truncated at n_modes."""
-    dw = params.delta_omega
-    return ModeLadder(frequencies=dw * np.arange(1, params.n_modes + 1), spacing=dw)
-
-
-def build_coupling_matrix(params: ModelParams, ladder: ModeLadder) -> CouplingMatrix:
+def build_coupling_matrix(params: ModelParams) -> CouplingMatrix:
     """Arrowhead quadratic form for the atom-field coupled oscillators, in O(N).
 
     a = omega_bar^2 + N*eta^2, d_k = omega_k^2, z_k = -eta*omega_k
-    with eta = sqrt(2 g delta_omega).
+    with eta = sqrt(2 g delta_omega) and omega_k the params' mode frequencies.
     """
-    if ladder.n_modes != params.n_modes:
-        raise ContractViolationError(
-            f"ladder has {ladder.n_modes} modes, params expect {params.n_modes}")
-    w = ladder.frequencies
+    w = params.mode_frequencies
     eta = params.eta
     return CouplingMatrix(a=params.omega_bar ** 2 + params.n_modes * eta ** 2,
                           z=-eta * w, d=w ** 2)

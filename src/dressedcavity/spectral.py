@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (BracketingError, ContractViolationError, ModelInstabilityError,
                      ResourceCapError)
-from .model import CouplingMatrix, ModeLadder, ModelParams, build_coupling_matrix, build_mode_ladder
+from .model import CouplingMatrix, ModelParams, build_coupling_matrix
 
 EPS = float(np.finfo(float).eps)
 # Border entries at or below this fraction of max|M| deflate.
@@ -306,15 +306,15 @@ def _rational_step(d, z2, origin, far, outer, tau, f, df):
 
 
 def dressed_spectrum(params: ModelParams) -> DressedSpectrum:
-    """Convenience chain: ladder -> coupling matrix -> diagonalize."""
-    ladder = build_mode_ladder(params)
-    return diagonalize(build_coupling_matrix(params, ladder))
+    """The dressed spectrum of a parameter set: coupling matrix -> diagonalize."""
+    return diagonalize(build_coupling_matrix(params))
 
 
-def interlacing_counts(spectrum: DressedSpectrum, ladder: ModeLadder) -> tuple[int, list[int], int]:
-    """Count squared eigenvalues below omega_1^2, inside each pole gap, above omega_N^2."""
+def interlacing_counts(spectrum: DressedSpectrum, params: ModelParams) -> tuple[int, list[int], int]:
+    """Count squared eigenvalues below omega_1^2, inside each pole gap, above omega_N^2,
+    with omega_k the mode frequencies of params."""
     lam = spectrum.omega_dressed ** 2
-    poles = ladder.frequencies ** 2
+    poles = params.mode_frequencies ** 2
     below = int(np.sum(lam < poles[0]))
     inside = [int(np.sum((lam > poles[k]) & (lam < poles[k + 1])))
               for k in range(len(poles) - 1)]

@@ -6,18 +6,18 @@ n_0'(t) = |f_00(t)|^2 n_0(0) + sum_k |f_0k(t)|^2 nbar(omega_k, beta).
 At t = 0 completeness gives back n_0(0) exactly; at beta -> inf the field
 term dies and the atom empties; in free space at long times the amplitude
 weights concentrate near resonance and the value settles at nbar(omega_bar).
+`occupation_series` reads the frequencies omega_k from the model's
+`ModelParams` and returns the occupations as a plain array on the caller's
+time grid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import amplitude_blocks
 from .errors import DomainError
-from .model import ModeLadder
+from .model import ModelParams
 from .spectral import DressedSpectrum
 
 # Below this the exponential is expanded in series to avoid cancellation;
@@ -28,26 +28,6 @@ OVERFLOW_THRESHOLD = 700.0
 # add up to 1) stay finite: n0_init is capped here, and nbar ~ 1/x reaches
 # it at x = 1/OCCUPATION_LIMIT.
 OCCUPATION_LIMIT = 1e300
-
-
-@dataclass(frozen=True, eq=False)
-class OccupationSeries:
-    """Occupation samples n_0'(t, beta) with the inputs that produced them."""
-
-    t: np.ndarray
-    occupation: np.ndarray
-    beta: float
-    n0_init: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "occupation", np.asarray(self.occupation, dtype=float))
-
-
-class OccupationSummary(NamedTuple):
-    time_average: float
-    minimum: float
-    maximum: float
 
 
 def bose_einstein(omega: float | np.ndarray, beta: float) -> float | np.ndarray:
@@ -74,36 +54,27 @@ def bose_einstein(omega: float | np.ndarray, beta: float) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def occupation_series(spectrum: DressedSpectrum, ladder: ModeLadder, beta: float,
-                      n0_init: float, t_grid: np.ndarray) -> OccupationSeries:
-    """Occupation of the dressed atom over a time grid at inverse temperature beta.
+def occupation_series(spectrum: DressedSpectrum, params: ModelParams, beta: float,
+                      n0_init: float, t_grid: np.ndarray) -> np.ndarray:
+    """Occupation n_0'(t, beta) of the dressed atom at each time of t_grid.
 
-    The ladder supplies the mode frequencies entering the Bose-Einstein
-    weights of the field labels; it must match the spectrum's size.  The
-    weights |f_0nu|^2 = re^2 + im^2 are summed block by block in t, so the
-    full amplitude array is never held.
+    The params' mode frequencies enter the Bose-Einstein weights of the
+    field labels; their count must match the spectrum's size.  The weights
+    |f_0nu|^2 = re^2 + im^2 are summed block by block in t, so the full
+    amplitude array is never held.
     """
     if not 0.0 <= n0_init <= OCCUPATION_LIMIT:
         raise DomainError(f"n0_init must lie in [0, {OCCUPATION_LIMIT:g}], got {n0_init}")
-    if ladder.n_modes != spectrum.size - 1:
+    if params.n_modes != spectrum.size - 1:
         raise DomainError(
-            f"ladder has {ladder.n_modes} modes but spectrum has {spectrum.size - 1} field labels")
+            f"params have {params.n_modes} modes but spectrum has {spectrum.size - 1} field labels")
     t = np.asarray(t_grid, dtype=float)
-    weights = np.concatenate(([n0_init], bose_einstein(ladder.frequencies, beta)))
+    weights = np.concatenate(([n0_init], bose_einstein(params.mode_frequencies, beta)))
     occupation = np.empty(t.size)
     for block, re, im in amplitude_blocks(spectrum, t):
         re *= re
         im *= im
         re += im
         occupation[block] = weights @ re
-    return OccupationSeries(t=t, occupation=occupation, beta=beta, n0_init=n0_init)
+    return occupation
 
-
-def cavity_occupation_summary(series: OccupationSeries) -> OccupationSummary:
-    """Arithmetic (time-average, min, max) over the sampled window."""
-    if series.occupation.size == 0:
-        raise DomainError("occupation series is empty")
-    occ = series.occupation
-    return OccupationSummary(time_average=float(np.mean(occ)),
-                             minimum=float(np.min(occ)),
-                             maximum=float(np.max(occ)))

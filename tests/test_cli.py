@@ -173,11 +173,28 @@ class TestVerifyCommand:
     def test_default_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("verify", "--out", out) == 0
-        assert "VERIFY PASS" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "VERIFY PASS" in captured.out
+        assert captured.err == ""
         _, _, rows = read_csv(out / "verify.csv")
         assert len(rows) == 9  # 3 betas x 3 times
         assert all(row[-1] == "PASS" for row in rows)
         assert max(float(row[2]) for row in rows) < 1e-12
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == []
+        assert 0.0 < manifest["convergence"]["phase_precision"] < 1e-14
+
+    def test_lost_phase_precision_warns(self, tmp_path, capsys):
+        # Omega*t ~ 3e100 keeps no digit of the phase, and both routes round
+        # it alike, so the cells still pass; the run must say so
+        out = tmp_path / "out"
+        assert run_cli("verify", "--t-list", "1e100", "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("VERIFY PASS")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["convergence"]["phase_precision"] > 1e-12
+        assert len(manifest["warnings"]) == 1
+        assert captured.err == f"warning: {manifest['warnings'][0]}\n"
 
     def test_negative_control_fails(self, tmp_path, capsys):
         out = tmp_path / "out"

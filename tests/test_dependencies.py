@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import dressedcavity
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dressedcavity"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dressedcavity"}
 
@@ -22,3 +24,8 @@ def test_runtime_dependencies_are_numpy_only(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     outside = sorted(set(_imported_roots(tree)) - ALLOWED)
     assert not outside, f"{path.name} imports {outside}; the library depends on numpy only"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dressedcavity.__all__ if not hasattr(dressedcavity, name)]
+    assert not missing, f"dressedcavity.__all__ names {missing}, which the package lacks"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dressedcavity.entanglement as entanglement
 from dressedcavity.density import EntangledStateSpec, ReducedDensityMatrix, reduced_density_closed
 from dressedcavity.entanglement import (concurrence, entanglement_of_formation, family_concurrence,
                                         measures, negativity, partial_transpose)
@@ -97,6 +98,17 @@ class TestNegativity:
 
 
 class TestMeasureBundle:
+    def test_one_positivity_check_matches_the_single_measures(self, monkeypatch):
+        rho = family_rho(0.3, 0.6, phi=0.4)
+        checked = []
+        check = entanglement._require_physical
+        monkeypatch.setattr(entanglement, "_require_physical",
+                            lambda r: checked.append(r) or check(r))
+        m = measures(rho)
+        assert len(checked) == 1
+        assert m.concurrence == concurrence(rho)
+        assert m.negativity == negativity(rho)
+
     def test_invariant_eof_zero_iff_concurrence_zero(self):
         for xi, survival in ((0.0, 1.0), (0.5, 0.0), (0.5, 0.8), (0.2, 0.3)):
             m = measures(family_rho(xi, survival))

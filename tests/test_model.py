@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dressedcavity.errors import ContractViolationError, DomainError
+from dressedcavity.errors import DomainError
 from dressedcavity.model import (BOLTZMANN, HBAR, LIGHT_SPEED, CouplingMatrix, ModelParams,
-                                 build_coupling_matrix, build_mode_ladder, natural_from_si,
-                                 si_from_natural)
+                                 build_coupling_matrix, natural_from_si, si_from_natural)
 
 from conftest import dense, random_params
 
@@ -59,37 +58,44 @@ class TestNaturalFromSi:
 
 
 class TestModeLadder:
+    """The mode ladder omega_k = k*pi/R, held as `ModelParams.mode_frequencies`."""
+
     def test_unit_spacing(self):
-        ladder = build_mode_ladder(ModelParams(1.0, 0.0, math.pi, 3))
-        assert np.allclose(ladder.frequencies, [1.0, 2.0, 3.0])
-        assert ladder.spacing == pytest.approx(1.0)
+        params = ModelParams(1.0, 0.0, math.pi, 3)
+        assert np.allclose(params.mode_frequencies, [1.0, 2.0, 3.0])
+        assert params.delta_omega == pytest.approx(1.0)
 
     def test_double_spacing(self):
-        ladder = build_mode_ladder(ModelParams(1.0, 0.0, math.pi / 2, 2))
-        assert np.allclose(ladder.frequencies, [2.0, 4.0])
+        assert np.allclose(ModelParams(1.0, 0.0, math.pi / 2, 2).mode_frequencies, [2.0, 4.0])
 
     def test_free_space_span(self):
-        ladder = build_mode_ladder(ModelParams(1.0, 0.01, 500.0 * math.pi, 1000))
-        assert ladder.frequencies[-1] == pytest.approx(2.0)
+        params = ModelParams(1.0, 0.01, 500.0 * math.pi, 1000)
+        assert params.mode_frequencies[-1] == pytest.approx(2.0)
+
+    def test_exact_ladder_and_matrix_diagonal(self, rng):
+        for _ in range(20):
+            params = random_params(rng)
+            w = params.mode_frequencies
+            assert np.array_equal(w, params.delta_omega * np.arange(1, params.n_modes + 1))
+            assert np.array_equal(build_coupling_matrix(params).d, w ** 2)
 
 
 class TestCouplingMatrix:
     def test_decoupled_is_diagonal(self):
         params = ModelParams(1.5, 0.0, math.pi, 4)
-        ladder = build_mode_ladder(params)
-        m = dense(build_coupling_matrix(params, ladder))
+        m = dense(build_coupling_matrix(params))
         assert np.allclose(m, np.diag([1.5 ** 2, 1.0, 4.0, 9.0, 16.0]))
 
     def test_worked_two_by_two(self):
         params = ModelParams(1.0, 0.02, math.pi, 1)
-        m = dense(build_coupling_matrix(params, build_mode_ladder(params)))
+        m = dense(build_coupling_matrix(params))
         assert params.eta ** 2 == pytest.approx(0.04, rel=1e-15)
         assert np.allclose(m, [[1.04, -0.2], [-0.2, 1.0]], atol=1e-15)
 
     def test_symmetric_and_positive_definite_random(self, rng):
         for _ in range(100):
             params = random_params(rng)
-            coupling = build_coupling_matrix(params, build_mode_ladder(params))
+            coupling = build_coupling_matrix(params)
             assert coupling.z.shape == coupling.d.shape == (params.n_modes,)
             assert coupling.size == params.n_modes + 1
             assert np.linalg.eigvalsh(dense(coupling))[0] > 0.0
@@ -106,20 +112,13 @@ class TestCouplingMatrix:
     def test_build_is_linear_in_memory(self):
         # the O(N) parts only: a dense (N+1)^2 build would allocate 128 MB here
         params = ModelParams(1.0, 0.01, 2000.0 * math.pi, 4000)
-        ladder = build_mode_ladder(params)
         tracemalloc.start()
         try:
-            build_coupling_matrix(params, ladder)
+            build_coupling_matrix(params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-    def test_ladder_mismatch_rejected(self):
-        params = ModelParams(1.0, 0.01, math.pi, 3)
-        ladder = build_mode_ladder(ModelParams(1.0, 0.01, math.pi, 2))
-        with pytest.raises(ContractViolationError):
-            build_coupling_matrix(params, ladder)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import (BracketingError, ContractViolationError, DomainError,
                                   ModelInstabilityError, ResourceCapError)
-from dressedcavity.model import CouplingMatrix, ModelParams, build_coupling_matrix, build_mode_ladder
+from dressedcavity.model import CouplingMatrix, ModelParams, build_coupling_matrix
 from dressedcavity.spectral import DressedSpectrum, diagonalize, dressed_spectrum, interlacing_counts
 import dressedcavity.spectral as spectral
 
@@ -54,8 +54,7 @@ def test_orthogonality_and_completeness(rng):
 def test_reconstruction_residual(rng):
     for _ in range(10):
         params = random_params(rng)
-        ladder = build_mode_ladder(params)
-        matrix = build_coupling_matrix(params, ladder)
+        matrix = build_coupling_matrix(params)
         spec = diagonalize(matrix)
         assert spec.reconstruction_residual(matrix) <= 1e-9
 
@@ -67,7 +66,7 @@ def test_nonpositive_eigenvalue_raises():
 
 def _dense(params):
     """Reference eigenpairs of the same coupling matrix from dense eigh."""
-    matrix = build_coupling_matrix(params, build_mode_ladder(params))
+    matrix = build_coupling_matrix(params)
     return diagonalize(matrix), np.linalg.eigh(dense(matrix))
 
 
@@ -188,9 +187,8 @@ def test_interlacing_counts(rng):
         params = random_params(rng)
         if params.g == 0.0:
             params = ModelParams(params.omega_bar, 1e-3, params.radius, params.n_modes)
-        ladder = build_mode_ladder(params)
-        spec = diagonalize(build_coupling_matrix(params, ladder))
-        below, inside, above = interlacing_counts(spec, ladder)
+        spec = diagonalize(build_coupling_matrix(params))
+        below, inside, above = interlacing_counts(spec, params)
         assert below + sum(inside) + above == params.n_modes + 1
         assert all(count == 1 for count in inside)
         assert below + above == 2
@@ -201,8 +199,7 @@ def test_isolated_root_below_first_mode():
     # dressed root below omega_1^2 (the stable small-cavity branch) plus one
     # above the ladder top.
     params = ModelParams(omega_bar=1.0, g=0.01, radius=1.0, n_modes=16)
-    ladder = build_mode_ladder(params)
-    spec = diagonalize(build_coupling_matrix(params, ladder))
-    below, inside, above = interlacing_counts(spec, ladder)
+    spec = diagonalize(build_coupling_matrix(params))
+    below, inside, above = interlacing_counts(spec, params)
     assert below == 1
     assert above == 1

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import dressedcavity.dynamics as dynamics
 from dressedcavity.errors import DomainError
-from dressedcavity.model import ModelParams, build_mode_ladder, natural_from_si
+from dressedcavity.model import ModelParams, natural_from_si
 from dressedcavity.spectral import dressed_spectrum
 from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
-                                   cavity_occupation_summary, occupation_series)
+                                   occupation_series)
 
 
 class TestBoseEinstein:
@@ -83,73 +83,71 @@ class TestBoseEinsteinVector:
 class TestOccupationSeries:
     def setup_method(self):
         self.params = ModelParams(omega_bar=1.0, g=0.02, radius=2.0, n_modes=12)
-        self.ladder = build_mode_ladder(self.params)
         self.spectrum = dressed_spectrum(self.params)
 
     def test_initial_condition_exact(self):
         for beta in (0.1, 1.0, 100.0):
-            series = occupation_series(self.spectrum, self.ladder, beta, 1.0,
-                                       np.array([0.0, 1.0]))
-            assert series.occupation[0] == pytest.approx(1.0, abs=1e-12)
+            occupation = occupation_series(self.spectrum, self.params, beta, 1.0,
+                                           np.array([0.0, 1.0]))
+            assert occupation.shape == (2,)
+            assert occupation[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_temperature_reduction(self):
         t = np.linspace(0.0, 30.0, 121)
-        series = occupation_series(self.spectrum, self.ladder, 1e6, 1.0, t)
+        occupation = occupation_series(self.spectrum, self.params, 1e6, 1.0, t)
         from dressedcavity.dynamics import survival_series
         survival = survival_series(self.spectrum, t).survival
-        assert np.max(np.abs(series.occupation - survival)) < 1e-6
+        assert np.max(np.abs(occupation - survival)) < 1e-6
 
     def test_monotone_in_temperature(self):
         t = np.linspace(0.5, 20.0, 40)
-        occ_hot = occupation_series(self.spectrum, self.ladder, 0.5, 1.0, t).occupation
-        occ_cold = occupation_series(self.spectrum, self.ladder, 2.0, 1.0, t).occupation
+        occ_hot = occupation_series(self.spectrum, self.params, 0.5, 1.0, t)
+        occ_cold = occupation_series(self.spectrum, self.params, 2.0, 1.0, t)
         assert np.all(occ_hot >= occ_cold - 1e-14)
 
     def test_blocks_match_one_shot(self, monkeypatch):
         # 7 samples per block (13 labels into 96 elements) and T = 100 leaves a ragged last block
         monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 96)
         t = np.linspace(0.0, 40.0, 100)
-        series = occupation_series(self.spectrum, self.ladder, 0.7, 1.3, t)
+        occupation = occupation_series(self.spectrum, self.params, 0.7, 1.3, t)
         v = self.spectrum.components
         phases = np.exp(-1j * np.outer(self.spectrum.omega_dressed, t))
         power = np.abs(v @ (v[0][:, None] * phases)) ** 2
-        nbar = np.array([bose_einstein(w, 0.7) for w in self.ladder.frequencies])
+        nbar = np.array([bose_einstein(w, 0.7) for w in self.params.mode_frequencies])
         one_shot = 1.3 * power[0] + nbar @ power[1:]
-        assert np.max(np.abs(series.occupation - one_shot)) <= 1e-13
+        assert np.max(np.abs(occupation - one_shot)) <= 1e-13
 
     def test_ladder_size_mismatch(self):
-        wrong = build_mode_ladder(ModelParams(1.0, 0.02, 2.0, 5))
-        with pytest.raises(DomainError):
+        # params with 5 modes against the 12-mode spectrum
+        wrong = ModelParams(1.0, 0.02, 2.0, 5)
+        with pytest.raises(DomainError, match="5 modes but spectrum has 12"):
             occupation_series(self.spectrum, wrong, 1.0, 1.0, np.array([0.0]))
 
     def test_negative_initial_occupation(self):
         with pytest.raises(DomainError):
-            occupation_series(self.spectrum, self.ladder, 1.0, -1.0, np.array([0.0]))
+            occupation_series(self.spectrum, self.params, 1.0, -1.0, np.array([0.0]))
 
     def test_initial_occupation_above_double_range_limit(self):
         # 1e301 quanta could overflow the weighted sum (a matmul overflow warning)
         with pytest.raises(DomainError):
-            occupation_series(self.spectrum, self.ladder, 1.0, 1e301, np.array([0.0]))
+            occupation_series(self.spectrum, self.params, 1.0, 1e301, np.array([0.0]))
 
 
 class TestCavitySummary:
     def test_decoupled_is_flat(self):
         params = ModelParams(omega_bar=1.0, g=0.0, radius=1.0, n_modes=4)
-        series = occupation_series(dressed_spectrum(params), build_mode_ladder(params),
-                                   1.0, 1.0, np.linspace(0.0, 10.0, 50))
-        summary = cavity_occupation_summary(series)
-        assert summary == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+        occupation = occupation_series(dressed_spectrum(params), params, 1.0, 1.0,
+                                       np.linspace(0.0, 10.0, 50))
+        assert occupation.shape == (50,)
+        assert np.allclose(occupation, 1.0, rtol=0.0, atol=1e-12)
 
     def test_room_temperature_close_to_zero_temperature(self):
         # small cavity, beta*omega_bar ~ 10: thermal weights are negligible
         params = ModelParams(omega_bar=1.0, g=0.1, radius=1.334, n_modes=32)
-        ladder = build_mode_ladder(params)
         spectrum = dressed_spectrum(params)
         t = np.linspace(0.0, 200.0, 2001)
-        cold = occupation_series(spectrum, ladder, 1e6, 1.0, t)
-        room = occupation_series(spectrum, ladder, 10.0, 1.0, t)
-        avg_cold = cavity_occupation_summary(cold).time_average
-        avg_room = cavity_occupation_summary(room).time_average
+        avg_cold = np.mean(occupation_series(spectrum, params, 1e6, 1.0, t))
+        avg_room = np.mean(occupation_series(spectrum, params, 10.0, 1.0, t))
         assert avg_room >= avg_cold
         assert avg_room == pytest.approx(avg_cold, rel=0.02)
 
@@ -157,13 +155,10 @@ class TestCavitySummary:
         # beta*omega_bar ~ 0.03 floods the field modes; the time average
         # climbs to several times its zero-temperature value
         params = ModelParams(omega_bar=1.0, g=0.1, radius=1.334, n_modes=32)
-        ladder = build_mode_ladder(params)
         spectrum = dressed_spectrum(params)
         t = np.linspace(0.0, 200.0, 2001)
-        cold = cavity_occupation_summary(
-            occupation_series(spectrum, ladder, 1e6, 1.0, t)).time_average
-        hot = cavity_occupation_summary(
-            occupation_series(spectrum, ladder, 0.03, 1.0, t)).time_average
+        cold = np.mean(occupation_series(spectrum, params, 1e6, 1.0, t))
+        hot = np.mean(occupation_series(spectrum, params, 0.03, 1.0, t))
         assert hot > 3.0 * cold
 
 
@@ -171,10 +166,9 @@ def test_free_space_thermalization(free_space_spectrum):
     # weak coupling in a huge cavity: the occupation settles at the
     # Bose-Einstein value of the atom frequency
     params = ModelParams(omega_bar=1.0, g=0.01, radius=500.0 * math.pi, n_modes=1000)
-    ladder = build_mode_ladder(params)
     t = np.linspace(0.0, 300.0, 601)
     for beta in (1.0, 2.0):
-        series = occupation_series(free_space_spectrum, ladder, beta, 1.0, t)
-        long_time = series.occupation[series.t >= 150.0]
+        occupation = occupation_series(free_space_spectrum, params, beta, 1.0, t)
+        long_time = occupation[t >= 150.0]
         target = bose_einstein(1.0, beta)
         assert np.mean(long_time) == pytest.approx(target, rel=0.05)
