@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dressedcavity.density import EntangledStateSpec, reduced_density_closed
+from dressedcavity.density import (EntangledStateSpec, reduced_density_closed,
+                                   survival_probability)
 from dressedcavity.dynamics import amplitudes, survival_series
 from dressedcavity.entanglement import family_concurrence, measures
 from dressedcavity.model import ModelParams
@@ -34,11 +35,11 @@ def run(out: Path, g: float, radius: float, n_modes: int, xi: float,
           f"({family_concurrence(xi, min_survival) / c0:.2%} of C(0) = {c0:.5f})")
 
     # sparse checkpoint of the full measure set along the way
-    state = EntangledStateSpec(xi, 0.0)
-    checkpoints = []
-    for tc, f in zip(t[::samples // 20], amplitudes(spectrum, t[::samples // 20], 0)):
-        m = measures(reduced_density_closed(state, f, f))
-        checkpoints.append((tc, float(abs(f) ** 2), m.concurrence, m.eof, m.negativity))
+    tc = t[::max(1, samples // 20)]
+    f = amplitudes(spectrum, tc, 0)
+    m = measures(reduced_density_closed(EntangledStateSpec(xi, 0.0), f, f))
+    checkpoints = zip(tc.tolist(), survival_probability(f).tolist(), m.concurrence.tolist(),
+                      m.eof.tolist(), m.negativity.tolist())
     write_csv(out / "stability.csv",
               ["t[natural-time]", "survival[probability]", "concurrence[dimensionless]",
                "eof[ebits]", "negativity[dimensionless]"],

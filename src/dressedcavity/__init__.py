@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
                       reduced_density_closed, thermal_trace_oracle)
 from .dynamics import DecayFit, SurvivalSeries, amplitudes, decay_rate_fit, survival_series
-from .entanglement import (EntanglementMeasures, concurrence, entanglement_of_formation,
-                           family_concurrence, measures, negativity)
+from .entanglement import (EntanglementMeasures, entanglement_of_formation, family_concurrence,
+                           measures, partial_transpose)
 from .model import (CouplingMatrix, ModelParams, build_coupling_matrix, natural_from_si,
                     si_from_natural)
 from .spectral import DressedSpectrum, diagonalize, dressed_spectrum
@@ -21,8 +21,9 @@ __all__ = [
     "__version__",
     "CouplingMatrix", "DecayFit", "DressedSpectrum", "EntangledStateSpec",
     "EntanglementMeasures", "ModelParams", "ReducedDensityMatrix", "SurvivalSeries",
-    "ThermalBathSpec", "amplitudes", "bose_einstein", "build_coupling_matrix", "concurrence",
+    "ThermalBathSpec", "amplitudes", "bose_einstein", "build_coupling_matrix",
     "decay_rate_fit", "diagonalize", "dressed_spectrum", "entanglement_of_formation",
-    "family_concurrence", "measures", "natural_from_si", "negativity", "occupation_series",
-    "reduced_density_closed", "si_from_natural", "survival_series", "thermal_trace_oracle",
+    "family_concurrence", "measures", "natural_from_si", "occupation_series",
+    "partial_transpose", "reduced_density_closed", "si_from_natural", "survival_series",
+    "thermal_trace_oracle",
 ]

@@ -5,21 +5,23 @@ Subcommands: spectrum, dynamics, density, entanglement, thermal, verify,
 sweep.  The first five are `TableCommand` rows of the command table
 `COMMANDS` (CSV file, columns, row builder) and share one runner: resolve,
 spectral stage (`_pipeline`), rows, CSV, manifest.  `verify` runs the same
-spectral stage on the model with `n_modes_oracle` modes; when the phases
-Omega*t at its largest |t| have lost more than its tolerance to rounding
-(`phase_precision` in the manifest's convergence), it warns on stderr and
-in the manifest's `warnings`, and the exit code does not change.  `sweep`
-runs the `dynamics` row at every grid point, after checking once that the
+spectral stage on the model with `n_modes_oracle` modes over its `t_list`.
+The spectral stage reports `phase_precision`, the radians the phases
+Omega*t at the largest |t| lose to rounding; above PHASE_TOLERANCE (above
+VERIFY_TOLERANCE for `verify`) the run warns on stderr and in the
+manifest's `warnings`, and the exit code does not change.  `sweep` runs
+the `dynamics` row at every grid point, after checking once that the
 shared time grid holds enough samples for its fit.  `RunConfig` is the one
 config schema: file keys and flags are its fields, coerced by `_coerce`;
 every float in it is checked finite, and t_max in range, before any output
 is written.
 
 Exit codes: 0 success, 1 usage error (including a sweep fit window that
-holds fewer than 3 samples, and --si without both --omega-bar and
---radius), 2 physics-contract violation (including a
-failed verify, a non-finite or out-of-range config number and a sweep
-whose every point failed), 3 resource cap exceeded.
+holds fewer than 3 samples, --si without both --omega-bar and --radius,
+an unreadable config file and an output path that cannot be written), 2
+physics-contract violation (including a failed verify, a non-finite or
+out-of-range config number and a sweep whose every point failed), 3
+resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
-                      thermal_trace_oracle)
+                      survival_probability, thermal_trace_oracle)
 from .dynamics import SurvivalSeries, amplitudes, decay_rate_fit, survival_series
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
@@ -50,6 +52,8 @@ from .spectral import EPS, diagonalize
 from .thermal import bose_einstein, occupation_series
 
 VERIFY_TOLERANCE = 1e-12
+# Radians of phase Omega*t a table command may lose to rounding before it warns.
+PHASE_TOLERANCE = 1e-6
 # t_max lies in [1/TIME_LIMIT, TIME_LIMIT] and |t_list| below TIME_LIMIT:
 # with the model's squared frequencies capped at 1e150 every phase Omega*t
 # stays finite, and the squared times of the decay fit stay normal doubles.
@@ -139,8 +143,12 @@ def resolve_natural(config: RunConfig) -> NaturalRun:
 
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` file; `#` starts a comment, lists are comma separated."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -198,8 +206,10 @@ def _metadata(run: NaturalRun, extra: dict | None = None) -> dict:
     return md
 
 
-def _pipeline(run: NaturalRun):
-    """Shared spectral stage plus the residuals the manifest reports."""
+def _pipeline(run: NaturalRun, tolerance: float = PHASE_TOLERANCE,
+              consequence: str = "every time series built on the phases is rounding noise"):
+    """Shared spectral stage plus the residuals the manifest reports, and a
+    warning when the phases on run.t_grid have lost more than `tolerance`."""
     matrix = build_coupling_matrix(run.params)
     spectrum = diagonalize(matrix)
     eig_residual = spectrum.reconstruction_residual(matrix)
@@ -207,27 +217,37 @@ def _pipeline(run: NaturalRun):
     probe = run.t_grid[:: max(1, run.t_grid.size // 16)]
     amp = amplitudes(spectrum, probe)
     unitarity = float(np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0)))
+    # radians the phases Omega*t lose to rounding at the largest |t|
+    phase_precision = float(np.max(np.abs(run.t_grid))) * spectrum.omega_dressed[-1] * EPS
+    warnings = []
+    if phase_precision > tolerance:
+        warnings.append(f"phase precision max|t|*Omega_max*eps = {phase_precision:.3g} rad "
+                        f"exceeds {tolerance:g}; {consequence}")
     return spectrum, {
         "n_modes": run.params.n_modes,
         "mode_span_over_omega_bar": run.params.mode_frequencies[-1] / run.params.omega_bar,
         "eigensolver_residual": eig_residual,
         "unitarity_residual": unitarity,
-    }
+        "phase_precision": phase_precision,
+    }, warnings
 
 
 def _write_manifest(out_dir: Path, config: RunConfig, started: float, csv: Path,
                     run: NaturalRun | None = None, convergence: dict | None = None,
-                    **fields) -> None:
+                    warnings: Sequence[str] = (), **fields) -> None:
     """Every command's manifest: the shared header, the natural units and
-    convergence of a resolved run, then the command's own fields."""
+    convergence of a resolved run, the warnings (also printed on stderr),
+    then the command's own fields."""
     payload = {"tool": "dressedcavity", "version": __version__,
-               "config": dataclasses.asdict(config)}
+               "config": dataclasses.asdict(config), "warnings": list(warnings)}
     if run is not None:
         payload.update(natural_units={"omega_bar": run.params.omega_bar, "g": run.params.g,
                                       "radius": run.params.radius, "beta": run.beta},
                        si_inputs=run.si_inputs, convergence=convergence)
     payload.update(fields, wall_clock_seconds=time.monotonic() - started)
     write_manifest(out_dir, payload, [csv])
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
 
 class Table(NamedTuple):
@@ -254,11 +274,12 @@ class TableCommand:
         started = time.monotonic()
         run = resolve_natural(config)
         out_dir = Path(config.out)
-        spectrum, convergence = _pipeline(run)
+        spectrum, convergence, warnings = _pipeline(run)
         table = self.build(run, spectrum)
         csv = write_csv(out_dir / self.file, self.columns, table.rows,
                         metadata=_metadata(run, table.metadata))
-        _write_manifest(out_dir, config, started, csv, run, convergence, **(table.manifest or {}))
+        _write_manifest(out_dir, config, started, csv, run, convergence, warnings,
+                        **(table.manifest or {}))
         return run, spectrum, table
 
     def __call__(self, config: RunConfig) -> int:
@@ -279,22 +300,21 @@ def _dynamics_rows(run, spectrum) -> Table:
 
 def _density_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    rows = []
-    for t, f in zip(run.t_grid, f00):
-        rho = reduced_density_closed(run.state, f, f).matrix
-        rows.append((t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
-                     rho[2, 1].real, rho[2, 1].imag))
-    return Table(rows, {"xi": run.state.xi, "phi": run.state.phi})
+    rho = reduced_density_closed(run.state, f00, f00).matrix
+    columns = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
+               rho[:, 2, 1].real, rho[:, 2, 1].imag)
+    return Table(zip(run.t_grid.tolist(), *(c.tolist() for c in columns)),
+                 {"xi": run.state.xi, "phi": run.state.phi})
 
 
 def _entanglement_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    rows = []
-    for t, f in zip(run.t_grid, f00):
-        m = measures(reduced_density_closed(run.state, f, f))
-        rows.append((t, float(abs(f) ** 2), m.concurrence, m.eof, m.negativity))
-    return Table(rows, {"xi": run.state.xi, "phi": run.state.phi,
-                        "c0": family_concurrence(run.state.xi, 1.0)})
+    m = measures(reduced_density_closed(run.state, f00, f00))
+    survival = survival_probability(f00)
+    return Table(zip(run.t_grid.tolist(), survival.tolist(), m.concurrence.tolist(),
+                     m.eof.tolist(), m.negativity.tolist()),
+                 {"xi": run.state.xi, "phi": run.state.phi,
+                  "c0": family_concurrence(run.state.xi, 1.0)})
 
 
 def _thermal_rows(run, spectrum) -> Table:
@@ -319,18 +339,19 @@ def cmd_verify(config: RunConfig) -> int:
     baths = [ThermalBathSpec(beta=beta, n_max=config.n_max,
                              n_modes_oracle=config.n_modes_oracle)
              for beta in config.beta_list]
-    oracle_params = dataclasses.replace(run.params, n_modes=config.n_modes_oracle)
-    spectrum, convergence = _pipeline(dataclasses.replace(run, params=oracle_params))
-    # digits the phases Omega*t lose to rounding at the largest |t|
-    convergence["phase_precision"] = (max(abs(t) for t in config.t_list)
-                                      * spectrum.omega_dressed[-1] * EPS)
+    oracle_run = dataclasses.replace(
+        run, params=dataclasses.replace(run.params, n_modes=config.n_modes_oracle),
+        t_grid=np.array(config.t_list))
+    spectrum, convergence, warnings = _pipeline(
+        oracle_run, VERIFY_TOLERANCE,
+        "both routes share the rounded phases, so their agreement shows nothing")
     scheme = "per_level_partition" if config.negative_control else "normalized"
+    f00 = amplitudes(spectrum, oracle_run.t_grid, 0)
+    closed_stack = reduced_density_closed(run.state, f00, f00).matrix
 
     rows = []
     all_pass = True
-    for t in config.t_list:
-        f00 = amplitudes(spectrum, [t])[0, 0]
-        closed = reduced_density_closed(run.state, f00, f00).matrix
+    for t, closed in zip(config.t_list, closed_stack):
         reference: np.ndarray | None = None
         for bath in baths:
             oracle = thermal_trace_oracle(run.state, spectrum, bath, t,
@@ -343,12 +364,6 @@ def cmd_verify(config: RunConfig) -> int:
             all_pass = all_pass and ok
             rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
 
-    warnings = []
-    if convergence["phase_precision"] > VERIFY_TOLERANCE:
-        warnings.append(
-            f"phase precision max|t|*Omega_max*eps = {convergence['phase_precision']:.3g} "
-            f"exceeds the verify tolerance {VERIFY_TOLERANCE:g}; both routes share the "
-            f"rounded phases, so their agreement shows nothing")
     csv = write_csv(out_dir / "verify.csv",
                     ["beta[1/natural-frequency]", "t[natural-time]",
                      "max_dev_vs_closed[dimensionless]", "max_dev_vs_first_beta[dimensionless]",
@@ -357,10 +372,8 @@ def cmd_verify(config: RunConfig) -> int:
                     metadata={"n_modes_oracle": config.n_modes_oracle, "n_max": config.n_max,
                               "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
                               "xi": run.state.xi, "phi": run.state.phi})
-    _write_manifest(out_dir, config, started, csv, run, convergence, verify_passed=all_pass,
-                    warnings=warnings)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _write_manifest(out_dir, config, started, csv, run, convergence, warnings,
+                    verify_passed=all_pass)
     for row in rows:
         print(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
               f"dev_cross={row[3]:.3e} {row[4]}")
@@ -487,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
-        if not args.config.exists():
-            raise UsageError(f"config file not found: {args.config}")
         values.update(parse_config_file(args.config))
     values.update({key: getattr(args, key) for key in _KINDS
                    if getattr(args, key) is not None})
@@ -521,6 +532,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"usage error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

@@ -87,21 +87,25 @@ class ThermalBathSpec:
 
 @dataclass(frozen=True, eq=False)
 class ReducedDensityMatrix:
-    """4x4 Hermitian two-qubit state in the ordered basis {|00>,|01>,|10>,|11>}."""
+    """Two-qubit states in the ordered basis {|00>,|01>,|10>,|11>}: a (..., 4, 4)
+    stack of Hermitian matrices; a single state is a stack of shape (4, 4)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (4, 4):
-            raise ContractViolationError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+        if m.shape[-2:] != (4, 4):
+            raise ContractViolationError(f"expected a (..., 4, 4) stack, got shape {m.shape}")
+        # |m - m^dagger| from the real and imaginary views: no complex temporaries
+        deviation = np.hypot(m.real - m.real.swapaxes(-1, -2), m.imag + m.imag.swapaxes(-1, -2))
+        if m.size and np.max(deviation) > HERMITICITY_ATOL:
             raise ContractViolationError("reduced density matrix is not Hermitian")
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    def trace(self) -> np.ndarray | float:
+        """Real trace of each matrix, with the stack's leading shape (a scalar for one)."""
+        return np.trace(self.matrix, axis1=-2, axis2=-1).real[()]
 
 
 def bath_basis_states(n_modes: int, n_max: int) -> Iterator[tuple[int, ...]]:
@@ -131,28 +135,49 @@ def bath_weights(omega: float, beta: float, n_max: int,
     raise DomainError(f"unknown weight scheme {scheme!r}")
 
 
-def reduced_density_closed(state: EntangledStateSpec, f_aa: complex,
-                           f_bb: complex) -> ReducedDensityMatrix:
-    """Closed-form reduced matrix from the two survival amplitudes.
+def reduced_density_closed(state: EntangledStateSpec, f_aa, f_bb) -> ReducedDensityMatrix:
+    """Closed-form reduced matrices from the two survival amplitudes.
 
-    Nonzero elements: rho[00,00] = 1 - xi|f_AA|^2 - (1-xi)|f_BB|^2,
-    rho[01,01] = (1-xi)|f_BB|^2, rho[10,10] = xi|f_AA|^2, and the coherence
+    f_aa and f_bb are amplitude arrays of one shape (scalars give one 4x4);
+    the result stacks one matrix per sample.  Nonzero elements:
+    rho[00,00] = 1 - xi|f_AA|^2 - (1-xi)|f_BB|^2, rho[01,01] = (1-xi)|f_BB|^2,
+    rho[10,10] = xi|f_AA|^2, and the coherence
     rho[10,01] = sqrt(xi(1-xi)) e^{-i phi} f_AA conj(f_BB) with its
     conjugate.  The |11> sector is identically zero (single excitation).
     """
-    mod_a, mod_b = abs(f_aa), abs(f_bb)
-    if mod_a > 1.0 + 1e-9 or mod_b > 1.0 + 1e-9:
+    f_a, f_b = np.broadcast_arrays(np.asarray(f_aa, dtype=complex),
+                                   np.asarray(f_bb, dtype=complex))
+    shape = f_a.shape
+    f_a, f_b = f_a.ravel(), f_b.ravel()
+    survival_a, survival_b = survival_probability(f_a), survival_probability(f_b)
+    bad = np.flatnonzero(np.maximum(survival_a, survival_b) > (1.0 + 1e-9) ** 2)
+    if bad.size:
         raise ContractViolationError(
-            f"survival amplitudes must have modulus <= 1, got |f_AA|={mod_a!r}, |f_BB|={mod_b!r}")
+            f"survival amplitudes must have modulus <= 1, got |f_AA|^2="
+            f"{float(survival_a[bad[0]])!r}, |f_BB|^2={float(survival_b[bad[0]])!r} "
+            f"at sample {bad[0]}")
     xi = state.xi
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0 - xi * mod_a ** 2 - (1.0 - xi) * mod_b ** 2
-    rho[1, 1] = (1.0 - xi) * mod_b ** 2
-    rho[2, 2] = xi * mod_a ** 2
-    coherence = state.coherence_weight * np.exp(-1j * state.phi) * f_aa * np.conj(f_bb)
-    rho[2, 1] = coherence
-    rho[1, 2] = np.conj(coherence)
-    return ReducedDensityMatrix(matrix=rho)
+    rho = np.zeros((f_a.size, 4, 4), dtype=complex)
+    rho[..., 0, 0] = 1.0 - xi * survival_a - (1.0 - xi) * survival_b
+    rho[..., 1, 1] = (1.0 - xi) * survival_b
+    rho[..., 2, 2] = xi * survival_a
+    # w e^{-i phi} f_AA conj(f_BB) in real arithmetic, multiplied left to right as
+    # scalar complex products round; the array complex product may fuse them.
+    weight = state.coherence_weight * np.exp(-1j * state.phi)
+    re = weight.real * f_a.real - weight.imag * f_a.imag
+    im = weight.real * f_a.imag + weight.imag * f_a.real
+    conj_b = -f_b.imag
+    rho[..., 2, 1].real = re * f_b.real - im * conj_b
+    rho[..., 2, 1].imag = re * conj_b + im * f_b.real
+    rho[..., 1, 2] = rho[..., 2, 1].conj()
+    return ReducedDensityMatrix(matrix=rho.reshape(shape + (4, 4)))
+
+
+def survival_probability(f: np.ndarray) -> np.ndarray:
+    """|f|^2 of a 1-d complex array, rounded as the scalar abs(f) ** 2 is."""
+    # hypot, as scalar abs() of a complex; np.abs of a complex array may round apart.
+    # Python-float ** is libm pow, as np.float64 ** 2; an array ** 2 is x * x.
+    return np.array([m ** 2 for m in np.hypot(f.real, f.imag).tolist()])
 
 
 def _contract(block: list[list[complex]], weight: float, left: dict, right: dict) -> None:

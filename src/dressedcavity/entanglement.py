@@ -1,9 +1,14 @@
 """Two-qubit entanglement measures: concurrence, entanglement of formation,
 and negativity, with closed-form shortcuts for the single-excitation family.
 
-Conventions: Wootters spin-flip concurrence, binary entropy in bits (so a
-Bell state scores EoF = 1), and negativity as trace norm of the partial
-transpose minus 1 (Bell state scores 1).
+Conventions: Wootters spin-flip concurrence (PRL 80, 2245, 1998), binary
+entropy in bits (so a Bell state scores EoF = 1), and negativity as trace
+norm of the partial transpose minus 1 (Bell state scores 1).
+
+Every measure works on a (..., 4, 4) stack of states; a single state is a
+stack of shape (4, 4).  `measures` is the one entry point: it checks the
+stack positive semidefinite and evaluates all three measures, block by
+block, so its temporaries stay bounded however long the stack is.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .errors import ContractViolationError, DomainError
 
 # Eigenvalues of a physical state may dip below zero by rounding only.
 POSITIVITY_FLOOR = -1e-10
+# States per block of `measures`; bounds the LAPACK temporaries of a long stack.
+MEASURE_BLOCK = 1024
 
 # sigma_y (x) sigma_y in the ordered basis {|00>,|01>,|10>,|11>}.
 _SPIN_FLIP = np.array([
@@ -28,23 +35,28 @@ _SPIN_FLIP = np.array([
 ], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementMeasures:
-    concurrence: float
-    eof: float
-    negativity: float
+    """The three measures with the stack's leading shape (scalars for one state)."""
+
+    concurrence: np.ndarray | float
+    eof: np.ndarray | float
+    negativity: np.ndarray | float
 
 
-def _require_physical(rho: ReducedDensityMatrix) -> np.ndarray:
-    """The matrix of rho, once its lowest eigenvalue clears POSITIVITY_FLOOR."""
-    m = rho.matrix
-    if float(np.linalg.eigvalsh(m)[0]) < POSITIVITY_FLOOR:
-        raise ContractViolationError("density matrix is not positive semidefinite")
-    return m
+def _require_physical(block: np.ndarray, start: int) -> None:
+    """Raise unless every state of the (B, 4, 4) block clears POSITIVITY_FLOOR;
+    the message names the first bad sample by its flat index start + i."""
+    lowest = np.linalg.eigvalsh(block)[:, 0]
+    bad = np.flatnonzero(lowest < POSITIVITY_FLOOR)
+    if bad.size:
+        raise ContractViolationError(
+            f"density matrix at sample {start + bad[0]} is not positive semidefinite "
+            f"(lowest eigenvalue {lowest[bad[0]]:.3g})")
 
 
-def concurrence(rho: ReducedDensityMatrix) -> float:
-    """Wootters concurrence via the spin-flip eigenvalue formula.
+def _concurrence(m: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each state via the spin-flip eigenvalue formula.
 
     On single-excitation states this reduces to 2|rho[01,10]|; the general
     path is kept so the closed form can be cross-checked.  The eigenvalues
@@ -52,18 +64,15 @@ def concurrence(rho: ReducedDensityMatrix) -> float:
     sqrt(rho) rho~ sqrt(rho); the non-Hermitian route loses half the digits
     near degeneracies.
     """
-    return _concurrence(_require_physical(rho))
-
-
-def _concurrence(m: np.ndarray) -> float:
     evals, vecs = np.linalg.eigh(m)
     # null-space noise must be zeroed exactly, or the square root turns
     # eps-level eigenvalue noise into sqrt(eps)-level lambda noise
-    evals = np.where(evals < 256.0 * np.finfo(float).eps * evals[-1], 0.0, evals)
-    sqrt_m = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    evals = np.where(evals < 256.0 * np.finfo(float).eps * evals[..., -1:], 0.0, evals)
+    sqrt_m = (vecs * np.sqrt(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     bridge = sqrt_m @ _SPIN_FLIP @ np.conj(sqrt_m)
     lam = np.linalg.svd(bridge, compute_uv=False)  # descending; these are Wootters' lambdas
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def entanglement_of_formation(c: float) -> float:
@@ -77,34 +86,37 @@ def entanglement_of_formation(c: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def partial_transpose(rho: ReducedDensityMatrix) -> np.ndarray:
-    """Partial transpose on qubit B: swap the B labels of row and column."""
-    return _partial_transpose(rho.matrix)
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Partial transpose on qubit B of a (..., 4, 4) stack: swap the B labels
+    of row and column."""
+    lead = m.shape[:-2]
+    # axes (..., p_A, p_B, r_A, r_B); the final reshape copies into C order
+    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
-def _partial_transpose(m: np.ndarray) -> np.ndarray:
-    # axes (p_A, p_B, r_A, r_B); the final reshape copies into C order
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def negativity(rho: ReducedDensityMatrix) -> float:
+def _negativity(m: np.ndarray) -> np.ndarray:
     """Trace norm of the partial transpose minus 1, i.e. twice the total
-    weight of negative eigenvalues."""
-    return _negativity(_require_physical(rho))
-
-
-def _negativity(m: np.ndarray) -> float:
-    eigenvalues = np.linalg.eigvalsh(_partial_transpose(m))
-    return float(np.sum(np.abs(eigenvalues)) - np.sum(eigenvalues))
+    weight of negative eigenvalues, for each state."""
+    eigenvalues = np.linalg.eigvalsh(partial_transpose(m))
+    return np.sum(np.abs(eigenvalues), axis=-1) - np.sum(eigenvalues, axis=-1)
 
 
 def measures(rho: ReducedDensityMatrix) -> EntanglementMeasures:
-    """Concurrence, EoF and negativity of rho, with one positivity check."""
-    m = _require_physical(rho)
-    c = _concurrence(m)
-    return EntanglementMeasures(concurrence=c,
-                                eof=entanglement_of_formation(c),
-                                negativity=_negativity(m))
+    """Concurrence, EoF and negativity of every state of rho's stack, after
+    one positivity check per block of MEASURE_BLOCK states."""
+    lead = rho.matrix.shape[:-2]
+    flat = rho.matrix.reshape(-1, 4, 4)
+    c = np.empty(flat.shape[0])
+    negativity = np.empty(flat.shape[0])
+    for start in range(0, flat.shape[0], MEASURE_BLOCK):
+        block = flat[start:start + MEASURE_BLOCK]
+        _require_physical(block, start)
+        c[start:start + MEASURE_BLOCK] = _concurrence(block)
+        negativity[start:start + MEASURE_BLOCK] = _negativity(block)
+    # the scalar EoF keeps its bits; a vectorized log2 rounds some of them apart
+    eof = np.array([entanglement_of_formation(x) for x in c.tolist()])
+    return EntanglementMeasures(concurrence=c.reshape(lead)[()], eof=eof.reshape(lead)[()],
+                                negativity=negativity.reshape(lead)[()])
 
 
 def family_concurrence(xi: float, survival: float) -> float:

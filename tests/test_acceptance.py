@@ -17,9 +17,8 @@ from dressedcavity.density import (EntangledStateSpec, ThermalBathSpec, reduced_
                                    thermal_trace_oracle)
 from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
                                     wigner_weisskopf_rate)
-from dressedcavity.entanglement import (concurrence, entanglement_of_formation,
-                                        family_concurrence, measures, negativity,
-                                        partial_transpose)
+from dressedcavity.entanglement import (entanglement_of_formation, family_concurrence,
+                                        measures, partial_transpose)
 from dressedcavity.model import ModelParams, build_coupling_matrix
 from dressedcavity.reporting import read_csv
 from dressedcavity.spectral import diagonalize, dressed_spectrum, interlacing_counts
@@ -134,8 +133,8 @@ def test_criterion_5_small_cavity_stability():
     min_concurrence = family_concurrence(0.5, min_survival)
     # spot-check the closed form against the general spin-flip path at the dip
     f_at_dip = math.sqrt(min_survival)
-    general = concurrence(reduced_density_closed(EntangledStateSpec(0.5, 0.0),
-                                                 f_at_dip, f_at_dip))
+    general = measures(reduced_density_closed(EntangledStateSpec(0.5, 0.0),
+                                              f_at_dip, f_at_dip)).concurrence
     elapsed = time.perf_counter() - started
     check(5, "small-cavity stability", {
         f"min survival >= 0.95 (got {min_survival:.4f})": min_survival >= 0.95,
@@ -174,7 +173,7 @@ def test_criterion_7_entanglement_measures():
     f_half = math.sqrt(0.5)
     family = reduced_density_closed(EntangledStateSpec(0.5, 0.0), f_half, f_half)
     family_m = measures(family)
-    pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(family))
+    pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(family.matrix))
     negativity_oracle = float(np.sum(np.abs(pt_eigenvalues)) - np.sum(pt_eigenvalues))
     elapsed = time.perf_counter() - started
     check(7, "entanglement measures", {

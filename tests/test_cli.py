@@ -25,6 +25,9 @@ def floats(rows, col_index):
     return [float(r[col_index]) for r in rows]
 
 
+TABLE_COMMANDS = ("spectrum", "dynamics", "density", "entanglement", "thermal")
+
+
 class TestConfigHandling:
     def test_parse_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -109,11 +112,13 @@ class TestSpectrumCommand:
         assert floats(rows, 1) == pytest.approx([0.9049875621120891, 1.104987562112089],
                                                 rel=1e-12)
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_byte_identical_reruns(self, tmp_path, command):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run_cli("spectrum", "--n-modes", 32, "--out", out) == 0
-        assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+            assert run_cli(command, "--n-modes", 32, "--samples", 300, "--out", out) == 0
+        csv = f"{command}.csv"
+        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
     def test_manifest_checksums(self, tmp_path):
         out = tmp_path / "out"
@@ -167,6 +172,33 @@ class TestSeriesCommands:
         assert float(metadata["n0_init"]) == 1.0
         assert columns == ["t[natural-time]", "occupation[quanta]"]
         assert floats(rows, 1)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPhasePrecision:
+    def test_lost_phase_precision_warns_once(self, tmp_path, capsys):
+        # Omega*t ~ 1e102 keeps no digit of the phase; the run says so once
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--t-max", "1e100", "--samples", 5, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["convergence"]["phase_precision"] > 1e-6
+        assert len(manifest["warnings"]) == 1
+        assert capsys.readouterr().err == f"warning: {manifest['warnings'][0]}\n"
+
+    @pytest.mark.parametrize("argv", [
+        *((command,) for command in TABLE_COMMANDS),
+        # acceptance parameters: free-space decay, small-cavity stability, criterion 8 in SI
+        ("dynamics", "--radius", 500.0 * math.pi, "--n-modes", 1000, "--t-max", 100),
+        ("entanglement", "--radius", 1.0, "--n-modes", 64, "--t-max", 1000),
+        ("entanglement", "--si", "--omega-bar", 4.0e14, "--g", 4.0e12, "--radius", 1e-6,
+         "--temperature", 300.0, "--n-modes", 64, "--t-max", 20, "--samples", 101),
+    ], ids=[*TABLE_COMMANDS, "free_space", "small_cavity", "si_criterion_8"])
+    def test_ordinary_runs_do_not_warn(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == []
+        assert 0.0 < manifest["convergence"]["phase_precision"] < 1e-6
+        assert capsys.readouterr().err == ""
 
 
 class TestVerifyCommand:
@@ -243,6 +275,21 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("case", ["out_is_file", "out_below_file", "config_is_directory",
+                                      "config_not_utf8"])
+    def test_unusable_path_is_usage_error(self, tmp_path, capsys, case):
+        existing = tmp_path / "existing"
+        existing.write_text("x\n")
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes("g = 0.01  # \u00b5\n".encode("latin-1"))
+        argv = {"out_is_file": ("--out", existing),
+                "out_below_file": ("--out", existing / "sub"),
+                "config_is_directory": ("--config", tmp_path, "--out", tmp_path / "out"),
+                "config_not_utf8": ("--config", config, "--out", tmp_path / "out")}[case]
+        assert run_cli("spectrum", "--n-modes", 4, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 

@@ -9,7 +9,7 @@ from dressedcavity.density import (EntangledStateSpec, ReducedDensityMatrix, The
                                    _field_trace_blocks, bath_basis_states, bath_weights,
                                    reduced_density_closed, thermal_trace_oracle)
 from dressedcavity.dynamics import amplitudes
-from dressedcavity.entanglement import POSITIVITY_FLOOR, concurrence, negativity
+from dressedcavity.entanglement import POSITIVITY_FLOOR, measures
 from dressedcavity.errors import ContractViolationError, DomainError, ResourceCapError
 from dressedcavity.model import ModelParams
 from dressedcavity.spectral import dressed_spectrum
@@ -135,6 +135,21 @@ class TestClosedForm:
     def test_modulus_above_one_rejected(self):
         with pytest.raises(ContractViolationError):
             reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.01, 0.5)
+        with pytest.raises(ContractViolationError, match="at sample 2"):
+            reduced_density_closed(EntangledStateSpec(0.5, 0.0), [0.5, 1.0, 1.01], 0.5)
+
+    def test_arrays_equal_the_scalar_calls_bit_for_bit(self, rng):
+        state = EntangledStateSpec(0.3, 1.1)
+        f_aa = rng.uniform(0.0, 1.0, 50) * np.exp(1j * rng.uniform(0.0, 7.0, 50))
+        f_bb = rng.uniform(0.0, 1.0, 50) * np.exp(1j * rng.uniform(0.0, 7.0, 50))
+        stack = reduced_density_closed(state, f_aa, f_bb).matrix
+        assert stack.shape == (50, 4, 4)
+        for i in range(50):
+            single = reduced_density_closed(state, f_aa[i], f_bb[i]).matrix
+            assert single.shape == (4, 4)
+            assert single.tobytes() == stack[i].tobytes()
+        grid = reduced_density_closed(state, f_aa.reshape(5, 10), f_bb.reshape(5, 10))
+        assert grid.matrix.tobytes() == stack.tobytes() and grid.trace.shape == (5, 10)
 
     @given(xi=st.floats(0.0, 1.0), phi=st.floats(0.0, 6.28),
            mod_a=st.floats(0.0, 1.0), mod_b=st.floats(0.0, 1.0),
@@ -269,9 +284,8 @@ class TestPositivityCheck:
         rho = ReducedDensityMatrix(matrix=np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
         assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(-0.5)
         # the one positivity rule: the measures refuse a non-physical state
-        for measure in (concurrence, negativity):
-            with pytest.raises(ContractViolationError, match="positive semidefinite"):
-                measure(rho)
+        with pytest.raises(ContractViolationError, match="positive semidefinite"):
+            measures(rho)
 
 
 class TestSpecValidation:

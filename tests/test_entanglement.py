@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import dressedcavity.entanglement as entanglement
 from dressedcavity.density import EntangledStateSpec, ReducedDensityMatrix, reduced_density_closed
-from dressedcavity.entanglement import (concurrence, entanglement_of_formation, family_concurrence,
-                                        measures, negativity, partial_transpose)
+from dressedcavity.entanglement import (MEASURE_BLOCK, entanglement_of_formation,
+                                        family_concurrence, measures, partial_transpose)
 from dressedcavity.errors import ContractViolationError, DomainError
 
 # Frozen from a 30-digit evaluation of the binary-entropy expression at C = 1/2.
@@ -22,18 +22,27 @@ def family_rho(xi, survival, phi=0.0):
     return reduced_density_closed(EntangledStateSpec(xi, phi), f00, f00)
 
 
+def random_states(count, seed=7):
+    """A (count, 4, 4) stack of random full-rank physical states."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
 class TestConcurrence:
     def test_bell_state(self):
-        assert concurrence(family_rho(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert measures(family_rho(0.5, 1.0)).concurrence == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("xi", [0.0, 1.0])
     def test_product_family_never_entangled(self, xi):
         for survival in (1.0, 0.5, 0.1):
-            assert concurrence(family_rho(xi, survival)) == pytest.approx(0.0, abs=1e-12)
+            assert measures(family_rho(xi, survival)).concurrence == pytest.approx(0.0, abs=1e-12)
 
     def test_family_point_against_closed_form(self):
         rho = family_rho(0.5, 0.5)
-        general = concurrence(rho)
+        general = measures(rho).concurrence
         assert general == pytest.approx(0.5, abs=1e-12)
         assert general == pytest.approx(2.0 * abs(rho.matrix[1, 2]), abs=1e-12)
         assert general == pytest.approx(family_concurrence(0.5, 0.5), abs=1e-12)
@@ -42,12 +51,13 @@ class TestConcurrence:
            phi=st.floats(0.0, 6.28))
     def test_spin_flip_equals_coherence_formula(self, xi, survival, phi):
         rho = family_rho(xi, survival, phi)
-        assert concurrence(rho) == pytest.approx(family_concurrence(xi, survival), abs=1e-10)
+        assert measures(rho).concurrence == pytest.approx(family_concurrence(xi, survival),
+                                                          abs=1e-10)
 
     def test_non_positive_matrix_rejected(self):
         bad = ReducedDensityMatrix(matrix=np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
         with pytest.raises(ContractViolationError):
-            concurrence(bad)
+            measures(bad)
 
 
 class TestEntanglementOfFormation:
@@ -76,38 +86,73 @@ class TestEntanglementOfFormation:
 
 class TestNegativity:
     def test_bell_state(self):
-        assert negativity(family_rho(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert measures(family_rho(0.5, 1.0)).negativity == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
-        assert negativity(family_rho(0.0, 0.7)) == pytest.approx(0.0, abs=1e-12)
+        assert measures(family_rho(0.0, 0.7)).negativity == pytest.approx(0.0, abs=1e-12)
 
     def test_family_point_against_eigensolver(self):
         rho = family_rho(0.5, 0.5)
-        pt = partial_transpose(rho)
+        pt = partial_transpose(rho.matrix)
         eigenvalues = np.linalg.eigvalsh(pt)
         assert eigenvalues[0] == pytest.approx(PT_MIN_EIGENVALUE, abs=1e-12)
         expected = (math.sqrt(2.0) - 1.0) / 2.0
-        assert negativity(rho) == pytest.approx(expected, abs=1e-12)
-        assert negativity(rho) == pytest.approx(2.0 * abs(eigenvalues[0]), abs=1e-12)
+        assert measures(rho).negativity == pytest.approx(expected, abs=1e-12)
+        assert measures(rho).negativity == pytest.approx(2.0 * abs(eigenvalues[0]), abs=1e-12)
 
     def test_partial_transpose_moves_coherence(self):
         rho = family_rho(0.5, 1.0, phi=0.3)
-        pt = partial_transpose(rho)
+        pt = partial_transpose(rho.matrix)
         assert pt[0, 3] == pytest.approx(rho.matrix[1, 2], abs=1e-15)
         assert pt[1, 2] == 0.0
 
 
 class TestMeasureBundle:
     def test_one_positivity_check_matches_the_single_measures(self, monkeypatch):
-        rho = family_rho(0.3, 0.6, phi=0.4)
+        # a stack within one block is checked once, and each field matches
+        # the measures of its state alone
+        stack = reduced_density_closed(EntangledStateSpec(0.3, 0.4),
+                                       np.sqrt([1.0, 0.6, 0.2]), np.sqrt([1.0, 0.6, 0.2]))
         checked = []
         check = entanglement._require_physical
         monkeypatch.setattr(entanglement, "_require_physical",
-                            lambda r: checked.append(r) or check(r))
-        m = measures(rho)
+                            lambda *args, **kw: checked.append(args) or check(*args, **kw))
+        m = measures(stack)
         assert len(checked) == 1
-        assert m.concurrence == concurrence(rho)
-        assert m.negativity == negativity(rho)
+        for i, single in enumerate(stack.matrix):
+            alone = measures(ReducedDensityMatrix(single))
+            assert m.concurrence[i] == alone.concurrence
+            assert m.eof[i] == alone.eof
+            assert m.negativity[i] == alone.negativity
+
+    def test_stack_across_blocks_equals_each_state_alone(self):
+        stack = random_states(MEASURE_BLOCK + 3)
+        m = measures(ReducedDensityMatrix(stack))
+        assert m.concurrence.shape == m.eof.shape == m.negativity.shape == (MEASURE_BLOCK + 3,)
+        alone = [measures(ReducedDensityMatrix(single)) for single in stack]
+        assert np.array_equal(m.concurrence, [a.concurrence for a in alone])
+        assert np.array_equal(m.eof, [a.eof for a in alone])
+        assert np.array_equal(m.negativity, [a.negativity for a in alone])
+
+    def test_fields_keep_the_leading_shape(self):
+        m = measures(ReducedDensityMatrix(random_states(6).reshape(2, 3, 4, 4)))
+        assert m.concurrence.shape == m.eof.shape == m.negativity.shape == (2, 3)
+        single = measures(family_rho(0.5, 1.0))
+        assert isinstance(single.concurrence, float) and isinstance(single.eof, float)
+
+    @pytest.mark.parametrize("bad", [5, MEASURE_BLOCK + 7])
+    def test_positivity_error_names_the_first_bad_sample(self, bad):
+        stack = random_states(MEASURE_BLOCK + 10)
+        for index in (bad, bad + 2):
+            stack[index] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ContractViolationError, match=rf"at sample {bad} is not positive"):
+            measures(ReducedDensityMatrix(stack))
+
+    def test_stacked_partial_transpose_is_per_state(self):
+        stack = random_states(5)
+        pt = partial_transpose(stack)
+        for i, single in enumerate(stack):
+            assert np.array_equal(pt[i], partial_transpose(single))
 
     def test_invariant_eof_zero_iff_concurrence_zero(self):
         for xi, survival in ((0.0, 1.0), (0.5, 0.0), (0.5, 0.8), (0.2, 0.3)):
@@ -142,7 +187,7 @@ class TestMeasureBundle:
         # C(t) = C(0) |f_00(t)|^2 on the identical-atom family
         c0 = family_concurrence(0.5, 1.0)
         for survival in (1.0, 0.8, 0.3, 0.05):
-            assert concurrence(family_rho(0.5, survival)) == pytest.approx(
+            assert measures(family_rho(0.5, survival)).concurrence == pytest.approx(
                 c0 * survival, abs=1e-12)
 
 
