@@ -5,9 +5,11 @@
 #
 # BASE_SRC and HEAD_SRC are `src/` directories (for example of the target
 # branch and of a change); CONFIG defaults to scripts/compare_csv_bodies.cfg.
-# Each table subcommand and `verify` runs once from each tree; the `#`
-# metadata lines are stripped and the remaining bodies compared with cmp.
-# Exits 1 on any difference or on a command that fails in either tree.
+# Each table subcommand, `verify` and `sweep` runs once from each tree;
+# every CSV a command writes (for `sweep`, `sweep.csv` and each
+# `points/*/dynamics.csv`) has its `#` metadata lines stripped and the
+# remaining body compared with cmp.  Exits 1 on any difference, on a CSV
+# that only one tree writes, or on a command that fails in either tree.
 set -euo pipefail
 
 base_src=$(cd "$1" && pwd)
@@ -17,7 +19,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 status=0
-for command in spectrum dynamics density entanglement thermal verify; do
+for command in spectrum dynamics density entanglement thermal verify sweep; do
   for side in base head; do
     src=$base_src
     [ "$side" = head ] && src=$head_src
@@ -29,12 +31,21 @@ for command in spectrum dynamics density entanglement thermal verify; do
       status=1
       continue 2
     fi
-    grep -v '^#' "$out/$command.csv" > "$work/$side.$command.body"
+    (cd "$out" && find . -name '*.csv' | sort) > "$work/$side.$command.files"
   done
-  if cmp "$work/base.$command.body" "$work/head.$command.body"; then
-    echo "same $command.csv ($(wc -l < "$work/head.$command.body") lines)"
-  else
+  if ! cmp -s "$work/base.$command.files" "$work/head.$command.files"; then
+    echo "FAIL $command: the trees write different CSV files"
+    diff "$work/base.$command.files" "$work/head.$command.files" || true
     status=1
+    continue
   fi
+  while read -r csv; do
+    if cmp -s <(grep -v '^#' "$work/base/$command/$csv") <(grep -v '^#' "$work/head/$command/$csv"); then
+      echo "same $command: ${csv#./} ($(grep -vc '^#' "$work/head/$command/$csv") lines)"
+    else
+      echo "DIFF $command: ${csv#./}"
+      status=1
+    fi
+  done < "$work/head.$command.files"
 done
 exit $status

@@ -9,16 +9,22 @@ spectral stage on the model with `n_modes_oracle` modes over its `t_list`.
 The spectral stage reports `phase_precision`, the radians the phases
 Omega*t at the largest |t| lose to rounding; above PHASE_TOLERANCE (above
 VERIFY_TOLERANCE for `verify`) the run warns on stderr and in the
-manifest's `warnings`, and the exit code does not change.  `sweep` runs
-the `dynamics` row at every grid point, after checking once that the
-shared time grid holds enough samples for its fit.  `RunConfig` is the one
+manifest's `warnings`, and the exit code does not change.  `sweep` checks
+once that the shared time grid holds enough samples for its fit, then runs
+one serial loop over the grid: each distinct resolved model gets one
+spectral stage, `dynamics` table and decay fit, and each distinct (model,
+beta, n0_init) one occupation series.  Every point still writes its
+`dynamics` CSV and manifest through `TableCommand.write`, the step a
+standalone `dynamics` run ends with.  `jobs` is kept only because existing
+configs set it; 1 is its one legal value.  `RunConfig` is the one
 config schema: file keys and flags are its fields, coerced by `_coerce`;
 every float in it is checked finite, and t_max in range, before any output
 is written.
 
 Exit codes: 0 success, 1 usage error (including a sweep fit window that
 holds fewer than 3 samples, --si without both --omega-bar and --radius,
-an unreadable config file and an output path that cannot be written), 2
+jobs other than 1, an unreadable config file and an output path that
+cannot be written; a reader that closes stdout early changes no exit code), 2
 physics-contract violation (including a failed verify, a non-finite or
 out-of-range config number and a sweep whose every point failed), 3
 resource cap exceeded.
@@ -31,9 +37,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -60,6 +66,7 @@ PHASE_TOLERANCE = 1e-6
 TIME_LIMIT = 1e150
 
 # Fixed sweep axis order; rows follow the cartesian product in this order.
+# The axes that change the model come last (see cmd_sweep).
 SWEEP_AXES = ("xi", "phi", "temperature", "radius", "g")
 
 
@@ -93,7 +100,8 @@ class RunConfig:
     si: bool = field(default=False, metadata={
         "help": "interpret omega-bar/radius/temperature as rad/s, m, K"})
     out: str = field(default="runs", metadata={"help": "output directory"})
-    jobs: int = field(default=1, metadata={"help": "parallel workers for sweep"})
+    jobs: int = field(default=1, metadata={
+        "help": "1, the only legal value: sweep runs its points in one process"})
     xi_grid: tuple[float, ...] | None = None
     phi_grid: tuple[float, ...] | None = None
     temperature_grid: tuple[float, ...] | None = None
@@ -250,9 +258,24 @@ def _write_manifest(out_dir: Path, config: RunConfig, started: float, csv: Path,
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _say(*lines: str) -> None:
+    """Print lines on stdout.  A reader that closed the pipe early (`| head`)
+    leaves the outputs and the exit code as they are; as the Python docs'
+    note on SIGPIPE advises, stdout then points at devnull, so the
+    interpreter's final flush stays quiet."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 class Table(NamedTuple):
     """A row builder's CSV rows, extra metadata and manifest fields, and the
-    survival series behind the `dynamics` rows, which `sweep` fits."""
+    survival series behind the `dynamics` rows, which `sweep` fits.  `sweep`
+    writes one `dynamics` table at every point of its model, so those rows
+    are a list."""
 
     rows: Iterable
     metadata: dict | None = None
@@ -268,22 +291,20 @@ class TableCommand:
     columns: tuple[str, ...]
     build: Callable[..., Table]
 
-    def execute(self, config: RunConfig):
-        """resolve -> spectral stage -> rows -> CSV -> manifest; returns
-        (run, spectrum, table) for callers that derive more."""
-        started = time.monotonic()
-        run = resolve_natural(config)
-        out_dir = Path(config.out)
-        spectrum, convergence, warnings = _pipeline(run)
-        table = self.build(run, spectrum)
-        csv = write_csv(out_dir / self.file, self.columns, table.rows,
+    def write(self, config: RunConfig, started: float, run: NaturalRun, table: Table,
+              convergence: dict, warnings: Sequence[str]) -> None:
+        """The CSV and manifest of one run of this command, in `config.out`."""
+        csv = write_csv(Path(config.out) / self.file, self.columns, table.rows,
                         metadata=_metadata(run, table.metadata))
-        _write_manifest(out_dir, config, started, csv, run, convergence, warnings,
+        _write_manifest(csv.parent, config, started, csv, run, convergence, warnings,
                         **(table.manifest or {}))
-        return run, spectrum, table
 
     def __call__(self, config: RunConfig) -> int:
-        self.execute(config)
+        """resolve -> spectral stage -> rows -> `write`."""
+        started = time.monotonic()
+        run = resolve_natural(config)
+        spectrum, convergence, warnings = _pipeline(run)
+        self.write(config, started, run, self.build(run, spectrum), convergence, warnings)
         return 0
 
 
@@ -294,7 +315,7 @@ def _spectrum_rows(run, spectrum) -> Table:
 
 def _dynamics_rows(run, spectrum) -> Table:
     series = survival_series(spectrum, run.t_grid)
-    return Table(zip(series.t, series.survival, series.phase),
+    return Table(list(zip(series.t, series.survival, series.phase)),
                  manifest={"min_survival": float(np.min(series.survival))}, series=series)
 
 
@@ -374,38 +395,31 @@ def cmd_verify(config: RunConfig) -> int:
                               "xi": run.state.xi, "phi": run.state.phi})
     _write_manifest(out_dir, config, started, csv, run, convergence, warnings,
                     verify_passed=all_pass)
-    for row in rows:
-        print(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
-              f"dev_cross={row[3]:.3e} {row[4]}")
-    print("VERIFY", "PASS" if all_pass else "FAIL")
+    _say(*(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
+           f"dev_cross={row[3]:.3e} {row[4]}" for row in rows),
+         "VERIFY " + ("PASS" if all_pass else "FAIL"))
     return 0 if all_pass else 2
 
 
-def _sweep_point(task) -> tuple:
-    """One `sweep.csv` row, in its column order."""
-    index, config, window = task
-    axes = (index, *(getattr(config, axis) for axis in SWEEP_AXES))
+def _model_stage(run: NaturalRun, window: tuple[float, float]) -> tuple:
+    """A sweep's work per distinct model: the spectral stage, the `dynamics`
+    table, and its decay rate and R^2 (None when the fit fails)."""
+    spectrum, convergence, warnings = _pipeline(run)
+    table = COMMANDS["dynamics"].build(run, spectrum)
     try:
-        run, spectrum, table = COMMANDS["dynamics"].execute(config)
-        occupation = occupation_series(spectrum, run.params, run.beta, run.n0_init, run.t_grid)
-        long_time = occupation[run.t_grid >= 0.5 * config.t_max]
-        gamma = r_squared = None
-        try:
-            fit = decay_rate_fit(table.series, window)
-            gamma, r_squared = fit.rate, fit.r_squared
-        except PhysicsError:
-            pass  # recorded as empty columns; not a point failure
-        return (*axes, table.manifest["min_survival"], gamma, r_squared,
-                family_concurrence(config.xi, 1.0), float(np.mean(long_time)), "ok")
-    except (PhysicsError, ResourceCapError) as exc:
-        return (*axes, None, None, None, None, None, f"error: {exc}")
+        fit = decay_rate_fit(table.series, window)
+        return spectrum, convergence, warnings, table, (fit.rate, fit.r_squared)
+    except PhysicsError:  # recorded as empty columns; not a point failure
+        return spectrum, convergence, warnings, table, (None, None)
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    """One `sweep.csv` row per grid point.  Each distinct resolved model runs
+    one `_model_stage` and each distinct (model, beta, n0_init) one occupation
+    series; every point writes its `dynamics` CSV and manifest from them."""
     started = time.monotonic()
     out_dir = Path(config.out)
-    grids = {axis: getattr(config, f"{axis}_grid") for axis in SWEEP_AXES}
-    active = [(axis, values) for axis, values in grids.items() if values]
+    active = [(axis, values) for axis in SWEEP_AXES if (values := getattr(config, f"{axis}_grid"))]
     if not active:
         raise UsageError("sweep needs at least one of "
                          + ", ".join(f"{axis}_grid" for axis in SWEEP_AXES))
@@ -414,35 +428,54 @@ def cmd_sweep(config: RunConfig) -> int:
     # t >= t_max/2 that the occupation mean averages over.
     t = np.linspace(0.0, config.t_max, config.samples)
     lo, hi = window = config.fit_window or (0.05 * config.t_max, 0.8 * config.t_max)
-    held = int(np.count_nonzero((t >= lo) & (t <= hi)))
-    if held < 3:
+    if (held := int(np.count_nonzero((t >= lo) & (t <= hi)))) < 3:
         raise UsageError(f"fit window [{lo:g}, {hi:g}] holds {held} of the {t.size} samples "
                          f"on [0, {config.t_max:g}]; the decay fit needs at least 3")
-    tasks = []
-    for index, combo in enumerate(itertools.product(*(values for _, values in active))):
+    # Only radius and g, the last axes, change the model: sorted on the
+    # reversed values, each model's points run back to back, so one
+    # spectrum is held at a time.  Rows are put back in index order below.
+    order = sorted(enumerate(itertools.product(*(values for _, values in active))),
+                   key=lambda item: item[1][::-1])
+    params, models, rows = None, 0, []
+    for index, combo in order:
+        point_started = time.monotonic()
         point = dataclasses.replace(
             config, out=str(out_dir / "points" / f"point_{index:04d}"),
             **{f"{axis}_grid": None for axis in SWEEP_AXES},
             **{axis: value for (axis, _), value in zip(active, combo)})
-        tasks.append((index, point, window))
-
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(task) for task in tasks]
+        axes = (index, *(getattr(point, axis) for axis in SWEEP_AXES))
+        try:
+            run = resolve_natural(point)
+            if run.params != params:  # a new model: the earlier models' points are all done
+                params, models, means = run.params, models + 1, {}
+                try:
+                    stage = _model_stage(run, window)
+                except (PhysicsError, ResourceCapError) as exc:
+                    stage = exc  # every point of the model reports it
+            if isinstance(stage, Exception):
+                raise stage
+            spectrum, convergence, warnings, table, fit = stage
+            COMMANDS["dynamics"].write(point, point_started, run, table, convergence, warnings)
+            # a failed occupation is not kept: its inputs are checked before any work
+            if (run.beta, run.n0_init) not in means:
+                occupation = occupation_series(spectrum, run.params, run.beta, run.n0_init, t)
+                means[run.beta, run.n0_init] = float(np.mean(occupation[t >= 0.5 * config.t_max]))
+            rows.append((*axes, table.manifest["min_survival"], *fit, family_concurrence(
+                point.xi, 1.0), means[run.beta, run.n0_init], "ok"))
+        except (PhysicsError, ResourceCapError) as exc:
+            rows.append((*axes, None, None, None, None, None, f"error: {exc}"))
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
                "gamma[natural-frequency]", "r_squared[dimensionless]", "c0[dimensionless]",
                "occupation_long_time_mean[quanta]", "status"]
-    csv = write_csv(out_dir / "sweep.csv", columns, rows,
-                    metadata={"axes": ",".join(axis for axis, _ in active),
-                              "points": len(tasks), "jobs": config.jobs})
+    csv = write_csv(out_dir / "sweep.csv", columns, sorted(rows),
+                    metadata={"axes": ",".join(axis for axis, _ in active), "points": len(rows)})
     failures = sum(1 for row in rows if row[-1] != "ok")
-    _write_manifest(out_dir, config, started, csv, points=len(tasks), failures=failures)
-    print(f"sweep: {len(tasks)} points, {failures} failures -> {csv}")
-    if failures == len(tasks):
+    _write_manifest(out_dir, config, started, csv, points=len(rows), failures=failures,
+                    models=models)
+    _say(f"sweep: {len(rows)} points, {failures} failures -> {csv}")
+    if failures == len(rows):
         print(f"physics contract violation: all {failures} sweep points failed (see {csv})",
               file=sys.stderr)
         return 2
@@ -514,8 +547,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("fit_window needs exactly two values lo,hi with lo < hi")
     if config.samples < 1:
         raise UsageError(f"samples must be >= 1, got {config.samples}")
-    if config.jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {config.jobs}")
+    if config.jobs != 1:
+        raise UsageError(f"jobs must be 1, got {config.jobs}: sweep runs its points in one "
+                         "process")
     _check_finite(config)
     if not 1.0 / TIME_LIMIT <= config.t_max <= TIME_LIMIT:
         raise DomainError(f"t_max must lie in [{1.0 / TIME_LIMIT:g}, {TIME_LIMIT:g}], "

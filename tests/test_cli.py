@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args
                               parse_config_file, resolve_natural)
 from dressedcavity.model import BOLTZMANN, HBAR
 from dressedcavity.reporting import read_csv, sha256_of
+import dressedcavity.cli as cli
 import dressedcavity.spectral as spectral
 
 
@@ -23,6 +26,17 @@ def run_cli(*args):
 
 def floats(rows, col_index):
     return [float(r[col_index]) for r in rows]
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls `cli` makes to each named function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
 
 
 TABLE_COMMANDS = ("spectrum", "dynamics", "density", "entanglement", "thermal")
@@ -63,6 +77,7 @@ si = false
         # one schema: each RunConfig field parses the same from a flag and a file
         sample = {"float": "0.25", "int": "3", "bool": "true", "str": "x", "tuple": "0.5,1.5"}
         texts = {key: sample[kind] for key, kind in _KINDS.items()}
+        texts["jobs"] = "1"  # its one legal value
         cfg = tmp_path / "all.cfg"
         cfg.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()))
         flags = []
@@ -290,6 +305,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, verdict", [
+        (("verify",), 0),
+        (("verify", "--negative-control"), 2),
+        (("sweep", "--xi-grid", "0.3,0.6", "--n-modes", 8, "--t-max", 2, "--samples", 16), 0),
+    ], ids=["verify", "verify_negative", "sweep"])
+    def test_closed_stdout_keeps_the_verdict(self, tmp_path, capsys, monkeypatch, argv, verdict):
+        # a reader that exits early (`| head -1`) makes writes to stdout raise
+        # BrokenPipeError; the outputs are written and the exit code stays the run's
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = tmp_path / "out"
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run_cli(*argv, "--out", out) == verdict
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        assert (out / "manifest.json").exists()
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 
@@ -391,11 +424,13 @@ class TestExitCodes:
 
     def test_spectral_cap_is_a_sweep_error_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "SPECTRAL_BYTES_CAP", 1 << 15)
+        calls = count_calls(monkeypatch, "diagonalize")
         out = tmp_path / "out"
         assert run_cli("sweep", "--xi-grid", "0.3,0.6", "--n-modes", 64, "--t-max", 2,
                        "--samples", 16, "--out", out) == 2
         _, _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 2 and all("MiB cap" in row[-1] for row in rows)
+        assert calls == {"diagonalize": 1}  # both points report the one failed stage
 
     def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -440,7 +475,7 @@ class TestSweepCommand:
 
     def test_point_artifacts_and_status(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("sweep", "--g-grid", "0.0,0.02", "--n-modes", 8,
+        assert run_cli("sweep", "--g-grid", "0.0,0.02", "--temperature", 2.0, "--n-modes", 8,
                        "--t-max", 2, "--samples", 16, "--out", out) == 0
         _, _, rows = read_csv(out / "sweep.csv")
         assert all(row[-1] == "ok" for row in rows)
@@ -448,19 +483,42 @@ class TestSweepCommand:
         assert (out / "points" / "point_0001" / "manifest.json").exists()
         # a point writes through the same dynamics command as a standalone run
         alone = tmp_path / "alone"
-        assert run_cli("dynamics", "--g", 0.0, "--n-modes", 8, "--t-max", 2,
-                       "--samples", 16, "--out", alone) == 0
+        assert run_cli("dynamics", "--g", 0.0, "--temperature", 2.0, "--n-modes", 8,
+                       "--t-max", 2, "--samples", 16, "--out", alone) == 0
         assert (out / "points" / "point_0000" / "dynamics.csv").read_bytes() == \
             (alone / "dynamics.csv").read_bytes()
+        point = json.loads((out / "points" / "point_0000" / "manifest.json").read_text())
+        standalone = json.loads((alone / "manifest.json").read_text())
+        for manifest in (point, standalone):
+            del manifest["config"]["out"], manifest["wall_clock_seconds"]
+        assert point == standalone
+        assert json.loads((out / "manifest.json").read_text())["models"] == 2
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        for out, jobs in ((serial, 1), (parallel, 2)):
-            assert run_cli("sweep", "--radius-grid", "1.0,2.0", "--jobs", jobs,
-                           "--n-modes", 8, "--t-max", 2, "--samples", 16,
-                           "--out", out) == 0
-        assert (serial / "sweep.csv").read_text().splitlines()[3:] == \
-            (parallel / "sweep.csv").read_text().splitlines()[3:]
+    def test_one_spectral_stage_per_model(self, tmp_path, monkeypatch):
+        # xi and temperature leave the model as it is: 2 radii are 2 spectra,
+        # and each (radius, temperature) pair is one occupation series
+        calls = count_calls(monkeypatch, "diagonalize", "occupation_series")
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--xi-grid", "0.2,0.5,0.8", "--temperature-grid", "0.5,2.0",
+                       "--radius-grid", "1.0,2.0", "--n-modes", 8, "--t-max", 2,
+                       "--samples", 16, "--out", out) == 0
+        assert calls == {"diagonalize": 2, "occupation_series": 4}
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert [int(row[0]) for row in rows] == list(range(12))  # index order, not run order
+        assert all(row[-1] == "ok" for row in rows)
+        assert json.loads((out / "manifest.json").read_text())["models"] == 2
+
+    def test_failed_occupation_fails_only_its_points(self, tmp_path):
+        # beta*omega = 1e-301 is below what bose_einstein accepts; the other
+        # temperature of the same model still gives ok rows
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--temperature-grid", "1.0,1e301", "--xi-grid", "0.3,0.6",
+                       "--n-modes", 8, "--t-max", 2, "--samples", 16, "--out", out) == 0
+        _, _, rows = read_csv(out / "sweep.csv")
+        status = {(float(row[1]), float(row[3])): row[-1] for row in rows}
+        assert status[0.3, 1.0] == status[0.6, 1.0] == "ok"
+        assert status[0.3, 1e301].startswith("error:") and "beta*omega" in status[0.3, 1e301]
+        assert status[0.6, 1e301] == status[0.3, 1e301]
 
     def test_radius_sweep_crosses_regimes(self, tmp_path):
         # small cavity holds the excitation; free space lets it decay away
@@ -472,11 +530,13 @@ class TestSweepCommand:
         assert min_survival[0] > 0.9
         assert min_survival[1] < 0.05
 
-    def test_zero_jobs_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_zero_jobs_is_usage_error(self, tmp_path, capsys, jobs):
         out = tmp_path / "out"
-        assert run_cli("sweep", "--xi-grid", "0.5", "--jobs", 0, "--n-modes", 8,
+        assert run_cli("sweep", "--xi-grid", "0.5", "--jobs", jobs, "--n-modes", 8,
                        "--samples", 16, "--out", out) == 1
-        assert "jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "jobs" in err and "one process" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
