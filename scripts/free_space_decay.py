@@ -17,7 +17,7 @@ from dressedcavity.dynamics import decay_rate_fit, survival_series, wigner_weiss
 from dressedcavity.model import ModelParams
 from dressedcavity.reporting import write_csv
 from dressedcavity.spectral import dressed_spectrum
-from dressedcavity.thermal import bose_einstein, occupation_series
+from dressedcavity.thermal import bose_einstein, occupation_series, occupation_weights
 
 
 def run(out: Path, g: float, radius: float, n_modes: int, beta: float) -> None:
@@ -39,7 +39,7 @@ def run(out: Path, g: float, radius: float, n_modes: int, beta: float) -> None:
                         "gamma_fit": fit.rate, "gamma_golden_rule": oracle})
 
     t_occ = np.linspace(0.0, 300.0, 601)
-    occ = occupation_series(spectrum, params, beta, 1.0, t_occ)
+    occ = occupation_series(spectrum, occupation_weights(params, beta, 1.0), t_occ)
     target = bose_einstein(1.0, beta)
     long_time = float(np.mean(occ[t_occ >= 150.0]))
     print(f"occupation at beta={beta}: long-time mean {long_time:.5f} "

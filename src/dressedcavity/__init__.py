@@ -15,7 +15,7 @@ from .entanglement import (EntanglementMeasures, entanglement_of_formation, fami
 from .model import (CouplingMatrix, ModelParams, build_coupling_matrix, natural_from_si,
                     si_from_natural)
 from .spectral import DressedSpectrum, diagonalize, dressed_spectrum
-from .thermal import bose_einstein, occupation_series
+from .thermal import bose_einstein, occupation_series, occupation_weights
 
 __all__ = [
     "__version__",
@@ -24,6 +24,6 @@ __all__ = [
     "ThermalBathSpec", "amplitudes", "bose_einstein", "build_coupling_matrix",
     "decay_rate_fit", "diagonalize", "dressed_spectrum", "entanglement_of_formation",
     "family_concurrence", "measures", "natural_from_si", "occupation_series",
-    "partial_transpose", "reduced_density_closed", "si_from_natural", "survival_series",
-    "thermal_trace_oracle",
+    "occupation_weights", "partial_transpose", "reduced_density_closed", "si_from_natural",
+    "survival_series", "thermal_trace_oracle",
 ]

@@ -6,20 +6,23 @@ sweep.  The first five are `TableCommand` rows of the command table
 `COMMANDS` (CSV file, columns, row builder) and share one runner: resolve,
 spectral stage (`_pipeline`), rows, CSV, manifest.  `verify` runs the same
 spectral stage on the model with `n_modes_oracle` modes over its `t_list`.
-The spectral stage reports `phase_precision`, the radians the phases
-Omega*t at the largest |t| lose to rounding; above PHASE_TOLERANCE (above
-VERIFY_TOLERANCE for `verify`) the run warns on stderr and in the
-manifest's `warnings`, and the exit code does not change.  `sweep` checks
-once that the shared time grid holds enough samples for its fit, then runs
-one serial loop over the grid: each distinct resolved model gets one
-spectral stage, `dynamics` table and decay fit, and each distinct (model,
-beta, n0_init) one occupation series.  Every point still writes its
-`dynamics` CSV and manifest through `TableCommand.write`, the step a
-standalone `dynamics` run ends with.  `jobs` is kept only because existing
-configs set it; 1 is its one legal value.  `RunConfig` is the one
-config schema: file keys and flags are its fields, coerced by `_coerce`;
-every float in it is checked finite, and t_max in range, before any output
-is written.
+The spectral stage's `convergence` records what the run resolved: modes
+per linewidth pi*g/delta_omega, whether omega_bar lies inside the mode
+ladder, the cavity recurrence time 2R, and `phase_precision`, the radians
+the phases Omega*t at the largest |t| lose to rounding; above
+PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
+stderr and in the manifest's `warnings`, and the exit code does not
+change.  `sweep` checks once that the shared time grid holds enough
+samples for its fit and resolves every grid point, then runs one serial
+loop over the distinct resolved models: each gets one spectral stage,
+`dynamics` table and decay fit, and one occupation pass in which the
+weights of all its distinct (beta, n0_init) pairs share the amplitude
+blocks.  Every point still writes its `dynamics` CSV and manifest through
+`TableCommand.write`, the step a standalone `dynamics` run ends with.
+`jobs` is kept only because existing configs set it; 1 is its one legal
+value.  `RunConfig` is the one config schema: file keys and flags are its
+fields, coerced by `_coerce`; every float in it is checked finite, and
+t_max in range, before any output is written.
 
 Exit codes: 0 success, 1 usage error (including a sweep fit window that
 holds fewer than 3 samples, --si without both --omega-bar and --radius,
@@ -55,7 +58,7 @@ from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
 from .reporting import write_csv, write_manifest
 from .spectral import EPS, diagonalize
-from .thermal import bose_einstein, occupation_series
+from .thermal import bose_einstein, occupation_series, occupation_weights
 
 VERIFY_TOLERANCE = 1e-12
 # Radians of phase Omega*t a table command may lose to rounding before it warns.
@@ -227,13 +230,17 @@ def _pipeline(run: NaturalRun, tolerance: float = PHASE_TOLERANCE,
     unitarity = float(np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0)))
     # radians the phases Omega*t lose to rounding at the largest |t|
     phase_precision = float(np.max(np.abs(run.t_grid))) * spectrum.omega_dressed[-1] * EPS
+    ladder = run.params.mode_frequencies
     warnings = []
     if phase_precision > tolerance:
         warnings.append(f"phase precision max|t|*Omega_max*eps = {phase_precision:.3g} rad "
                         f"exceeds {tolerance:g}; {consequence}")
     return spectrum, {
         "n_modes": run.params.n_modes,
-        "mode_span_over_omega_bar": run.params.mode_frequencies[-1] / run.params.omega_bar,
+        "mode_span_over_omega_bar": ladder[-1] / run.params.omega_bar,
+        "modes_per_linewidth": math.pi * run.params.g / run.params.delta_omega,
+        "omega_bar_in_ladder": bool(ladder[0] <= run.params.omega_bar <= ladder[-1]),
+        "recurrence_time": 2.0 * run.params.radius,
         "eigensolver_residual": eig_residual,
         "unitarity_residual": unitarity,
         "phase_precision": phase_precision,
@@ -339,7 +346,8 @@ def _entanglement_rows(run, spectrum) -> Table:
 
 
 def _thermal_rows(run, spectrum) -> Table:
-    occupation = occupation_series(spectrum, run.params, run.beta, run.n0_init, run.t_grid)
+    occupation = occupation_series(
+        spectrum, occupation_weights(run.params, run.beta, run.n0_init), run.t_grid)
     return Table(zip(run.t_grid, occupation),
                  {"n0_init": run.n0_init,
                   "equilibrium_bose_einstein": bose_einstein(run.params.omega_bar, run.beta)})
@@ -401,22 +409,59 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all_pass else 2
 
 
-def _model_stage(run: NaturalRun, window: tuple[float, float]) -> tuple:
-    """A sweep's work per distinct model: the spectral stage, the `dynamics`
-    table, and its decay rate and R^2 (None when the fit fails)."""
-    spectrum, convergence, warnings = _pipeline(run)
+def _error_row(axes: tuple, exc: Exception) -> tuple:
+    """The `sweep.csv` row of a failed point: its axes, empty results, the error."""
+    return (*axes, None, None, None, None, None, f"error: {exc}")
+
+
+def _sweep_model(points: list, window: tuple[float, float], t: np.ndarray,
+                 late: np.ndarray) -> list:
+    """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
+
+    The model gets one spectral stage, `dynamics` table and decay fit (empty
+    columns when the fit fails), and one occupation pass over the weights of
+    its distinct (beta, n0_init) pairs, whose means over the `late` samples
+    of t fill the rows.  A pair whose weights raise fails only its own
+    points, a failed stage every point.  Each point writes its `dynamics`
+    CSV and manifest.  The spectrum is freed on return, so a sweep holds
+    one at a time.
+    """
+    started, run = time.monotonic(), points[0][2]
+    try:
+        spectrum, convergence, warnings = _pipeline(run)
+    except (PhysicsError, ResourceCapError) as exc:
+        return [_error_row(axes, exc) for axes, _, _ in points]
     table = COMMANDS["dynamics"].build(run, spectrum)
     try:
-        fit = decay_rate_fit(table.series, window)
-        return spectrum, convergence, warnings, table, (fit.rate, fit.r_squared)
+        decay = decay_rate_fit(table.series, window)
+        fit = decay.rate, decay.r_squared
     except PhysicsError:  # recorded as empty columns; not a point failure
-        return spectrum, convergence, warnings, table, (None, None)
+        fit = None, None
+    weights, failed = {}, {}
+    for pair in dict.fromkeys((run.beta, run.n0_init) for _, _, run in points):
+        try:
+            weights[pair] = occupation_weights(run.params, *pair)
+        except PhysicsError as exc:
+            failed[pair] = exc
+    means = {}
+    if weights:
+        occupation = occupation_series(spectrum, np.array(list(weights.values())), t)
+        means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, occupation)}
+    rows = []
+    for axes, point, run in points:
+        COMMANDS["dynamics"].write(point, started, run, table, convergence, warnings)
+        if (pair := (run.beta, run.n0_init)) in failed:
+            rows.append(_error_row(axes, failed[pair]))
+        else:
+            rows.append((*axes, table.manifest["min_survival"], *fit,
+                         family_concurrence(point.xi, 1.0), means[pair], "ok"))
+    return rows
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    """One `sweep.csv` row per grid point.  Each distinct resolved model runs
-    one `_model_stage` and each distinct (model, beta, n0_init) one occupation
-    series; every point writes its `dynamics` CSV and manifest from them."""
+    """One `sweep.csv` row per grid point.  Every point is resolved first;
+    then the points of each distinct resolved model go through one
+    `_sweep_model` call."""
     started = time.monotonic()
     out_dir = Path(config.out)
     active = [(axis, values) for axis in SWEEP_AXES if (values := getattr(config, f"{axis}_grid"))]
@@ -436,34 +481,22 @@ def cmd_sweep(config: RunConfig) -> int:
     # spectrum is held at a time.  Rows are put back in index order below.
     order = sorted(enumerate(itertools.product(*(values for _, values in active))),
                    key=lambda item: item[1][::-1])
-    params, models, rows = None, 0, []
+    resolved, rows = [], []
     for index, combo in order:
-        point_started = time.monotonic()
         point = dataclasses.replace(
             config, out=str(out_dir / "points" / f"point_{index:04d}"),
             **{f"{axis}_grid": None for axis in SWEEP_AXES},
             **{axis: value for (axis, _), value in zip(active, combo)})
         axes = (index, *(getattr(point, axis) for axis in SWEEP_AXES))
         try:
-            run = resolve_natural(point)
-            if run.params != params:  # a new model: the earlier models' points are all done
-                params, models, means = run.params, models + 1, {}
-                try:
-                    stage = _model_stage(run, window)
-                except (PhysicsError, ResourceCapError) as exc:
-                    stage = exc  # every point of the model reports it
-            if isinstance(stage, Exception):
-                raise stage
-            spectrum, convergence, warnings, table, fit = stage
-            COMMANDS["dynamics"].write(point, point_started, run, table, convergence, warnings)
-            # a failed occupation is not kept: its inputs are checked before any work
-            if (run.beta, run.n0_init) not in means:
-                occupation = occupation_series(spectrum, run.params, run.beta, run.n0_init, t)
-                means[run.beta, run.n0_init] = float(np.mean(occupation[t >= 0.5 * config.t_max]))
-            rows.append((*axes, table.manifest["min_survival"], *fit, family_concurrence(
-                point.xi, 1.0), means[run.beta, run.n0_init], "ok"))
-        except (PhysicsError, ResourceCapError) as exc:
-            rows.append((*axes, None, None, None, None, None, f"error: {exc}"))
+            resolved.append((axes, point, resolve_natural(point)))
+        except PhysicsError as exc:
+            rows.append(_error_row(axes, exc))
+    models = [list(group) for _, group in
+              itertools.groupby(resolved, key=lambda item: item[2].params)]
+    late = t >= 0.5 * config.t_max
+    for points in models:
+        rows.extend(_sweep_model(points, window, t, late))
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
@@ -473,7 +506,7 @@ def cmd_sweep(config: RunConfig) -> int:
                     metadata={"axes": ",".join(axis for axis, _ in active), "points": len(rows)})
     failures = sum(1 for row in rows if row[-1] != "ok")
     _write_manifest(out_dir, config, started, csv, points=len(rows), failures=failures,
-                    models=models)
+                    models=len(models))
     _say(f"sweep: {len(rows)} points, {failures} failures -> {csv}")
     if failures == len(rows):
         print(f"physics contract violation: all {failures} sweep points failed (see {csv})",

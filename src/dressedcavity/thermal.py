@@ -6,9 +6,11 @@ n_0'(t) = |f_00(t)|^2 n_0(0) + sum_k |f_0k(t)|^2 nbar(omega_k, beta).
 At t = 0 completeness gives back n_0(0) exactly; at beta -> inf the field
 term dies and the atom empties; in free space at long times the amplitude
 weights concentrate near resonance and the value settles at nbar(omega_bar).
-`occupation_series` reads the frequencies omega_k from the model's
-`ModelParams` and returns the occupations as a plain array on the caller's
-time grid.
+`occupation_weights` builds the weight vector [n_0(0), nbar(omega_k, beta)...]
+from the model's `ModelParams`; `occupation_series` contracts one weight
+vector, or a stack of them, with |f_0nu(t)|^2 in one pass over the
+amplitude blocks and returns the occupations as plain arrays on the
+caller's time grid.
 """
 
 from __future__ import annotations
@@ -54,27 +56,37 @@ def bose_einstein(omega: float | np.ndarray, beta: float) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def occupation_series(spectrum: DressedSpectrum, params: ModelParams, beta: float,
-                      n0_init: float, t_grid: np.ndarray) -> np.ndarray:
-    """Occupation n_0'(t, beta) of the dressed atom at each time of t_grid.
-
-    The params' mode frequencies enter the Bose-Einstein weights of the
-    field labels; their count must match the spectrum's size.  The weights
-    |f_0nu|^2 = re^2 + im^2 are summed block by block in t, so the full
-    amplitude array is never held.
-    """
+def occupation_weights(params: ModelParams, beta: float, n0_init: float) -> np.ndarray:
+    """Weights [n0_init, nbar(omega_k, beta)...] of |f_0nu|^2 in n_0'(t, beta):
+    the atom's initial occupation, then the Bose-Einstein occupation of each
+    of the params' modes."""
     if not 0.0 <= n0_init <= OCCUPATION_LIMIT:
         raise DomainError(f"n0_init must lie in [0, {OCCUPATION_LIMIT:g}], got {n0_init}")
-    if params.n_modes != spectrum.size - 1:
-        raise DomainError(
-            f"params have {params.n_modes} modes but spectrum has {spectrum.size - 1} field labels")
+    return np.concatenate(([n0_init], bose_einstein(params.mode_frequencies, beta)))
+
+
+def occupation_series(spectrum: DressedSpectrum, weights: np.ndarray,
+                      t_grid: np.ndarray) -> np.ndarray:
+    """Occupation n_0'(t) = sum_nu w_nu |f_0nu(t)|^2 at each time of t_grid.
+
+    weights is one `occupation_weights` vector of shape (N+1,), giving a (T,)
+    array, or a (P, N+1) stack of them, giving (P, T); a single vector is a
+    stack of one.  The powers |f_0nu|^2 = re^2 + im^2 are formed block by
+    block in t, once for the whole stack, so the full amplitude array is
+    never held; each weight vector is contracted with them by its own
+    matrix-vector product, so a stacked row equals its single call bit for
+    bit.
+    """
+    stack = np.asarray(weights, dtype=float)
+    if stack.ndim not in (1, 2) or stack.shape[-1] != spectrum.size:
+        raise DomainError(f"weights of shape {stack.shape} need {spectrum.size} entries per "
+                          f"vector, one per label of the spectrum")
     t = np.asarray(t_grid, dtype=float)
-    weights = np.concatenate(([n0_init], bose_einstein(params.mode_frequencies, beta)))
-    occupation = np.empty(t.size)
+    occupation = np.empty(stack.shape[:-1] + t.shape)
     for block, re, im in amplitude_blocks(spectrum, t):
         re *= re
         im *= im
         re += im
-        occupation[block] = weights @ re
+        for row, weight in zip(np.atleast_2d(occupation), np.atleast_2d(stack)):
+            row[block] = weight @ re
     return occupation
-

@@ -22,7 +22,7 @@ from dressedcavity.entanglement import (entanglement_of_formation, family_concur
 from dressedcavity.model import ModelParams, build_coupling_matrix
 from dressedcavity.reporting import read_csv
 from dressedcavity.spectral import diagonalize, dressed_spectrum, interlacing_counts
-from dressedcavity.thermal import bose_einstein, occupation_series
+from dressedcavity.thermal import bose_einstein, occupation_series, occupation_weights
 
 from conftest import FREE_SPACE, dense, random_params
 
@@ -148,10 +148,10 @@ def test_criterion_5_small_cavity_stability():
 def test_criterion_6_thermal_equilibrium(free_space_spectrum):
     started = time.perf_counter()
     t = np.linspace(0.0, 300.0, 601)
-    means = {}
-    for beta in (1.0, 2.0):
-        occupation = occupation_series(free_space_spectrum, FREE_SPACE, beta, 1.0, t)
-        means[beta] = float(np.mean(occupation[t >= 150.0]))
+    betas = (1.0, 2.0)
+    weights = np.array([occupation_weights(FREE_SPACE, beta, 1.0) for beta in betas])
+    occupation = occupation_series(free_space_spectrum, weights, t)
+    means = {beta: float(np.mean(row[t >= 150.0])) for beta, row in zip(betas, occupation)}
     # the formula value at the SI anchor; the often-quoted 0.09 is excluded
     si_value = bose_einstein(1.0, 10.184310109676986)
     elapsed = time.perf_counter() - started

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,25 @@ class TestPhasePrecision:
         assert manifest["warnings"] == []
         assert 0.0 < manifest["convergence"]["phase_precision"] < 1e-6
         assert capsys.readouterr().err == ""
+
+
+class TestResolutionDiagnostics:
+    @pytest.mark.parametrize("g, radius, n_modes, in_ladder", [
+        (0.01, 1.0, 32, False),            # small cavity: omega_bar below the first mode pi
+        (0.01, 500.0 * math.pi, 1000, True),  # free space: the ladder spans [0.002, 2]
+    ], ids=["small_cavity", "free_space"])
+    def test_manifest_records_what_the_run_resolved(self, tmp_path, capsys, g, radius,
+                                                    n_modes, in_ladder):
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--g", g, "--radius", radius, "--n-modes", n_modes,
+                       "--t-max", 200, "--samples", 400, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        convergence = manifest["convergence"]
+        assert convergence["modes_per_linewidth"] == pytest.approx(g * radius, rel=1e-12)
+        assert convergence["omega_bar_in_ladder"] is in_ladder
+        assert convergence["recurrence_time"] == 2.0 * radius
+        # past 2R the small cavity shows its recurrences, which is what it is run for
+        assert manifest["warnings"] == [] and capsys.readouterr().err == ""
 
 
 class TestVerifyCommand:
@@ -496,17 +516,32 @@ class TestSweepCommand:
 
     def test_one_spectral_stage_per_model(self, tmp_path, monkeypatch):
         # xi and temperature leave the model as it is: 2 radii are 2 spectra,
-        # and each (radius, temperature) pair is one occupation series
+        # and each radius makes one occupation pass over both temperatures
         calls = count_calls(monkeypatch, "diagonalize", "occupation_series")
         out = tmp_path / "out"
         assert run_cli("sweep", "--xi-grid", "0.2,0.5,0.8", "--temperature-grid", "0.5,2.0",
                        "--radius-grid", "1.0,2.0", "--n-modes", 8, "--t-max", 2,
                        "--samples", 16, "--out", out) == 0
-        assert calls == {"diagonalize": 2, "occupation_series": 4}
+        assert calls == {"diagonalize": 2, "occupation_series": 2}
         _, _, rows = read_csv(out / "sweep.csv")
         assert [int(row[0]) for row in rows] == list(range(12))  # index order, not run order
         assert all(row[-1] == "ok" for row in rows)
         assert json.loads((out / "manifest.json").read_text())["models"] == 2
+
+    def test_holds_one_spectrum_at_a_time(self, tmp_path):
+        # the (N+1)^2 components of one model (8 MB at N = 1000) are freed
+        # before the next model's spectral stage allocates its own
+        peaks = []
+        tracemalloc.start()
+        try:
+            for radii in ("100.0", "100.0,200.0"):
+                tracemalloc.reset_peak()
+                assert run_cli("sweep", "--radius-grid", radii, "--n-modes", 1000,
+                               "--t-max", 5, "--samples", 64, "--out", tmp_path / radii) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
 
     def test_failed_occupation_fails_only_its_points(self, tmp_path):
         # beta*omega = 1e-301 is below what bose_einstein accepts; the other

@@ -10,7 +10,7 @@ from dressedcavity.errors import DomainError
 from dressedcavity.model import ModelParams, natural_from_si
 from dressedcavity.spectral import dressed_spectrum
 from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
-                                   occupation_series)
+                                   occupation_series, occupation_weights)
 
 
 class TestBoseEinstein:
@@ -85,31 +85,34 @@ class TestOccupationSeries:
         self.params = ModelParams(omega_bar=1.0, g=0.02, radius=2.0, n_modes=12)
         self.spectrum = dressed_spectrum(self.params)
 
+    def series(self, beta, n0_init, t):
+        return occupation_series(self.spectrum, occupation_weights(self.params, beta, n0_init), t)
+
     def test_initial_condition_exact(self):
-        for beta in (0.1, 1.0, 100.0):
-            occupation = occupation_series(self.spectrum, self.params, beta, 1.0,
-                                           np.array([0.0, 1.0]))
-            assert occupation.shape == (2,)
-            assert occupation[0] == pytest.approx(1.0, abs=1e-12)
+        weights = np.array([occupation_weights(self.params, beta, 1.0)
+                            for beta in (0.1, 1.0, 100.0)])
+        occupation = occupation_series(self.spectrum, weights, np.array([0.0, 1.0]))
+        assert occupation.shape == (3, 2)
+        assert np.allclose(occupation[:, 0], 1.0, rtol=0.0, atol=1e-12)
 
     def test_zero_temperature_reduction(self):
         t = np.linspace(0.0, 30.0, 121)
-        occupation = occupation_series(self.spectrum, self.params, 1e6, 1.0, t)
+        occupation = self.series(1e6, 1.0, t)
         from dressedcavity.dynamics import survival_series
         survival = survival_series(self.spectrum, t).survival
         assert np.max(np.abs(occupation - survival)) < 1e-6
 
     def test_monotone_in_temperature(self):
         t = np.linspace(0.5, 20.0, 40)
-        occ_hot = occupation_series(self.spectrum, self.params, 0.5, 1.0, t)
-        occ_cold = occupation_series(self.spectrum, self.params, 2.0, 1.0, t)
+        weights = np.array([occupation_weights(self.params, beta, 1.0) for beta in (0.5, 2.0)])
+        occ_hot, occ_cold = occupation_series(self.spectrum, weights, t)
         assert np.all(occ_hot >= occ_cold - 1e-14)
 
     def test_blocks_match_one_shot(self, monkeypatch):
         # 7 samples per block (13 labels into 96 elements) and T = 100 leaves a ragged last block
         monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 96)
         t = np.linspace(0.0, 40.0, 100)
-        occupation = occupation_series(self.spectrum, self.params, 0.7, 1.3, t)
+        occupation = self.series(0.7, 1.3, t)
         v = self.spectrum.components
         phases = np.exp(-1j * np.outer(self.spectrum.omega_dressed, t))
         power = np.abs(v @ (v[0][:, None] * phases)) ** 2
@@ -117,26 +120,49 @@ class TestOccupationSeries:
         one_shot = 1.3 * power[0] + nbar @ power[1:]
         assert np.max(np.abs(occupation - one_shot)) <= 1e-13
 
+    def test_stack_rows_equal_single_calls(self, monkeypatch):
+        # ragged last block as above; each stacked row must be its single call bit for bit
+        monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 96)
+        t = np.linspace(0.0, 40.0, 100)
+        weights = np.array([occupation_weights(self.params, beta, n0)
+                            for beta, n0 in ((0.3, 0.0), (0.7, 1.3), (5.0, 2.0))])
+        stacked = occupation_series(self.spectrum, weights, t)
+        assert stacked.shape == (3, t.size)
+        for row, weight in zip(stacked, weights):
+            assert np.array_equal(row, occupation_series(self.spectrum, weight.copy(), t))
+        single = occupation_series(self.spectrum, weights[1], t)
+        one = occupation_series(self.spectrum, weights[1:2], t)
+        assert single.shape == (t.size,) and one.shape == (1, t.size)
+        assert np.array_equal(one[0], single)
+
+    def test_weights_give_n0_then_bose_einstein(self):
+        weights = occupation_weights(self.params, 0.7, 1.3)
+        assert weights.shape == (self.spectrum.size,)
+        assert weights[0] == 1.3
+        assert np.array_equal(weights[1:], bose_einstein(self.params.mode_frequencies, 0.7))
+
     def test_ladder_size_mismatch(self):
-        # params with 5 modes against the 12-mode spectrum
-        wrong = ModelParams(1.0, 0.02, 2.0, 5)
-        with pytest.raises(DomainError, match="5 modes but spectrum has 12"):
-            occupation_series(self.spectrum, wrong, 1.0, 1.0, np.array([0.0]))
+        # weights of a 5-mode model against the 12-mode spectrum, alone and stacked
+        wrong = occupation_weights(ModelParams(1.0, 0.02, 2.0, 5), 1.0, 1.0)
+        for weights in (wrong, np.array([wrong, wrong]), wrong[None, None]):
+            with pytest.raises(DomainError, match="need 13 entries per vector"):
+                occupation_series(self.spectrum, weights, np.array([0.0]))
 
     def test_negative_initial_occupation(self):
         with pytest.raises(DomainError):
-            occupation_series(self.spectrum, self.params, 1.0, -1.0, np.array([0.0]))
+            occupation_weights(self.params, 1.0, -1.0)
 
     def test_initial_occupation_above_double_range_limit(self):
         # 1e301 quanta could overflow the weighted sum (a matmul overflow warning)
         with pytest.raises(DomainError):
-            occupation_series(self.spectrum, self.params, 1.0, 1e301, np.array([0.0]))
+            occupation_weights(self.params, 1.0, 1e301)
 
 
 class TestCavitySummary:
     def test_decoupled_is_flat(self):
         params = ModelParams(omega_bar=1.0, g=0.0, radius=1.0, n_modes=4)
-        occupation = occupation_series(dressed_spectrum(params), params, 1.0, 1.0,
+        occupation = occupation_series(dressed_spectrum(params),
+                                       occupation_weights(params, 1.0, 1.0),
                                        np.linspace(0.0, 10.0, 50))
         assert occupation.shape == (50,)
         assert np.allclose(occupation, 1.0, rtol=0.0, atol=1e-12)
@@ -144,10 +170,10 @@ class TestCavitySummary:
     def test_room_temperature_close_to_zero_temperature(self):
         # small cavity, beta*omega_bar ~ 10: thermal weights are negligible
         params = ModelParams(omega_bar=1.0, g=0.1, radius=1.334, n_modes=32)
-        spectrum = dressed_spectrum(params)
+        weights = np.array([occupation_weights(params, beta, 1.0) for beta in (1e6, 10.0)])
         t = np.linspace(0.0, 200.0, 2001)
-        avg_cold = np.mean(occupation_series(spectrum, params, 1e6, 1.0, t))
-        avg_room = np.mean(occupation_series(spectrum, params, 10.0, 1.0, t))
+        avg_cold, avg_room = np.mean(occupation_series(dressed_spectrum(params), weights, t),
+                                     axis=1)
         assert avg_room >= avg_cold
         assert avg_room == pytest.approx(avg_cold, rel=0.02)
 
@@ -155,10 +181,9 @@ class TestCavitySummary:
         # beta*omega_bar ~ 0.03 floods the field modes; the time average
         # climbs to several times its zero-temperature value
         params = ModelParams(omega_bar=1.0, g=0.1, radius=1.334, n_modes=32)
-        spectrum = dressed_spectrum(params)
+        weights = np.array([occupation_weights(params, beta, 1.0) for beta in (1e6, 0.03)])
         t = np.linspace(0.0, 200.0, 2001)
-        cold = np.mean(occupation_series(spectrum, params, 1e6, 1.0, t))
-        hot = np.mean(occupation_series(spectrum, params, 0.03, 1.0, t))
+        cold, hot = np.mean(occupation_series(dressed_spectrum(params), weights, t), axis=1)
         assert hot > 3.0 * cold
 
 
@@ -167,8 +192,9 @@ def test_free_space_thermalization(free_space_spectrum):
     # Bose-Einstein value of the atom frequency
     params = ModelParams(omega_bar=1.0, g=0.01, radius=500.0 * math.pi, n_modes=1000)
     t = np.linspace(0.0, 300.0, 601)
-    for beta in (1.0, 2.0):
-        occupation = occupation_series(free_space_spectrum, params, beta, 1.0, t)
+    betas = (1.0, 2.0)
+    weights = np.array([occupation_weights(params, beta, 1.0) for beta in betas])
+    for beta, occupation in zip(betas, occupation_series(free_space_spectrum, weights, t)):
         long_time = occupation[t >= 150.0]
         target = bose_einstein(1.0, beta)
         assert np.mean(long_time) == pytest.approx(target, rel=0.05)
