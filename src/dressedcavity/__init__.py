@@ -12,9 +12,8 @@ from .density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
 from .dynamics import DecayFit, SurvivalSeries, amplitudes, decay_rate_fit, survival_series
 from .entanglement import (EntanglementMeasures, entanglement_of_formation, family_concurrence,
                            measures, partial_transpose)
-from .model import (CouplingMatrix, ModelParams, build_coupling_matrix, natural_from_si,
-                    si_from_natural)
-from .spectral import DressedSpectrum, diagonalize, dressed_spectrum
+from .model import CouplingMatrix, ModelParams, build_coupling_matrix, natural_from_si
+from .spectral import DressedSpectrum, diagonalize
 from .thermal import bose_einstein, occupation_series, occupation_weights
 
 __all__ = [
@@ -22,8 +21,7 @@ __all__ = [
     "CouplingMatrix", "DecayFit", "DressedSpectrum", "EntangledStateSpec",
     "EntanglementMeasures", "ModelParams", "ReducedDensityMatrix", "SurvivalSeries",
     "ThermalBathSpec", "amplitudes", "bose_einstein", "build_coupling_matrix",
-    "decay_rate_fit", "diagonalize", "dressed_spectrum", "entanglement_of_formation",
-    "family_concurrence", "measures", "natural_from_si", "occupation_series",
-    "occupation_weights", "partial_transpose", "reduced_density_closed", "si_from_natural",
-    "survival_series", "thermal_trace_oracle",
+    "decay_rate_fit", "diagonalize", "entanglement_of_formation", "family_concurrence",
+    "measures", "natural_from_si", "occupation_series", "occupation_weights",
+    "partial_transpose", "reduced_density_closed", "survival_series", "thermal_trace_oracle",
 ]

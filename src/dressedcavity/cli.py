@@ -12,13 +12,19 @@ ladder, the cavity recurrence time 2R, and `phase_precision`, the radians
 the phases Omega*t at the largest |t| lose to rounding; above
 PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
 stderr and in the manifest's `warnings`, and the exit code does not
-change.  `sweep` checks once that the shared time grid holds enough
-samples for its fit and resolves every grid point, then runs one serial
-loop over the distinct resolved models: each gets one spectral stage,
-`dynamics` table and decay fit, and one occupation pass in which the
-weights of all its distinct (beta, n0_init) pairs share the amplitude
-blocks.  Every point still writes its `dynamics` CSV and manifest through
-`TableCommand.write`, the step a standalone `dynamics` run ends with.
+change.  When `fit_window` is set, `dynamics` fits the decay rate of the
+survival over it and records the fit against the golden rule pi*g in its
+manifest's `decay_fit` (the error message when the fit fails; the exit
+code does not change); `entanglement` records `min_concurrence`, as
+`dynamics` records `min_survival`.  `sweep` checks once that the shared
+time grid holds enough samples for its fit window, sets that window on
+every point and resolves every grid point, then runs one serial loop over
+the distinct resolved models: each gets one spectral stage and `dynamics`
+table, whose `decay_fit` fills the gamma and r_squared columns, and one
+occupation pass in which the weights of all its distinct (beta, n0_init)
+pairs share the amplitude blocks.  Every point still writes its
+`dynamics` CSV and manifest through `TableCommand.write`, the step a
+standalone `dynamics` run ends with.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
@@ -30,7 +36,8 @@ jobs other than 1, an unreadable config file and an output path that
 cannot be written; a reader that closes stdout early changes no exit code), 2
 physics-contract violation (including a failed verify, a non-finite or
 out-of-range config number and a sweep whose every point failed), 3
-resource cap exceeded.
+resource cap exceeded (including a MemoryError, the backstop for a size
+no cap bounds yet).
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ import numpy as np
 from . import __version__
 from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                       survival_probability, thermal_trace_oracle)
-from .dynamics import SurvivalSeries, amplitudes, decay_rate_fit, survival_series
+from .dynamics import (SurvivalSeries, amplitudes, decay_rate_fit, survival_series,
+                       wigner_weisskopf_rate)
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
@@ -126,6 +134,7 @@ class NaturalRun:
     beta: float
     n0_init: float
     t_grid: np.ndarray
+    fit_window: tuple[float, float] | None
     si_inputs: dict | None
 
 
@@ -149,7 +158,8 @@ def resolve_natural(config: RunConfig) -> NaturalRun:
     state = EntangledStateSpec(xi=config.xi, phi=config.phi)
     t_grid = np.linspace(0.0, config.t_max, config.samples)
     return NaturalRun(params=params, state=state, beta=beta,
-                      n0_init=config.n0_init, t_grid=t_grid, si_inputs=si_inputs)
+                      n0_init=config.n0_init, t_grid=t_grid, fit_window=config.fit_window,
+                      si_inputs=si_inputs)
 
 
 def parse_config_file(path: Path) -> dict:
@@ -279,15 +289,13 @@ def _say(*lines: str) -> None:
 
 
 class Table(NamedTuple):
-    """A row builder's CSV rows, extra metadata and manifest fields, and the
-    survival series behind the `dynamics` rows, which `sweep` fits.  `sweep`
+    """A row builder's CSV rows, extra metadata and manifest fields.  `sweep`
     writes one `dynamics` table at every point of its model, so those rows
     are a list."""
 
     rows: Iterable
     metadata: dict | None = None
     manifest: dict | None = None
-    series: SurvivalSeries | None = None
 
 
 @dataclass(frozen=True)
@@ -320,10 +328,24 @@ def _spectrum_rows(run, spectrum) -> Table:
                   for s in range(spectrum.size)])
 
 
+def _decay_fit(series: SurvivalSeries, run: NaturalRun) -> dict:
+    """The decay rate over run.fit_window against the golden rule pi*g, or
+    the message of the PhysicsError the fit raised."""
+    try:
+        fit = decay_rate_fit(series, run.fit_window)
+    except PhysicsError as exc:
+        return {"error": str(exc)}
+    golden = wigner_weisskopf_rate(run.params.g)
+    return {"rate": fit.rate, "r_squared": fit.r_squared, "golden_rule_rate": golden,
+            "relative_deviation": abs(fit.rate - golden) / golden if golden else None}
+
+
 def _dynamics_rows(run, spectrum) -> Table:
     series = survival_series(spectrum, run.t_grid)
-    return Table(list(zip(series.t, series.survival, series.phase)),
-                 manifest={"min_survival": float(np.min(series.survival))}, series=series)
+    manifest = {"min_survival": float(np.min(series.survival))}
+    if run.fit_window is not None:
+        manifest["decay_fit"] = _decay_fit(series, run)
+    return Table(list(zip(series.t, series.survival, series.phase)), manifest=manifest)
 
 
 def _density_rows(run, spectrum) -> Table:
@@ -342,7 +364,8 @@ def _entanglement_rows(run, spectrum) -> Table:
     return Table(zip(run.t_grid.tolist(), survival.tolist(), m.concurrence.tolist(),
                      m.eof.tolist(), m.negativity.tolist()),
                  {"xi": run.state.xi, "phi": run.state.phi,
-                  "c0": family_concurrence(run.state.xi, 1.0)})
+                  "c0": family_concurrence(run.state.xi, 1.0)},
+                 {"min_concurrence": float(np.min(m.concurrence))})
 
 
 def _thermal_rows(run, spectrum) -> Table:
@@ -414,17 +437,17 @@ def _error_row(axes: tuple, exc: Exception) -> tuple:
     return (*axes, None, None, None, None, None, f"error: {exc}")
 
 
-def _sweep_model(points: list, window: tuple[float, float], t: np.ndarray,
-                 late: np.ndarray) -> list:
+def _sweep_model(points: list, t: np.ndarray, late: np.ndarray) -> list:
     """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
 
-    The model gets one spectral stage, `dynamics` table and decay fit (empty
-    columns when the fit fails), and one occupation pass over the weights of
-    its distinct (beta, n0_init) pairs, whose means over the `late` samples
-    of t fill the rows.  A pair whose weights raise fails only its own
-    points, a failed stage every point.  Each point writes its `dynamics`
-    CSV and manifest.  The spectrum is freed on return, so a sweep holds
-    one at a time.
+    The model gets one spectral stage and `dynamics` table, whose manifest's
+    decay fit fills the gamma and r_squared columns (empty when the fit
+    failed), and one occupation pass over the weights of its distinct
+    (beta, n0_init) pairs, whose means over the `late` samples of t fill
+    the rows.  A pair whose weights raise fails only its own points, a
+    failed stage every point.  Each point writes its `dynamics` CSV and
+    manifest.  The spectrum is freed on return, so a sweep holds one at a
+    time.
     """
     started, run = time.monotonic(), points[0][2]
     try:
@@ -432,11 +455,7 @@ def _sweep_model(points: list, window: tuple[float, float], t: np.ndarray,
     except (PhysicsError, ResourceCapError) as exc:
         return [_error_row(axes, exc) for axes, _, _ in points]
     table = COMMANDS["dynamics"].build(run, spectrum)
-    try:
-        decay = decay_rate_fit(table.series, window)
-        fit = decay.rate, decay.r_squared
-    except PhysicsError:  # recorded as empty columns; not a point failure
-        fit = None, None
+    decay = table.manifest["decay_fit"]
     weights, failed = {}, {}
     for pair in dict.fromkeys((run.beta, run.n0_init) for _, _, run in points):
         try:
@@ -453,8 +472,9 @@ def _sweep_model(points: list, window: tuple[float, float], t: np.ndarray,
         if (pair := (run.beta, run.n0_init)) in failed:
             rows.append(_error_row(axes, failed[pair]))
         else:
-            rows.append((*axes, table.manifest["min_survival"], *fit,
-                         family_concurrence(point.xi, 1.0), means[pair], "ok"))
+            rows.append((*axes, table.manifest["min_survival"], decay.get("rate"),
+                         decay.get("r_squared"), family_concurrence(point.xi, 1.0),
+                         means[pair], "ok"))
     return rows
 
 
@@ -484,7 +504,7 @@ def cmd_sweep(config: RunConfig) -> int:
     resolved, rows = [], []
     for index, combo in order:
         point = dataclasses.replace(
-            config, out=str(out_dir / "points" / f"point_{index:04d}"),
+            config, out=str(out_dir / "points" / f"point_{index:04d}"), fit_window=window,
             **{f"{axis}_grid": None for axis in SWEEP_AXES},
             **{axis: value for (axis, _), value in zip(active, combo)})
         axes = (index, *(getattr(point, axis) for axis in SWEEP_AXES))
@@ -496,7 +516,7 @@ def cmd_sweep(config: RunConfig) -> int:
               itertools.groupby(resolved, key=lambda item: item[2].params)]
     late = t >= 0.5 * config.t_max
     for points in models:
-        rows.extend(_sweep_model(points, window, t, late))
+        rows.extend(_sweep_model(points, t, late))
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
@@ -603,8 +623,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"usage error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    except ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as exc:  # MemoryError: a size no cap bounds yet
+        print(f"resource cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except PhysicsError as exc:
         print(f"physics contract violation: {exc}", file=sys.stderr)

@@ -61,19 +61,6 @@ def natural_from_si(omega_si: float, radius_si: float,
     return NaturalInputs(1.0, radius_si * omega_si / LIGHT_SPEED, beta)
 
 
-def si_from_natural(omega: float, radius: float, beta: float | None,
-                    frequency_scale: float) -> tuple[float, float, float | None]:
-    """Invert natural_from_si given the frequency scale (rad/s per natural unit)."""
-    if frequency_scale <= 0.0:
-        raise DomainError(f"frequency_scale must be positive, got {frequency_scale}")
-    omega_si = omega * frequency_scale
-    radius_si = radius * LIGHT_SPEED / frequency_scale
-    temperature_si = None
-    if beta is not None:
-        temperature_si = HBAR * frequency_scale / (BOLTZMANN * beta)
-    return omega_si, radius_si, temperature_si
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical inputs in natural units: atom frequency, coupling, cavity radius, cutoff."""

@@ -45,20 +45,6 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence[Any]],
     return path
 
 
-def read_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Inverse of write_csv; values come back as strings."""
-    metadata: dict[str, str] = {}
-    data_lines: list[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            metadata[key.strip()] = value.strip()
-        elif line:
-            data_lines.append(line)
-    parsed = list(csv.reader(data_lines))
-    return metadata, parsed[0] if parsed else [], parsed[1:]
-
-
 def sha256_of(path: Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (BracketingError, ContractViolationError, ModelInstabilityError,
                      ResourceCapError)
-from .model import CouplingMatrix, ModelParams, build_coupling_matrix
+from .model import CouplingMatrix
 
 EPS = float(np.finfo(float).eps)
 # Border entries at or below this fraction of max|M| deflate.
@@ -78,11 +78,6 @@ class DressedSpectrum:
     @property
     def size(self) -> int:
         return self.omega_dressed.size
-
-    @property
-    def atom_weights(self) -> np.ndarray:
-        """Spectral weights (t_0^s)^2 of the atom coordinate; they sum to 1."""
-        return self.components[0, :] ** 2
 
     def reconstruction_residual(self, matrix: CouplingMatrix) -> float:
         """Max-norm eigen-equation residual max|MV - V diag(Omega^2)| / max|M|.
@@ -303,20 +298,3 @@ def _rational_step(d, z2, origin, far, outer, tau, f, df):
         slope = df - near_slope
         edge = _quadratic_root(slope, slope * d_near - (f - zn / d_near), -d_near * f, outer)
     return np.where(outer == 0.0, interior, edge)
-
-
-def dressed_spectrum(params: ModelParams) -> DressedSpectrum:
-    """The dressed spectrum of a parameter set: coupling matrix -> diagonalize."""
-    return diagonalize(build_coupling_matrix(params))
-
-
-def interlacing_counts(spectrum: DressedSpectrum, params: ModelParams) -> tuple[int, list[int], int]:
-    """Count squared eigenvalues below omega_1^2, inside each pole gap, above omega_N^2,
-    with omega_k the mode frequencies of params."""
-    lam = spectrum.omega_dressed ** 2
-    poles = params.mode_frequencies ** 2
-    below = int(np.sum(lam < poles[0]))
-    inside = [int(np.sum((lam > poles[k]) & (lam < poles[k + 1])))
-              for k in range(len(poles) - 1)]
-    above = int(np.sum(lam > poles[-1]))
-    return below, inside, above

@@ -20,11 +20,11 @@ from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
 from dressedcavity.entanglement import (entanglement_of_formation, family_concurrence,
                                         measures, partial_transpose)
 from dressedcavity.model import ModelParams, build_coupling_matrix
-from dressedcavity.reporting import read_csv
-from dressedcavity.spectral import diagonalize, dressed_spectrum, interlacing_counts
+from dressedcavity.spectral import diagonalize
 from dressedcavity.thermal import bose_einstein, occupation_series, occupation_weights
 
-from conftest import FREE_SPACE, dense, random_params
+from conftest import (FREE_SPACE, dense, dressed_spectrum, interlacing_counts, random_params,
+                      read_csv)
 
 # Frozen oracle values (direct evaluation, see the module tests for provenance).
 NBAR_BETA_1 = 0.5819767068693265

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,10 +16,13 @@ from hypothesis import strategies as st
 
 from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args, main,
                               parse_config_file, resolve_natural)
+from dressedcavity.dynamics import survival_series
 from dressedcavity.model import BOLTZMANN, HBAR
-from dressedcavity.reporting import read_csv, sha256_of
+from dressedcavity.reporting import sha256_of
 import dressedcavity.cli as cli
 import dressedcavity.spectral as spectral
+
+from conftest import read_csv
 
 
 def run_cli(*args):
@@ -163,6 +167,8 @@ class TestSeriesCommands:
         assert float(metadata["c0"]) == pytest.approx(1.0)
         assert floats(rows, 2)[0] == pytest.approx(1.0, abs=1e-10)  # concurrence at t=0
         assert floats(rows, 3)[0] == pytest.approx(1.0, abs=1e-8)   # eof at t=0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["min_concurrence"] == min(floats(rows, 2))
 
     def test_density_elements_sum_to_one(self, tmp_path):
         out = tmp_path / "out"
@@ -178,6 +184,35 @@ class TestSeriesCommands:
                        "--t-max", 200, "--samples", 2000, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["min_survival"] >= 0.9  # stable regime
+        assert "decay_fit" not in manifest  # no fit_window, no fit
+
+    def test_free_space_decay_fit_in_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--g", 0.01, "--radius", 100.0 * math.pi, "--n-modes", 200,
+                       "--t-max", 100, "--samples", 1000, "--fit-window", "5,80",
+                       "--out", out) == 0
+        fit = json.loads((out / "manifest.json").read_text())["decay_fit"]
+        assert fit["golden_rule_rate"] == math.pi * 0.01
+        assert fit["rate"] == pytest.approx(fit["golden_rule_rate"], rel=0.05)
+        assert fit["relative_deviation"] == pytest.approx(
+            abs(fit["rate"] - fit["golden_rule_rate"]) / fit["golden_rule_rate"], rel=1e-12)
+        assert fit["relative_deviation"] < 0.05 and fit["r_squared"] >= 0.999
+
+    def test_failed_decay_fit_is_recorded(self, tmp_path, capsys, monkeypatch):
+        # survival that has decayed to zero inside the window has no logarithm
+        # to fit; the run records why and keeps its exit code
+        def decayed(spectrum, t_grid):
+            series = survival_series(spectrum, t_grid)
+            return dataclasses.replace(series, survival=np.where(series.t > 1.0, 0.0,
+                                                                 series.survival))
+        monkeypatch.setattr(cli, "survival_series", decayed)
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--n-modes", 8, "--t-max", 5, "--samples", 50,
+                       "--fit-window", "0.5,4", "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["decay_fit"] == {"error": "survival is nonpositive inside the fit window"}
+        assert manifest["min_survival"] == 0.0
+        assert capsys.readouterr().err == ""
 
     def test_thermal_metadata(self, tmp_path):
         out = tmp_path / "out"
@@ -452,6 +487,23 @@ class TestExitCodes:
         assert len(rows) == 2 and all("MiB cap" in row[-1] for row in rows)
         assert calls == {"diagonalize": 1}  # both points report the one failed stage
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type "
+         "float64", "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and "
+                    "data type float64"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_3_without_csv(self, tmp_path, capsys, monkeypatch, message,
+                                              line):
+        # the backstop for a size no cap bounds yet, such as --samples 1e12
+        def exhausted(config):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "resolve_natural", exhausted)
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--out", out) == 3
+        assert capsys.readouterr().err == f"resource cap exceeded: {line}\n"
+        assert not out.exists()
+
     def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("thermal", "--temperature", 0, "--n-modes", 8, "--samples", 16,
@@ -502,9 +554,11 @@ class TestSweepCommand:
         assert (out / "points" / "point_0000" / "dynamics.csv").exists()
         assert (out / "points" / "point_0001" / "manifest.json").exists()
         # a point writes through the same dynamics command as a standalone run
+        # with the sweep's default fit window, [0.05, 0.8] * t_max
         alone = tmp_path / "alone"
         assert run_cli("dynamics", "--g", 0.0, "--temperature", 2.0, "--n-modes", 8,
-                       "--t-max", 2, "--samples", 16, "--out", alone) == 0
+                       "--t-max", 2, "--samples", 16, "--fit-window", "0.1,1.6",
+                       "--out", alone) == 0
         assert (out / "points" / "point_0000" / "dynamics.csv").read_bytes() == \
             (alone / "dynamics.csv").read_bytes()
         point = json.loads((out / "points" / "point_0000" / "manifest.json").read_text())
@@ -515,17 +569,22 @@ class TestSweepCommand:
         assert json.loads((out / "manifest.json").read_text())["models"] == 2
 
     def test_one_spectral_stage_per_model(self, tmp_path, monkeypatch):
-        # xi and temperature leave the model as it is: 2 radii are 2 spectra,
-        # and each radius makes one occupation pass over both temperatures
-        calls = count_calls(monkeypatch, "diagonalize", "occupation_series")
+        # xi and temperature leave the model as it is: 2 radii are 2 spectra
+        # and 2 decay fits, and each radius makes one occupation pass over
+        # both temperatures
+        calls = count_calls(monkeypatch, "diagonalize", "occupation_series", "decay_rate_fit")
         out = tmp_path / "out"
         assert run_cli("sweep", "--xi-grid", "0.2,0.5,0.8", "--temperature-grid", "0.5,2.0",
                        "--radius-grid", "1.0,2.0", "--n-modes", 8, "--t-max", 2,
                        "--samples", 16, "--out", out) == 0
-        assert calls == {"diagonalize": 2, "occupation_series": 2}
+        assert calls == {"diagonalize": 2, "occupation_series": 2, "decay_rate_fit": 2}
         _, _, rows = read_csv(out / "sweep.csv")
         assert [int(row[0]) for row in rows] == list(range(12))  # index order, not run order
         assert all(row[-1] == "ok" for row in rows)
+        for row in rows:  # gamma and r_squared are the point's own dynamics fit
+            point = out / "points" / f"point_{int(row[0]):04d}" / "manifest.json"
+            fit = json.loads(point.read_text())["decay_fit"]
+            assert [float(row[7]), float(row[8])] == [fit["rate"], fit["r_squared"]]
         assert json.loads((out / "manifest.json").read_text())["models"] == 2
 
     def test_holds_one_spectrum_at_a_time(self, tmp_path):

@@ -12,7 +12,8 @@ from dressedcavity.dynamics import amplitudes
 from dressedcavity.entanglement import POSITIVITY_FLOOR, measures
 from dressedcavity.errors import ContractViolationError, DomainError, ResourceCapError
 from dressedcavity.model import ModelParams
-from dressedcavity.spectral import dressed_spectrum
+
+from conftest import dressed_spectrum
 
 
 def oracle_spectrum(n_modes, g=0.01, omega_bar=1.0, radius=1.0):

@@ -7,9 +7,9 @@ from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
                                     wigner_weisskopf_rate)
 from dressedcavity.errors import FitWindowError, InsufficientDataError
 from dressedcavity.model import ModelParams
-from dressedcavity.spectral import DressedSpectrum, dressed_spectrum
+from dressedcavity.spectral import DressedSpectrum
 
-from conftest import random_params
+from conftest import dressed_spectrum, random_params
 
 WORKED = ModelParams(omega_bar=1.0, g=0.02, radius=math.pi, n_modes=1)
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from dressedcavity.errors import DomainError
 from dressedcavity.model import (BOLTZMANN, HBAR, LIGHT_SPEED, CouplingMatrix, ModelParams,
-                                 build_coupling_matrix, natural_from_si, si_from_natural)
+                                 build_coupling_matrix, natural_from_si)
 
-from conftest import dense, random_params
+from conftest import dense, random_params, si_from_natural
 
 # Direct evaluation of hbar*omega/(k_B*T) with the exact SI constants.
 BETA_OMEGA_300K = HBAR * 4.0e14 / (BOLTZMANN * 300.0)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import dressedcavity.dynamics as dynamics
 from dressedcavity.errors import DomainError
 from dressedcavity.model import ModelParams, natural_from_si
-from dressedcavity.spectral import dressed_spectrum
 from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
                                    occupation_series, occupation_weights)
+
+from conftest import dressed_spectrum
 
 
 class TestBoseEinstein:
