@@ -4,7 +4,9 @@
 #   scripts/compare_csv_bodies.sh BASE_SRC HEAD_SRC [CONFIG]
 #
 # BASE_SRC and HEAD_SRC are `src/` directories (for example of the target
-# branch and of a change); CONFIG defaults to scripts/compare_csv_bodies.cfg.
+# branch and of a change); CONFIG defaults to scripts/compare_csv_bodies.cfg,
+# which fits in one block of every kind; scripts/compare_csv_bodies_blocks.cfg
+# crosses the amplitude and spectral block boundaries.
 # Each table subcommand, `verify` and `sweep` runs once from each tree;
 # every CSV a command writes (for `sweep`, `sweep.csv` and each
 # `points/*/dynamics.csv`) has its `#` metadata lines stripped and the

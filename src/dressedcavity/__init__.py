@@ -14,12 +14,13 @@ from .entanglement import (EntanglementMeasures, entanglement_of_formation, fami
                            measures, partial_transpose)
 from .model import CouplingMatrix, ModelParams, build_coupling_matrix, natural_from_si
 from .spectral import DressedSpectrum, diagonalize
-from .thermal import bose_einstein, occupation_series, occupation_weights
+from .thermal import OccupationSeries, bose_einstein, occupation_series, occupation_weights
 
 __all__ = [
     "__version__",
     "CouplingMatrix", "DecayFit", "DressedSpectrum", "EntangledStateSpec",
-    "EntanglementMeasures", "ModelParams", "ReducedDensityMatrix", "SurvivalSeries",
+    "EntanglementMeasures", "ModelParams", "OccupationSeries", "ReducedDensityMatrix",
+    "SurvivalSeries",
     "ThermalBathSpec", "amplitudes", "bose_einstein", "build_coupling_matrix",
     "decay_rate_fit", "diagonalize", "entanglement_of_formation", "family_concurrence",
     "measures", "natural_from_si", "occupation_series", "occupation_weights",

@@ -19,12 +19,13 @@ code does not change); `entanglement` records `min_concurrence`, as
 `dynamics` records `min_survival`.  `sweep` checks once that the shared
 time grid holds enough samples for its fit window, sets that window on
 every point and resolves every grid point, then runs one serial loop over
-the distinct resolved models: each gets one spectral stage and `dynamics`
-table, whose `decay_fit` fills the gamma and r_squared columns, and one
-occupation pass in which the weights of all its distinct (beta, n0_init)
-pairs share the amplitude blocks.  Every point still writes its
-`dynamics` CSV and manifest through `TableCommand.write`, the step a
-standalone `dynamics` run ends with.
+the distinct resolved models.  Each gets one spectral stage and one
+occupation pass, in which the weights of all its distinct (beta, n0_init)
+pairs share the amplitude blocks and which also gives f_00; the
+`dynamics` table is built from that f_00, its `decay_fit` fills the gamma
+and r_squared columns, and its CSV body is rendered once.  Every point
+still writes that body and its manifest through `TableCommand.write`, the
+step a standalone `dynamics` run ends with.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
@@ -64,7 +65,7 @@ from .dynamics import (SurvivalSeries, amplitudes, decay_rate_fit, survival_seri
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
-from .reporting import write_csv, write_manifest
+from .reporting import csv_body, write_csv, write_manifest
 from .spectral import EPS, diagonalize
 from .thermal import bose_einstein, occupation_series, occupation_weights
 
@@ -289,9 +290,8 @@ def _say(*lines: str) -> None:
 
 
 class Table(NamedTuple):
-    """A row builder's CSV rows, extra metadata and manifest fields.  `sweep`
-    writes one `dynamics` table at every point of its model, so those rows
-    are a list."""
+    """A row builder's CSV rows, extra metadata and manifest fields.  The
+    rows are read once, by `csv_body`."""
 
     rows: Iterable
     metadata: dict | None = None
@@ -307,9 +307,10 @@ class TableCommand:
     build: Callable[..., Table]
 
     def write(self, config: RunConfig, started: float, run: NaturalRun, table: Table,
-              convergence: dict, warnings: Sequence[str]) -> None:
-        """The CSV and manifest of one run of this command, in `config.out`."""
-        csv = write_csv(Path(config.out) / self.file, self.columns, table.rows,
+              body: str, convergence: dict, warnings: Sequence[str]) -> None:
+        """The CSV (`body`, the table's rendered rows, under the run's
+        metadata) and manifest of one run of this command, in `config.out`."""
+        csv = write_csv(Path(config.out) / self.file, body,
                         metadata=_metadata(run, table.metadata))
         _write_manifest(csv.parent, config, started, csv, run, convergence, warnings,
                         **(table.manifest or {}))
@@ -319,7 +320,9 @@ class TableCommand:
         started = time.monotonic()
         run = resolve_natural(config)
         spectrum, convergence, warnings = _pipeline(run)
-        self.write(config, started, run, self.build(run, spectrum), convergence, warnings)
+        table = self.build(run, spectrum)
+        self.write(config, started, run, table, csv_body(self.columns, table.rows),
+                   convergence, warnings)
         return 0
 
 
@@ -340,12 +343,17 @@ def _decay_fit(series: SurvivalSeries, run: NaturalRun) -> dict:
             "relative_deviation": abs(fit.rate - golden) / golden if golden else None}
 
 
-def _dynamics_rows(run, spectrum) -> Table:
-    series = survival_series(spectrum, run.t_grid)
+def _dynamics_table(run: NaturalRun, series: SurvivalSeries) -> Table:
+    """The `dynamics` table of a survival series, with its minimum and, when
+    run.fit_window is set, its decay fit."""
     manifest = {"min_survival": float(np.min(series.survival))}
     if run.fit_window is not None:
         manifest["decay_fit"] = _decay_fit(series, run)
-    return Table(list(zip(series.t, series.survival, series.phase)), manifest=manifest)
+    return Table(zip(series.t, series.survival, series.phase), manifest=manifest)
+
+
+def _dynamics_rows(run, spectrum) -> Table:
+    return _dynamics_table(run, survival_series(spectrum, run.t_grid))
 
 
 def _density_rows(run, spectrum) -> Table:
@@ -370,7 +378,7 @@ def _entanglement_rows(run, spectrum) -> Table:
 
 def _thermal_rows(run, spectrum) -> Table:
     occupation = occupation_series(
-        spectrum, occupation_weights(run.params, run.beta, run.n0_init), run.t_grid)
+        spectrum, occupation_weights(run.params, run.beta, run.n0_init), run.t_grid).occupation
     return Table(zip(run.t_grid, occupation),
                  {"n0_init": run.n0_init,
                   "equilibrium_bose_einstein": bose_einstein(run.params.omega_bar, run.beta)})
@@ -417,10 +425,9 @@ def cmd_verify(config: RunConfig) -> int:
             rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
 
     csv = write_csv(out_dir / "verify.csv",
-                    ["beta[1/natural-frequency]", "t[natural-time]",
-                     "max_dev_vs_closed[dimensionless]", "max_dev_vs_first_beta[dimensionless]",
-                     "status"],
-                    rows,
+                    csv_body(["beta[1/natural-frequency]", "t[natural-time]",
+                              "max_dev_vs_closed[dimensionless]",
+                              "max_dev_vs_first_beta[dimensionless]", "status"], rows),
                     metadata={"n_modes_oracle": config.n_modes_oracle, "n_max": config.n_max,
                               "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
                               "xi": run.state.xi, "phi": run.state.phi})
@@ -440,35 +447,36 @@ def _error_row(axes: tuple, exc: Exception) -> tuple:
 def _sweep_model(points: list, t: np.ndarray, late: np.ndarray) -> list:
     """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
 
-    The model gets one spectral stage and `dynamics` table, whose manifest's
-    decay fit fills the gamma and r_squared columns (empty when the fit
-    failed), and one occupation pass over the weights of its distinct
-    (beta, n0_init) pairs, whose means over the `late` samples of t fill
-    the rows.  A pair whose weights raise fails only its own points, a
-    failed stage every point.  Each point writes its `dynamics` CSV and
-    manifest.  The spectrum is freed on return, so a sweep holds one at a
-    time.
+    The model gets one spectral stage and one occupation pass over the
+    weights of its distinct (beta, n0_init) pairs, whose means over the
+    `late` samples of t fill the rows.  The same pass gives f_00, and so
+    the model's `dynamics` table, whose decay fit fills the gamma and
+    r_squared columns (empty when the fit failed); its CSV body is rendered
+    once.  A pair whose weights raise fails only its own points, a failed
+    stage every point.  Each point writes its `dynamics` CSV and manifest.
+    The spectrum is freed on return, so a sweep holds one at a time.
     """
     started, run = time.monotonic(), points[0][2]
     try:
         spectrum, convergence, warnings = _pipeline(run)
     except (PhysicsError, ResourceCapError) as exc:
         return [_error_row(axes, exc) for axes, _, _ in points]
-    table = COMMANDS["dynamics"].build(run, spectrum)
-    decay = table.manifest["decay_fit"]
     weights, failed = {}, {}
     for pair in dict.fromkeys((run.beta, run.n0_init) for _, _, run in points):
         try:
             weights[pair] = occupation_weights(run.params, *pair)
         except PhysicsError as exc:
             failed[pair] = exc
-    means = {}
-    if weights:
-        occupation = occupation_series(spectrum, np.array(list(weights.values())), t)
-        means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, occupation)}
+    shared = occupation_series(
+        spectrum, np.reshape(list(weights.values()), (-1, spectrum.size)), t)
+    means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, shared.occupation)}
+    table = _dynamics_table(run, SurvivalSeries.from_amplitude(t, shared.f00))
+    decay = table.manifest["decay_fit"]
+    dynamics = COMMANDS["dynamics"]
+    body = csv_body(dynamics.columns, table.rows)
     rows = []
     for axes, point, run in points:
-        COMMANDS["dynamics"].write(point, started, run, table, convergence, warnings)
+        dynamics.write(point, started, run, table, body, convergence, warnings)
         if (pair := (run.beta, run.n0_init)) in failed:
             rows.append(_error_row(axes, failed[pair]))
         else:
@@ -522,7 +530,7 @@ def cmd_sweep(config: RunConfig) -> int:
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
                "gamma[natural-frequency]", "r_squared[dimensionless]", "c0[dimensionless]",
                "occupation_long_time_mean[quanta]", "status"]
-    csv = write_csv(out_dir / "sweep.csv", columns, sorted(rows),
+    csv = write_csv(out_dir / "sweep.csv", csv_body(columns, sorted(rows)),
                     metadata={"axes": ",".join(axis for axis, _ in active), "points": len(rows)})
     failures = sum(1 for row in rows if row[-1] != "ok")
     _write_manifest(out_dir, config, started, csv, points=len(rows), failures=failures,

@@ -6,10 +6,15 @@ No integrator, no accumulation error in t.  The weights are real, so every
 sum runs as two real products against cos(Omega_s t) and sin(Omega_s t),
 over blocks of t that keep the phase tables small.
 
-`amplitudes(spectrum, t_grid, labels)` is the one route to the complex
-amplitudes; everything that needs f_0nu (survival, the CLI's unitarity
-probe and row builders, the thermal-trace oracle) calls it, and only the
-thermal occupation streams the blocks of `amplitude_blocks` directly.
+`amplitude_blocks(spectrum, t_grid, *selections)` builds the two scaled
+phase tables of each block once and contracts every label selection with
+them, so one pass over t serves several selections.
+`amplitudes(spectrum, t_grid, labels)` is its one-selection route to the
+complex amplitudes; everything that needs f_0nu (survival, the CLI's
+unitarity probe and row builders, the thermal-trace oracle) calls it, and
+only the thermal occupation streams the blocks directly, asking for all
+labels and for label 0 in the same pass.  `SurvivalSeries.from_amplitude`
+turns f_00 on a grid into the survival series, whichever pass gave it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ class SurvivalSeries:
         if np.any(np.diff(self.t) <= 0.0):
             raise InsufficientDataError("time grid must be strictly increasing")
 
+    @classmethod
+    def from_amplitude(cls, t: np.ndarray, f00: np.ndarray) -> "SurvivalSeries":
+        """The series of the survival amplitude f00 sampled on the grid t."""
+        return cls(t=t, survival=np.abs(f00) ** 2, phase=np.angle(f00))
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -48,28 +58,41 @@ class DecayFit:
     r_squared: float
 
 
-def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)):
-    """Real and imaginary parts of f_0nu(t) for the given labels, block by block in t.
+def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections):
+    """Real and imaginary parts of f_0nu(t) for each label selection, block by block in t.
 
-    Yields (block, re, im): block is the slice of t_grid covered, and re/im
-    have the label axis first (dropped for a single integer label) and the
-    time axis last.
+    Yields (block, (re, im), ...): block is the slice of t_grid covered, then
+    one (re, im) per selection, in order, with the selection's label axis
+    first (dropped for a single integer label) and the time axis last.  Each
+    block fills the two tables t_0^s cos(Omega_s t) and t_0^s sin(Omega_s t)
+    once, in workspaces allocated once per call (a contiguous view of them
+    for the ragged last block), and each selection's parts are its own
+    products components[labels] @ table, so they do not depend on which
+    other selections share the pass.
     """
     v = spectrum.components
     t0 = v[0][:, None]
-    rows = v[labels]
+    rows = [v[labels] for labels in selections]
     t = np.asarray(t_grid, dtype=float)
     step = max(1, BLOCK_ELEMENTS // spectrum.size)
+    cos_space = np.empty(spectrum.size * min(step, t.size))
+    sin_space = np.empty_like(cos_space)
     for start in range(0, t.size, step):
         block = slice(start, start + step)
-        phase = np.multiply.outer(spectrum.omega_dressed, t[block])
-        cos = np.cos(phase)
+        held = spectrum.size * min(step, t.size - start)
+        cos = cos_space[:held].reshape(spectrum.size, -1)
+        sin = sin_space[:held].reshape(spectrum.size, -1)
+        np.multiply.outer(spectrum.omega_dressed, t[block], out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
         cos *= t0
-        sin = np.sin(phase, out=phase)
         sin *= t0
-        im = rows @ sin
-        np.negative(im, out=im)
-        yield block, rows @ cos, im
+        parts = []
+        for selected in rows:
+            im = selected @ sin
+            np.negative(im, out=im)
+            parts.append((selected @ cos, im))
+        yield (block, *parts)
 
 
 def amplitudes(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)) -> np.ndarray:
@@ -83,7 +106,7 @@ def amplitudes(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)
     t = np.asarray(t_grid, dtype=float)
     shape = spectrum.components[labels, 0].shape + t.shape
     out = np.empty(shape, dtype=complex)
-    for block, re, im in amplitude_blocks(spectrum, t, labels):
+    for block, (re, im) in amplitude_blocks(spectrum, t, labels):
         out[..., block].real = re
         out[..., block].imag = im
     return out
@@ -94,8 +117,7 @@ def survival_series(spectrum: DressedSpectrum, t_grid: np.ndarray) -> SurvivalSe
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise InsufficientDataError("time grid is empty")
-    f00 = amplitudes(spectrum, t, 0)
-    return SurvivalSeries(t=t, survival=np.abs(f00) ** 2, phase=np.angle(f00))
+    return SurvivalSeries.from_amplitude(t, amplitudes(spectrum, t, 0))
 
 
 def decay_rate_fit(series: SurvivalSeries, window: tuple[float, float]) -> DecayFit:

@@ -2,8 +2,11 @@
 
 CSV bodies must be byte-identical across runs of the same config: floats are
 written with repr (shortest round trip), metadata lives in leading comment
-lines, and wall-clock only ever appears in the JSON manifest.  Manifests are
-written atomically (write to temp file, then rename).
+lines, and wall-clock only ever appears in the JSON manifest.  `csv_body`
+renders the header and rows once; `write_csv` writes a body under each
+file's own metadata lines, so files that share their rows (a sweep's
+points of one model) share one rendering.  Manifests are written
+atomically (write to temp file, then rename).
 """
 
 from __future__ import annotations
@@ -27,21 +30,27 @@ def format_value(value: Any) -> str:
     return repr(value)
 
 
-def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence[Any]],
-              metadata: Mapping[str, Any] | None = None) -> Path:
-    """Write a CSV with `# key = value` metadata lines above the header.
+def csv_body(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """The header line and one line per row, every value through format_value.
 
     Column names carry their unit in square brackets, e.g. `t[natural-time]`.
     """
     buffer = io.StringIO()
-    for key, value in (metadata or {}).items():
-        buffer.write(f"# {key} = {format_value(value)}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([format_value(v) for v in row])
+    return buffer.getvalue()
+
+
+def write_csv(path: Path, body: str, metadata: Mapping[str, Any] | None = None) -> Path:
+    """Write a CSV: `# key = value` metadata lines above a `csv_body`."""
+    header = "".join(f"# {key} = {format_value(value)}\n"
+                     for key, value in (metadata or {}).items())
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as stream:
+        stream.write(header)
+        stream.write(body)
     return path
 
 

@@ -9,11 +9,15 @@ weights concentrate near resonance and the value settles at nbar(omega_bar).
 `occupation_weights` builds the weight vector [n_0(0), nbar(omega_k, beta)...]
 from the model's `ModelParams`; `occupation_series` contracts one weight
 vector, or a stack of them, with |f_0nu(t)|^2 in one pass over the
-amplitude blocks and returns the occupations as plain arrays on the
-caller's time grid.
+amplitude blocks.  It returns an `OccupationSeries`: the occupations as
+plain arrays on the caller's time grid, and f_00(t), which the same pass
+gives for one more matrix-vector product per block, so a caller that also
+needs the survival series builds no phase table of its own.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,17 +69,29 @@ def occupation_weights(params: ModelParams, beta: float, n0_init: float) -> np.n
     return np.concatenate(([n0_init], bose_einstein(params.mode_frequencies, beta)))
 
 
+@dataclass(frozen=True, eq=False)
+class OccupationSeries:
+    """One occupation pass: `occupation`, shaped like the weights' stack with
+    the time axis last, and the survival amplitude `f00` on the same grid."""
+
+    occupation: np.ndarray
+    f00: np.ndarray
+
+
 def occupation_series(spectrum: DressedSpectrum, weights: np.ndarray,
-                      t_grid: np.ndarray) -> np.ndarray:
-    """Occupation n_0'(t) = sum_nu w_nu |f_0nu(t)|^2 at each time of t_grid.
+                      t_grid: np.ndarray) -> OccupationSeries:
+    """Occupation n_0'(t) = sum_nu w_nu |f_0nu(t)|^2 at each time of t_grid,
+    and f_00(t) from the same pass.
 
     weights is one `occupation_weights` vector of shape (N+1,), giving a (T,)
-    array, or a (P, N+1) stack of them, giving (P, T); a single vector is a
-    stack of one.  The powers |f_0nu|^2 = re^2 + im^2 are formed block by
-    block in t, once for the whole stack, so the full amplitude array is
-    never held; each weight vector is contracted with them by its own
-    matrix-vector product, so a stacked row equals its single call bit for
-    bit.
+    occupation, or a (P, N+1) stack of them, giving (P, T); a single vector
+    is a stack of one, and an empty (0, N+1) stack still gives f_00.  The
+    powers |f_0nu|^2 = re^2 + im^2 are formed block by block in t, once for
+    the whole stack, so the full amplitude array is never held; each weight
+    vector is contracted with them by its own matrix-vector product, so a
+    stacked row equals its single call bit for bit.  f_00 comes from the
+    pass's label-0 selection, the product `amplitudes(spectrum, t_grid, 0)`
+    makes, so the two agree bit for bit.
     """
     stack = np.asarray(weights, dtype=float)
     if stack.ndim not in (1, 2) or stack.shape[-1] != spectrum.size:
@@ -83,10 +99,13 @@ def occupation_series(spectrum: DressedSpectrum, weights: np.ndarray,
                           f"vector, one per label of the spectrum")
     t = np.asarray(t_grid, dtype=float)
     occupation = np.empty(stack.shape[:-1] + t.shape)
-    for block, re, im in amplitude_blocks(spectrum, t):
+    f00 = np.empty(t.shape, dtype=complex)
+    for block, (re, im), (re0, im0) in amplitude_blocks(spectrum, t, slice(None), 0):
+        f00[block].real = re0
+        f00[block].imag = im0
         re *= re
         im *= im
         re += im
         for row, weight in zip(np.atleast_2d(occupation), np.atleast_2d(stack)):
             row[block] = weight @ re
-    return occupation
+    return OccupationSeries(occupation, f00)

@@ -150,7 +150,7 @@ def test_criterion_6_thermal_equilibrium(free_space_spectrum):
     t = np.linspace(0.0, 300.0, 601)
     betas = (1.0, 2.0)
     weights = np.array([occupation_weights(FREE_SPACE, beta, 1.0) for beta in betas])
-    occupation = occupation_series(free_space_spectrum, weights, t)
+    occupation = occupation_series(free_space_spectrum, weights, t).occupation
     means = {beta: float(np.mean(row[t >= 150.0])) for beta, row in zip(betas, occupation)}
     # the formula value at the SI anchor; the often-quoted 0.09 is excluded
     si_value = bose_einstein(1.0, 10.184310109676986)

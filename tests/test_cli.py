@@ -20,7 +20,9 @@ from dressedcavity.dynamics import survival_series
 from dressedcavity.model import BOLTZMANN, HBAR
 from dressedcavity.reporting import sha256_of
 import dressedcavity.cli as cli
+import dressedcavity.dynamics as dynamics
 import dressedcavity.spectral as spectral
+import dressedcavity.thermal as thermal
 
 from conftest import read_csv
 
@@ -571,13 +573,25 @@ class TestSweepCommand:
     def test_one_spectral_stage_per_model(self, tmp_path, monkeypatch):
         # xi and temperature leave the model as it is: 2 radii are 2 spectra
         # and 2 decay fits, and each radius makes one occupation pass over
-        # both temperatures
-        calls = count_calls(monkeypatch, "diagonalize", "occupation_series", "decay_rate_fit")
+        # both temperatures, which also gives the survival series; its phase
+        # tables are built twice (the unitarity probe, then that pass) and
+        # its dynamics body is rendered once for its six points
+        calls = count_calls(monkeypatch, "diagonalize", "occupation_series", "decay_rate_fit",
+                            "csv_body")
+        passes = []
+        for module in (dynamics, thermal):
+            def entered(*args, _original=module.amplitude_blocks, **kwargs):
+                passes.append(args[0])
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "amplitude_blocks", entered)
         out = tmp_path / "out"
         assert run_cli("sweep", "--xi-grid", "0.2,0.5,0.8", "--temperature-grid", "0.5,2.0",
                        "--radius-grid", "1.0,2.0", "--n-modes", 8, "--t-max", 2,
                        "--samples", 16, "--out", out) == 0
-        assert calls == {"diagonalize": 2, "occupation_series": 2, "decay_rate_fit": 2}
+        # csv_body: one dynamics body per model, then sweep.csv
+        assert calls == {"diagonalize": 2, "occupation_series": 2, "decay_rate_fit": 2,
+                         "csv_body": 3}
+        assert len(passes) == 4 and len(set(map(id, passes))) == 2
         _, _, rows = read_csv(out / "sweep.csv")
         assert [int(row[0]) for row in rows] == list(range(12))  # index order, not run order
         assert all(row[-1] == "ok" for row in rows)
@@ -613,6 +627,23 @@ class TestSweepCommand:
         assert status[0.3, 1.0] == status[0.6, 1.0] == "ok"
         assert status[0.3, 1e301].startswith("error:") and "beta*omega" in status[0.3, 1e301]
         assert status[0.6, 1e301] == status[0.3, 1e301]
+
+    def test_all_pairs_failed_still_writes_dynamics(self, tmp_path, capsys):
+        # no weight vector survives, so the occupation pass runs on an empty
+        # stack; it still gives f00, so every point writes the dynamics CSV
+        # of a standalone run
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--temperature-grid", "1e301", "--xi-grid", "0.3,0.6",
+                       "--n-modes", 8, "--t-max", 2, "--samples", 16, "--out", out) == 2
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 2 and all("beta*omega" in row[-1] for row in rows)
+        assert capsys.readouterr().err.startswith("physics contract violation:")
+        alone = tmp_path / "alone"
+        assert run_cli("dynamics", "--temperature", "1e301", "--n-modes", 8, "--t-max", 2,
+                       "--samples", 16, "--fit-window", "0.1,1.6", "--out", alone) == 0
+        for point in ("point_0000", "point_0001"):
+            assert (out / "points" / point / "dynamics.csv").read_bytes() == \
+                (alone / "dynamics.csv").read_bytes()
 
     def test_radius_sweep_crosses_regimes(self, tmp_path):
         # small cavity holds the excitation; free space lets it decay away

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
-                                    wigner_weisskopf_rate)
+import dressedcavity.dynamics as dynamics
+from dressedcavity.dynamics import (amplitude_blocks, amplitudes, decay_rate_fit,
+                                    survival_series, wigner_weisskopf_rate)
 from dressedcavity.errors import FitWindowError, InsufficientDataError
 from dressedcavity.model import ModelParams
 from dressedcavity.spectral import DressedSpectrum
@@ -85,6 +86,23 @@ def test_amplitude_matrix_matches_single_times():
     # an integer label drops the label axis and picks that row
     assert amplitudes(spec, grid, 0).shape == grid.shape
     assert np.allclose(amplitudes(spec, grid, 0), mat[0], atol=1e-14)
+
+
+def test_selections_sharing_a_pass_match_their_own_passes(monkeypatch):
+    # 7 samples per block (13 labels into 96 elements): T = 100 spans 15
+    # blocks, the last one ragged
+    monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 96)
+    spec = dressed_spectrum(ModelParams(1.0, 0.02, 2.0, 12))
+    t = np.linspace(0.0, 40.0, 100)
+    selections = (slice(None), 0, [3, 1])
+    shared = list(amplitude_blocks(spec, t, *selections))
+    assert [block for block, *_ in shared][-1] == slice(98, 105)
+    for k, labels in enumerate(selections):
+        alone = list(amplitude_blocks(spec, t, labels))
+        assert len(alone) == len(shared) == 15
+        for (block, *parts), (own_block, own) in zip(shared, alone):
+            assert block == own_block
+            assert np.array_equal(parts[k][0], own[0]) and np.array_equal(parts[k][1], own[1])
 
 
 class TestSurvivalSeries:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dressedcavity.dynamics as dynamics
+from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import DomainError
 from dressedcavity.model import ModelParams, natural_from_si
 from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
@@ -87,12 +88,13 @@ class TestOccupationSeries:
         self.spectrum = dressed_spectrum(self.params)
 
     def series(self, beta, n0_init, t):
-        return occupation_series(self.spectrum, occupation_weights(self.params, beta, n0_init), t)
+        return occupation_series(self.spectrum, occupation_weights(self.params, beta, n0_init),
+                                 t).occupation
 
     def test_initial_condition_exact(self):
         weights = np.array([occupation_weights(self.params, beta, 1.0)
                             for beta in (0.1, 1.0, 100.0)])
-        occupation = occupation_series(self.spectrum, weights, np.array([0.0, 1.0]))
+        occupation = occupation_series(self.spectrum, weights, np.array([0.0, 1.0])).occupation
         assert occupation.shape == (3, 2)
         assert np.allclose(occupation[:, 0], 1.0, rtol=0.0, atol=1e-12)
 
@@ -106,7 +108,7 @@ class TestOccupationSeries:
     def test_monotone_in_temperature(self):
         t = np.linspace(0.5, 20.0, 40)
         weights = np.array([occupation_weights(self.params, beta, 1.0) for beta in (0.5, 2.0)])
-        occ_hot, occ_cold = occupation_series(self.spectrum, weights, t)
+        occ_hot, occ_cold = occupation_series(self.spectrum, weights, t).occupation
         assert np.all(occ_hot >= occ_cold - 1e-14)
 
     def test_blocks_match_one_shot(self, monkeypatch):
@@ -127,14 +129,33 @@ class TestOccupationSeries:
         t = np.linspace(0.0, 40.0, 100)
         weights = np.array([occupation_weights(self.params, beta, n0)
                             for beta, n0 in ((0.3, 0.0), (0.7, 1.3), (5.0, 2.0))])
-        stacked = occupation_series(self.spectrum, weights, t)
+        stacked = occupation_series(self.spectrum, weights, t).occupation
         assert stacked.shape == (3, t.size)
         for row, weight in zip(stacked, weights):
-            assert np.array_equal(row, occupation_series(self.spectrum, weight.copy(), t))
-        single = occupation_series(self.spectrum, weights[1], t)
-        one = occupation_series(self.spectrum, weights[1:2], t)
+            alone = occupation_series(self.spectrum, weight.copy(), t).occupation
+            assert np.array_equal(row, alone)
+        single = occupation_series(self.spectrum, weights[1], t).occupation
+        one = occupation_series(self.spectrum, weights[1:2], t).occupation
         assert single.shape == (t.size,) and one.shape == (1, t.size)
         assert np.array_equal(one[0], single)
+
+    def test_shared_f00_equals_amplitudes(self, monkeypatch):
+        # ragged last block as above; the pass's f00 is the label-0 amplitude
+        # bit for bit, for one vector, a stack and an empty stack
+        monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 96)
+        t = np.linspace(0.0, 40.0, 100)
+        f00 = amplitudes(self.spectrum, t, 0)
+        weights = np.array([occupation_weights(self.params, beta, 1.0) for beta in (0.3, 5.0)])
+        for stack in (weights[0], weights, np.empty((0, self.spectrum.size))):
+            shared = occupation_series(self.spectrum, stack, t)
+            assert shared.occupation.shape == stack.shape[:-1] + t.shape
+            assert np.array_equal(shared.f00, f00)
+
+    def test_result_is_not_a_tuple(self):
+        # unpacking the result, as one unpacks a (P, T) stack, must fail loudly
+        weights = np.array([occupation_weights(self.params, beta, 1.0) for beta in (0.5, 2.0)])
+        with pytest.raises(TypeError):
+            occupation, f00 = occupation_series(self.spectrum, weights, np.array([0.0, 1.0]))
 
     def test_weights_give_n0_then_bose_einstein(self):
         weights = occupation_weights(self.params, 0.7, 1.3)
@@ -164,7 +185,7 @@ class TestCavitySummary:
         params = ModelParams(omega_bar=1.0, g=0.0, radius=1.0, n_modes=4)
         occupation = occupation_series(dressed_spectrum(params),
                                        occupation_weights(params, 1.0, 1.0),
-                                       np.linspace(0.0, 10.0, 50))
+                                       np.linspace(0.0, 10.0, 50)).occupation
         assert occupation.shape == (50,)
         assert np.allclose(occupation, 1.0, rtol=0.0, atol=1e-12)
 
@@ -173,8 +194,8 @@ class TestCavitySummary:
         params = ModelParams(omega_bar=1.0, g=0.1, radius=1.334, n_modes=32)
         weights = np.array([occupation_weights(params, beta, 1.0) for beta in (1e6, 10.0)])
         t = np.linspace(0.0, 200.0, 2001)
-        avg_cold, avg_room = np.mean(occupation_series(dressed_spectrum(params), weights, t),
-                                     axis=1)
+        avg_cold, avg_room = np.mean(
+            occupation_series(dressed_spectrum(params), weights, t).occupation, axis=1)
         assert avg_room >= avg_cold
         assert avg_room == pytest.approx(avg_cold, rel=0.02)
 
@@ -184,7 +205,8 @@ class TestCavitySummary:
         params = ModelParams(omega_bar=1.0, g=0.1, radius=1.334, n_modes=32)
         weights = np.array([occupation_weights(params, beta, 1.0) for beta in (1e6, 0.03)])
         t = np.linspace(0.0, 200.0, 2001)
-        cold, hot = np.mean(occupation_series(dressed_spectrum(params), weights, t), axis=1)
+        cold, hot = np.mean(occupation_series(dressed_spectrum(params), weights, t).occupation,
+                            axis=1)
         assert hot > 3.0 * cold
 
 
@@ -195,7 +217,8 @@ def test_free_space_thermalization(free_space_spectrum):
     t = np.linspace(0.0, 300.0, 601)
     betas = (1.0, 2.0)
     weights = np.array([occupation_weights(params, beta, 1.0) for beta in betas])
-    for beta, occupation in zip(betas, occupation_series(free_space_spectrum, weights, t)):
+    for beta, occupation in zip(betas,
+                                occupation_series(free_space_spectrum, weights, t).occupation):
         long_time = occupation[t >= 150.0]
         target = bose_einstein(1.0, beta)
         assert np.mean(long_time) == pytest.approx(target, rel=0.05)
