@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
                       reduced_density_closed, thermal_trace_oracle)
-from .dynamics import DecayFit, SurvivalSeries, amplitudes, decay_rate_fit, survival_series
+from .dynamics import amplitudes, decay_rate_fit
 from .entanglement import (EntanglementMeasures, entanglement_of_formation, family_concurrence,
                            measures, partial_transpose)
 from .model import CouplingMatrix, ModelParams, build_coupling_matrix, natural_from_si
@@ -18,11 +18,10 @@ from .thermal import OccupationSeries, bose_einstein, occupation_series, occupat
 
 __all__ = [
     "__version__",
-    "CouplingMatrix", "DecayFit", "DressedSpectrum", "EntangledStateSpec",
-    "EntanglementMeasures", "ModelParams", "OccupationSeries", "ReducedDensityMatrix",
-    "SurvivalSeries",
-    "ThermalBathSpec", "amplitudes", "bose_einstein", "build_coupling_matrix",
-    "decay_rate_fit", "diagonalize", "entanglement_of_formation", "family_concurrence",
-    "measures", "natural_from_si", "occupation_series", "occupation_weights",
-    "partial_transpose", "reduced_density_closed", "survival_series", "thermal_trace_oracle",
+    "CouplingMatrix", "DressedSpectrum", "EntangledStateSpec", "EntanglementMeasures",
+    "ModelParams", "OccupationSeries", "ReducedDensityMatrix", "ThermalBathSpec",
+    "amplitudes", "bose_einstein", "build_coupling_matrix", "decay_rate_fit", "diagonalize",
+    "entanglement_of_formation", "family_concurrence", "measures", "natural_from_si",
+    "occupation_series", "occupation_weights", "partial_transpose", "reduced_density_closed",
+    "thermal_trace_oracle",
 ]

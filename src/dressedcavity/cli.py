@@ -12,20 +12,23 @@ ladder, the cavity recurrence time 2R, and `phase_precision`, the radians
 the phases Omega*t at the largest |t| lose to rounding; above
 PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
 stderr and in the manifest's `warnings`, and the exit code does not
-change.  When `fit_window` is set, `dynamics` fits the decay rate of the
-survival over it and records the fit against the golden rule pi*g in its
-manifest's `decay_fit` (the error message when the fit fails; the exit
-code does not change); `entanglement` records `min_concurrence`, as
-`dynamics` records `min_survival`.  `sweep` checks once that the shared
-time grid holds enough samples for its fit window, sets that window on
-every point and resolves every grid point, then runs one serial loop over
-the distinct resolved models.  Each gets one spectral stage and one
-occupation pass, in which the weights of all its distinct (beta, n0_init)
-pairs share the amplitude blocks and which also gives f_00; the
-`dynamics` table is built from that f_00, its `decay_fit` fills the gamma
-and r_squared columns, and its CSV body is rendered once.  Every point
-still writes that body and its manifest through `TableCommand.write`, the
-step a standalone `dynamics` run ends with.
+change.  The `dynamics`, `density` and `entanglement` rows and `verify`'s
+closed form are built from the survival amplitude f_00 itself, the array
+`amplitudes(spectrum, t, 0)`.  When `fit_window` is set, `dynamics` fits
+the decay rate of the survival over it and records the fit against the
+golden rule pi*g in its manifest's `decay_fit` (the error message when the
+fit fails; the exit code does not change); `entanglement` records
+`min_concurrence`, as `dynamics` records `min_survival`.  `sweep` checks
+once that the shared time grid holds enough samples for its fit window,
+sets that window on every point and resolves every grid point, then runs
+one serial loop over the distinct resolved models.  Each gets one
+spectral stage and one occupation pass, in which the weights of all its
+distinct (beta, n0_init) pairs share the amplitude blocks and which also
+gives f_00; the `dynamics` table is built from that f_00, its
+`decay_fit` fills the gamma and r_squared columns, and its CSV body is
+rendered once.  Every point still writes that body and its manifest
+through `TableCommand.write`, the step a standalone `dynamics` run ends
+with.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
@@ -60,8 +63,7 @@ import numpy as np
 from . import __version__
 from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                       survival_probability, thermal_trace_oracle)
-from .dynamics import (SurvivalSeries, amplitudes, decay_rate_fit, survival_series,
-                       wigner_weisskopf_rate)
+from .dynamics import amplitudes, decay_rate_fit, wigner_weisskopf_rate
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
@@ -331,34 +333,37 @@ def _spectrum_rows(run, spectrum) -> Table:
                   for s in range(spectrum.size)])
 
 
-def _decay_fit(series: SurvivalSeries, run: NaturalRun) -> dict:
-    """The decay rate over run.fit_window against the golden rule pi*g, or
-    the message of the PhysicsError the fit raised."""
+def _decay_fit(run: NaturalRun, survival: np.ndarray) -> dict:
+    """The decay rate of the survival on run.t_grid over run.fit_window
+    against the golden rule pi*g, or the message of the PhysicsError the
+    fit raised."""
     try:
-        fit = decay_rate_fit(series, run.fit_window)
+        rate, r_squared = decay_rate_fit(run.t_grid, survival, run.fit_window)
     except PhysicsError as exc:
         return {"error": str(exc)}
     golden = wigner_weisskopf_rate(run.params.g)
-    return {"rate": fit.rate, "r_squared": fit.r_squared, "golden_rule_rate": golden,
-            "relative_deviation": abs(fit.rate - golden) / golden if golden else None}
+    return {"rate": rate, "r_squared": r_squared, "golden_rule_rate": golden,
+            "relative_deviation": abs(rate - golden) / golden if golden else None}
 
 
-def _dynamics_table(run: NaturalRun, series: SurvivalSeries) -> Table:
-    """The `dynamics` table of a survival series, with its minimum and, when
-    run.fit_window is set, its decay fit."""
-    manifest = {"min_survival": float(np.min(series.survival))}
+def _dynamics_table(run: NaturalRun, f00: np.ndarray) -> Table:
+    """The `dynamics` table of f_00 on run.t_grid: survival |f_00|^2 and
+    phase arg f_00, with the survival's minimum and, when run.fit_window is
+    set, its decay fit."""
+    survival, phase = np.abs(f00) ** 2, np.angle(f00)
+    manifest = {"min_survival": float(np.min(survival))}
     if run.fit_window is not None:
-        manifest["decay_fit"] = _decay_fit(series, run)
-    return Table(zip(series.t, series.survival, series.phase), manifest=manifest)
+        manifest["decay_fit"] = _decay_fit(run, survival)
+    return Table(zip(run.t_grid, survival, phase), manifest=manifest)
 
 
 def _dynamics_rows(run, spectrum) -> Table:
-    return _dynamics_table(run, survival_series(spectrum, run.t_grid))
+    return _dynamics_table(run, amplitudes(spectrum, run.t_grid, 0))
 
 
 def _density_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    rho = reduced_density_closed(run.state, f00, f00).matrix
+    rho = reduced_density_closed(run.state, f00).matrix
     columns = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
                rho[:, 2, 1].real, rho[:, 2, 1].imag)
     return Table(zip(run.t_grid.tolist(), *(c.tolist() for c in columns)),
@@ -367,7 +372,7 @@ def _density_rows(run, spectrum) -> Table:
 
 def _entanglement_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    m = measures(reduced_density_closed(run.state, f00, f00))
+    m = measures(reduced_density_closed(run.state, f00))
     survival = survival_probability(f00)
     return Table(zip(run.t_grid.tolist(), survival.tolist(), m.concurrence.tolist(),
                      m.eof.tolist(), m.negativity.tolist()),
@@ -407,7 +412,7 @@ def cmd_verify(config: RunConfig) -> int:
         "both routes share the rounded phases, so their agreement shows nothing")
     scheme = "per_level_partition" if config.negative_control else "normalized"
     f00 = amplitudes(spectrum, oracle_run.t_grid, 0)
-    closed_stack = reduced_density_closed(run.state, f00, f00).matrix
+    closed_stack = reduced_density_closed(run.state, f00).matrix
 
     rows = []
     all_pass = True
@@ -444,17 +449,18 @@ def _error_row(axes: tuple, exc: Exception) -> tuple:
     return (*axes, None, None, None, None, None, f"error: {exc}")
 
 
-def _sweep_model(points: list, t: np.ndarray, late: np.ndarray) -> list:
+def _sweep_model(points: list, late: np.ndarray) -> list:
     """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
 
-    The model gets one spectral stage and one occupation pass over the
-    weights of its distinct (beta, n0_init) pairs, whose means over the
-    `late` samples of t fill the rows.  The same pass gives f_00, and so
-    the model's `dynamics` table, whose decay fit fills the gamma and
-    r_squared columns (empty when the fit failed); its CSV body is rendered
-    once.  A pair whose weights raise fails only its own points, a failed
-    stage every point.  Each point writes its `dynamics` CSV and manifest.
-    The spectrum is freed on return, so a sweep holds one at a time.
+    The points share one time grid, run.t_grid.  The model gets one
+    spectral stage and one occupation pass over the weights of its distinct
+    (beta, n0_init) pairs, whose means over the `late` samples fill the
+    rows.  The same pass gives f_00, and so the model's `dynamics` table,
+    whose decay fit fills the gamma and r_squared columns (empty when the
+    fit failed); its CSV body is rendered once.  A pair whose weights raise
+    fails only its own points, a failed stage every point.  Each point
+    writes its `dynamics` CSV and manifest.  The spectrum is freed on
+    return, so a sweep holds one at a time.
     """
     started, run = time.monotonic(), points[0][2]
     try:
@@ -468,9 +474,9 @@ def _sweep_model(points: list, t: np.ndarray, late: np.ndarray) -> list:
         except PhysicsError as exc:
             failed[pair] = exc
     shared = occupation_series(
-        spectrum, np.reshape(list(weights.values()), (-1, spectrum.size)), t)
+        spectrum, np.reshape(list(weights.values()), (-1, spectrum.size)), run.t_grid)
     means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, shared.occupation)}
-    table = _dynamics_table(run, SurvivalSeries.from_amplitude(t, shared.f00))
+    table = _dynamics_table(run, shared.f00)
     decay = table.manifest["decay_fit"]
     dynamics = COMMANDS["dynamics"]
     body = csv_body(dynamics.columns, table.rows)
@@ -524,7 +530,7 @@ def cmd_sweep(config: RunConfig) -> int:
               itertools.groupby(resolved, key=lambda item: item[2].params)]
     late = t >= 0.5 * config.t_max
     for points in models:
-        rows.extend(_sweep_model(points, t, late))
+        rows.extend(_sweep_model(points, late))
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",

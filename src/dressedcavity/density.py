@@ -1,7 +1,8 @@
 """Two-qubit reduced density matrix, built two independent ways.
 
 The closed form propagates the initial superposition weights through the
-survival amplitudes.  The brute-force route enumerates a truncated thermal
+survival amplitude f_00, which both atoms share: they couple to one
+dressed spectrum.  The brute-force route enumerates a truncated thermal
 field background state by state, evolves the single excitation over the
 dressed labels, and literally traces out the field occupations.  The two
 must agree for every temperature: the thermal weights are diagonal in the
@@ -135,40 +136,39 @@ def bath_weights(omega: float, beta: float, n_max: int,
     raise DomainError(f"unknown weight scheme {scheme!r}")
 
 
-def reduced_density_closed(state: EntangledStateSpec, f_aa, f_bb) -> ReducedDensityMatrix:
-    """Closed-form reduced matrices from the two survival amplitudes.
+def reduced_density_closed(state: EntangledStateSpec, f00) -> ReducedDensityMatrix:
+    """Closed-form reduced matrices from the survival amplitude f00.
 
-    f_aa and f_bb are amplitude arrays of one shape (scalars give one 4x4);
-    the result stacks one matrix per sample.  Nonzero elements:
-    rho[00,00] = 1 - xi|f_AA|^2 - (1-xi)|f_BB|^2, rho[01,01] = (1-xi)|f_BB|^2,
-    rho[10,10] = xi|f_AA|^2, and the coherence
-    rho[10,01] = sqrt(xi(1-xi)) e^{-i phi} f_AA conj(f_BB) with its
+    Both atoms couple to the one dressed spectrum, so each survives with
+    the same f_00.  f00 is an amplitude array (a scalar gives one 4x4); the
+    result stacks one matrix per sample.  With S = |f_00|^2 the nonzero
+    elements are rho[00,00] = 1 - xi S - (1-xi) S, rho[01,01] = (1-xi) S,
+    rho[10,10] = xi S, and the coherence
+    rho[10,01] = sqrt(xi(1-xi)) e^{-i phi} f_00 conj(f_00) with its
     conjugate.  The |11> sector is identically zero (single excitation).
     """
-    f_a, f_b = np.broadcast_arrays(np.asarray(f_aa, dtype=complex),
-                                   np.asarray(f_bb, dtype=complex))
-    shape = f_a.shape
-    f_a, f_b = f_a.ravel(), f_b.ravel()
-    survival_a, survival_b = survival_probability(f_a), survival_probability(f_b)
-    bad = np.flatnonzero(np.maximum(survival_a, survival_b) > (1.0 + 1e-9) ** 2)
+    f = np.asarray(f00, dtype=complex)
+    shape = f.shape
+    f = f.ravel()
+    survival = survival_probability(f)
+    bad = np.flatnonzero(survival > (1.0 + 1e-9) ** 2)
     if bad.size:
         raise ContractViolationError(
-            f"survival amplitudes must have modulus <= 1, got |f_AA|^2="
-            f"{float(survival_a[bad[0]])!r}, |f_BB|^2={float(survival_b[bad[0]])!r} "
-            f"at sample {bad[0]}")
+            f"survival amplitudes must have modulus <= 1, got |f_00|^2="
+            f"{float(survival[bad[0]])!r} at sample {bad[0]}")
     xi = state.xi
-    rho = np.zeros((f_a.size, 4, 4), dtype=complex)
-    rho[..., 0, 0] = 1.0 - xi * survival_a - (1.0 - xi) * survival_b
-    rho[..., 1, 1] = (1.0 - xi) * survival_b
-    rho[..., 2, 2] = xi * survival_a
-    # w e^{-i phi} f_AA conj(f_BB) in real arithmetic, multiplied left to right as
+    rho = np.zeros((f.size, 4, 4), dtype=complex)
+    rho[..., 0, 0] = 1.0 - xi * survival - (1.0 - xi) * survival
+    rho[..., 1, 1] = (1.0 - xi) * survival
+    rho[..., 2, 2] = xi * survival
+    # w e^{-i phi} f_00 conj(f_00) in real arithmetic, multiplied left to right as
     # scalar complex products round; the array complex product may fuse them.
     weight = state.coherence_weight * np.exp(-1j * state.phi)
-    re = weight.real * f_a.real - weight.imag * f_a.imag
-    im = weight.real * f_a.imag + weight.imag * f_a.real
-    conj_b = -f_b.imag
-    rho[..., 2, 1].real = re * f_b.real - im * conj_b
-    rho[..., 2, 1].imag = re * conj_b + im * f_b.real
+    re = weight.real * f.real - weight.imag * f.imag
+    im = weight.real * f.imag + weight.imag * f.real
+    conj = -f.imag
+    rho[..., 2, 1].real = re * f.real - im * conj
+    rho[..., 2, 1].imag = re * conj + im * f.real
     rho[..., 1, 2] = rho[..., 2, 1].conj()
     return ReducedDensityMatrix(matrix=rho.reshape(shape + (4, 4)))
 

@@ -10,17 +10,16 @@ over blocks of t that keep the phase tables small.
 phase tables of each block once and contracts every label selection with
 them, so one pass over t serves several selections.
 `amplitudes(spectrum, t_grid, labels)` is its one-selection route to the
-complex amplitudes; everything that needs f_0nu (survival, the CLI's
-unitarity probe and row builders, the thermal-trace oracle) calls it, and
-only the thermal occupation streams the blocks directly, asking for all
-labels and for label 0 in the same pass.  `SurvivalSeries.from_amplitude`
-turns f_00 on a grid into the survival series, whichever pass gave it.
+complex amplitudes; everything that needs f_0nu (the CLI's unitarity probe
+and row builders, the thermal-trace oracle) calls it, and only the thermal
+occupation streams the blocks directly, asking for all labels and for
+label 0 in the same pass.  The survival |f_00|^2 is formed by whoever holds
+f_00, whichever pass gave it; `decay_rate_fit` fits its logarithm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,32 +29,6 @@ from .spectral import DressedSpectrum
 # Phase-table entries per block of t (two tables of 8 MB each); smaller
 # blocks cost matrix-product efficiency at N ~ 2000.
 BLOCK_ELEMENTS = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class SurvivalSeries:
-    """Samples of (t, |f_00|^2, arg f_00) on a strictly increasing grid."""
-
-    t: np.ndarray
-    survival: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self):
-        for name in ("t", "survival", "phase"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(np.diff(self.t) <= 0.0):
-            raise InsufficientDataError("time grid must be strictly increasing")
-
-    @classmethod
-    def from_amplitude(cls, t: np.ndarray, f00: np.ndarray) -> "SurvivalSeries":
-        """The series of the survival amplitude f00 sampled on the grid t."""
-        return cls(t=t, survival=np.abs(f00) ** 2, phase=np.angle(f00))
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    rate: float
-    r_squared: float
 
 
 def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections):
@@ -78,6 +51,9 @@ def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections)
     cos_space = np.empty(spectrum.size * min(step, t.size))
     sin_space = np.empty_like(cos_space)
     for start in range(0, t.size, step):
+        # drop the previous block's parts first: a caller that freed its own
+        # references then holds no products while the tables are refilled
+        parts = []
         block = slice(start, start + step)
         held = spectrum.size * min(step, t.size - start)
         cos = cos_space[:held].reshape(spectrum.size, -1)
@@ -87,7 +63,6 @@ def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections)
         np.cos(cos, out=cos)
         cos *= t0
         sin *= t0
-        parts = []
         for selected in rows:
             im = selected @ sin
             np.negative(im, out=im)
@@ -112,30 +87,23 @@ def amplitudes(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)
     return out
 
 
-def survival_series(spectrum: DressedSpectrum, t_grid: np.ndarray) -> SurvivalSeries:
-    """Survival probability and phase of f_00 on an increasing time grid."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise InsufficientDataError("time grid is empty")
-    return SurvivalSeries.from_amplitude(t, amplitudes(spectrum, t, 0))
+def decay_rate_fit(t: np.ndarray, survival: np.ndarray,
+                   window: tuple[float, float]) -> tuple[float, float]:
+    """Least-squares decay rate of ln survival, sampled at the times t, over the window.
 
-
-def decay_rate_fit(series: SurvivalSeries, window: tuple[float, float]) -> DecayFit:
-    """Least-squares decay rate of ln survival over the window.
-
-    Returns Gamma = -slope and the coefficient of determination.  Fails when
-    fewer than 3 samples fall inside the window or when the survival signal
-    has decayed into a nonpositive noise floor.
+    Returns (Gamma, r_squared): Gamma = -slope and the coefficient of
+    determination.  Fails when fewer than 3 samples fall inside the window
+    or when the survival signal has decayed into a nonpositive noise floor.
     """
     lo, hi = window
-    mask = (series.t >= lo) & (series.t <= hi)
+    mask = (t >= lo) & (t <= hi)
     if int(np.sum(mask)) < 3:
         raise InsufficientDataError(
             f"need at least 3 samples in window [{lo}, {hi}], got {int(np.sum(mask))}")
-    surv = series.survival[mask]
+    surv = survival[mask]
     if np.any(surv <= 0.0):
         raise FitWindowError("survival is nonpositive inside the fit window")
-    x = series.t[mask]
+    x = t[mask]
     y = np.log(surv)
     slope, intercept = np.polyfit(x, y, 1)
     residual = y - (slope * x + intercept)
@@ -143,9 +111,8 @@ def decay_rate_fit(series: SurvivalSeries, window: tuple[float, float]) -> Decay
     ss_tot = float(np.sum(total ** 2))
     # a log-signal flat to machine precision is a perfect (zero-rate) exponential
     if ss_tot <= 1e-28 * y.size:
-        return DecayFit(rate=-float(slope), r_squared=1.0)
-    r2 = 1.0 - float(np.sum(residual ** 2)) / ss_tot
-    return DecayFit(rate=-float(slope), r_squared=r2)
+        return -float(slope), 1.0
+    return -float(slope), 1.0 - float(np.sum(residual ** 2)) / ss_tot
 
 
 def wigner_weisskopf_rate(g: float) -> float:

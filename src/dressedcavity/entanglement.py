@@ -44,10 +44,10 @@ class EntanglementMeasures:
     negativity: np.ndarray | float
 
 
-def _require_physical(block: np.ndarray, start: int) -> None:
-    """Raise unless every state of the (B, 4, 4) block clears POSITIVITY_FLOOR;
-    the message names the first bad sample by its flat index start + i."""
-    lowest = np.linalg.eigvalsh(block)[:, 0]
+def _require_physical(lowest: np.ndarray, start: int) -> None:
+    """Raise unless the lowest eigenvalue of every state of a block clears
+    POSITIVITY_FLOOR; the message names the first bad sample by its flat
+    index start + i."""
     bad = np.flatnonzero(lowest < POSITIVITY_FLOOR)
     if bad.size:
         raise ContractViolationError(
@@ -55,8 +55,9 @@ def _require_physical(block: np.ndarray, start: int) -> None:
             f"(lowest eigenvalue {lowest[bad[0]]:.3g})")
 
 
-def _concurrence(m: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each state via the spin-flip eigenvalue formula.
+def _concurrence(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each state via the spin-flip eigenvalue formula,
+    from the ascending eigenvalues and eigenvectors `eigh` gives for rho.
 
     On single-excitation states this reduces to 2|rho[01,10]|; the general
     path is kept so the closed form can be cross-checked.  The eigenvalues
@@ -64,7 +65,6 @@ def _concurrence(m: np.ndarray) -> np.ndarray:
     sqrt(rho) rho~ sqrt(rho); the non-Hermitian route loses half the digits
     near degeneracies.
     """
-    evals, vecs = np.linalg.eigh(m)
     # null-space noise must be zeroed exactly, or the square root turns
     # eps-level eigenvalue noise into sqrt(eps)-level lambda noise
     evals = np.where(evals < 256.0 * np.finfo(float).eps * evals[..., -1:], 0.0, evals)
@@ -103,15 +103,17 @@ def _negativity(m: np.ndarray) -> np.ndarray:
 
 def measures(rho: ReducedDensityMatrix) -> EntanglementMeasures:
     """Concurrence, EoF and negativity of every state of rho's stack, after
-    one positivity check per block of MEASURE_BLOCK states."""
+    one positivity check per block of MEASURE_BLOCK states, read from the
+    eigendecomposition the concurrence uses."""
     lead = rho.matrix.shape[:-2]
     flat = rho.matrix.reshape(-1, 4, 4)
     c = np.empty(flat.shape[0])
     negativity = np.empty(flat.shape[0])
     for start in range(0, flat.shape[0], MEASURE_BLOCK):
         block = flat[start:start + MEASURE_BLOCK]
-        _require_physical(block, start)
-        c[start:start + MEASURE_BLOCK] = _concurrence(block)
+        evals, vecs = np.linalg.eigh(block)
+        _require_physical(evals[:, 0], start)
+        c[start:start + MEASURE_BLOCK] = _concurrence(evals, vecs)
         negativity[start:start + MEASURE_BLOCK] = _negativity(block)
     # the scalar EoF keeps its bits; a vectorized log2 rounds some of them apart
     eof = np.array([entanglement_of_formation(x) for x in c.tolist()])

@@ -12,7 +12,7 @@ vector, or a stack of them, with |f_0nu(t)|^2 in one pass over the
 amplitude blocks.  It returns an `OccupationSeries`: the occupations as
 plain arrays on the caller's time grid, and f_00(t), which the same pass
 gives for one more matrix-vector product per block, so a caller that also
-needs the survival series builds no phase table of its own.
+needs f_00 (the `dynamics` table) builds no phase table of its own.
 """
 
 from __future__ import annotations
@@ -108,4 +108,7 @@ def occupation_series(spectrum: DressedSpectrum, weights: np.ndarray,
         re += im
         for row, weight in zip(np.atleast_2d(occupation), np.atleast_2d(stack)):
             row[block] = weight @ re
+        # freed before the next block's products are made, so the pass holds
+        # four (N+1) x block tables at its peak, not six
+        del re, im
     return OccupationSeries(occupation, f00)

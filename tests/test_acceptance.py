@@ -15,8 +15,7 @@ import pytest
 from dressedcavity.cli import COMMANDS, RunConfig, main
 from dressedcavity.density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                                    thermal_trace_oracle)
-from dressedcavity.dynamics import (amplitudes, decay_rate_fit, survival_series,
-                                    wigner_weisskopf_rate)
+from dressedcavity.dynamics import amplitudes, decay_rate_fit, wigner_weisskopf_rate
 from dressedcavity.entanglement import (entanglement_of_formation, family_concurrence,
                                         measures, partial_transpose)
 from dressedcavity.model import ModelParams, build_coupling_matrix
@@ -50,7 +49,7 @@ def test_criterion_1_temperature_independence():
             state = EntangledStateSpec(xi, phi)
             for t in (0.0, 0.7, 3.1):
                 f00 = amplitudes(spec, [t])[0, 0]
-                closed = reduced_density_closed(state, f00, f00).matrix
+                closed = reduced_density_closed(state, f00).matrix
                 reference = None
                 for beta in (0.2, 1.0, 5.0):
                     bath = ThermalBathSpec(beta=beta, n_max=n_max, n_modes_oracle=n_oracle)
@@ -111,14 +110,15 @@ def test_criterion_4_free_space_dissipation(free_space_spectrum):
     eta = FREE_SPACE.eta
     golden_rule = 2.0 * math.pi * (eta / 2.0) ** 2 * (FREE_SPACE.radius / math.pi)
     rate_oracle = wigner_weisskopf_rate(FREE_SPACE.g)
-    series = survival_series(free_space_spectrum, np.linspace(0.0, 100.0, 2001))
-    fit = decay_rate_fit(series, (5.0, 80.0))
+    t = np.linspace(0.0, 100.0, 2001)
+    survival = np.abs(amplitudes(free_space_spectrum, t, 0)) ** 2
+    rate, r_squared = decay_rate_fit(t, survival, (5.0, 80.0))
     elapsed = time.perf_counter() - started
     check(4, "free-space dissipation", {
         "golden-rule oracle confirms pi*g": abs(golden_rule - rate_oracle) <= 1e-12,
-        f"fit quality >= 0.999 (got {fit.r_squared:.6f})": fit.r_squared >= 0.999,
-        f"rate within 5% of oracle (got {fit.rate:.5f} vs {rate_oracle:.5f})":
-            abs(fit.rate - rate_oracle) <= 0.05 * rate_oracle,
+        f"fit quality >= 0.999 (got {r_squared:.6f})": r_squared >= 0.999,
+        f"rate within 5% of oracle (got {rate:.5f} vs {rate_oracle:.5f})":
+            abs(rate - rate_oracle) <= 0.05 * rate_oracle,
         f"runtime < 1 min (got {elapsed:.1f})": elapsed < 60.0,
     })
 
@@ -127,14 +127,13 @@ def test_criterion_5_small_cavity_stability():
     started = time.perf_counter()
     params = ModelParams(omega_bar=1.0, g=0.01, radius=1.0, n_modes=64)
     spectrum = dressed_spectrum(params)
-    series = survival_series(spectrum, np.linspace(0.0, 1000.0, 20001))
-    min_survival = float(np.min(series.survival))
+    f00 = amplitudes(spectrum, np.linspace(0.0, 1000.0, 20001), 0)
+    min_survival = float(np.min(np.abs(f00) ** 2))
     c0 = family_concurrence(0.5, 1.0)
     min_concurrence = family_concurrence(0.5, min_survival)
     # spot-check the closed form against the general spin-flip path at the dip
     f_at_dip = math.sqrt(min_survival)
-    general = measures(reduced_density_closed(EntangledStateSpec(0.5, 0.0),
-                                              f_at_dip, f_at_dip)).concurrence
+    general = measures(reduced_density_closed(EntangledStateSpec(0.5, 0.0), f_at_dip)).concurrence
     elapsed = time.perf_counter() - started
     check(5, "small-cavity stability", {
         f"min survival >= 0.95 (got {min_survival:.4f})": min_survival >= 0.95,
@@ -168,10 +167,10 @@ def test_criterion_6_thermal_equilibrium(free_space_spectrum):
 
 def test_criterion_7_entanglement_measures():
     started = time.perf_counter()
-    bell = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.0, 1.0)
+    bell = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.0)
     bell_m = measures(bell)
     f_half = math.sqrt(0.5)
-    family = reduced_density_closed(EntangledStateSpec(0.5, 0.0), f_half, f_half)
+    family = reduced_density_closed(EntangledStateSpec(0.5, 0.0), f_half)
     family_m = measures(family)
     pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(family.matrix))
     negativity_oracle = float(np.sum(np.abs(pt_eigenvalues)) - np.sum(pt_eigenvalues))
@@ -236,7 +235,7 @@ def test_criterion_9_negative_control(tmp_path, capsys):
     spec = dressed_spectrum(ModelParams(1.0, 0.01, 1.0, 1))
     state = EntangledStateSpec(0.3, 1.1)
     f00 = amplitudes(spec, [0.7])[0, 0]
-    closed = reduced_density_closed(state, f00, f00).matrix
+    closed = reduced_density_closed(state, f00).matrix
     deviations = []
     traces = []
     broken = {}

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args, main,
                               parse_config_file, resolve_natural)
-from dressedcavity.dynamics import survival_series
 from dressedcavity.model import BOLTZMANN, HBAR
 from dressedcavity.reporting import sha256_of
 import dressedcavity.cli as cli
@@ -203,11 +201,9 @@ class TestSeriesCommands:
     def test_failed_decay_fit_is_recorded(self, tmp_path, capsys, monkeypatch):
         # survival that has decayed to zero inside the window has no logarithm
         # to fit; the run records why and keeps its exit code
-        def decayed(spectrum, t_grid):
-            series = survival_series(spectrum, t_grid)
-            return dataclasses.replace(series, survival=np.where(series.t > 1.0, 0.0,
-                                                                 series.survival))
-        monkeypatch.setattr(cli, "survival_series", decayed)
+        table = cli._dynamics_table
+        monkeypatch.setattr(cli, "_dynamics_table",
+                            lambda run, f00: table(run, np.where(run.t_grid > 1.0, 0.0, f00)))
         out = tmp_path / "out"
         assert run_cli("dynamics", "--n-modes", 8, "--t-max", 5, "--samples", 50,
                        "--fit-window", "0.5,4", "--out", out) == 0
@@ -497,7 +493,7 @@ class TestExitCodes:
     ], ids=["numpy", "bare"])
     def test_memory_error_exits_3_without_csv(self, tmp_path, capsys, monkeypatch, message,
                                               line):
-        # the backstop for a size no cap bounds yet, such as --samples 1e12
+        # the backstop for a size no cap bounds yet, such as --samples 1000000000000
         def exhausted(config):
             raise MemoryError(message)
         monkeypatch.setattr(cli, "resolve_natural", exhausted)
@@ -573,9 +569,9 @@ class TestSweepCommand:
     def test_one_spectral_stage_per_model(self, tmp_path, monkeypatch):
         # xi and temperature leave the model as it is: 2 radii are 2 spectra
         # and 2 decay fits, and each radius makes one occupation pass over
-        # both temperatures, which also gives the survival series; its phase
-        # tables are built twice (the unitarity probe, then that pass) and
-        # its dynamics body is rendered once for its six points
+        # both temperatures, which also gives f_00; its phase tables are
+        # built twice (the unitarity probe, then that pass) and its dynamics
+        # body is rendered once for its six points
         calls = count_calls(monkeypatch, "diagonalize", "occupation_series", "decay_rate_fit",
                             "csv_body")
         passes = []

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dressedcavity.density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
                                    _field_trace_blocks, bath_basis_states, bath_weights,
-                                   reduced_density_closed, thermal_trace_oracle)
+                                   reduced_density_closed, survival_probability,
+                                   thermal_trace_oracle)
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.entanglement import POSITIVITY_FLOOR, measures
 from dressedcavity.errors import ContractViolationError, DomainError, ResourceCapError
@@ -105,13 +106,13 @@ class TestEntangledStateSpec:
 
 class TestClosedForm:
     def test_pure_excited_a(self):
-        rho = reduced_density_closed(EntangledStateSpec(1.0, 0.0), 1.0, 1.0).matrix
+        rho = reduced_density_closed(EntangledStateSpec(1.0, 0.0), 1.0).matrix
         expected = np.zeros((4, 4), dtype=complex)
         expected[2, 2] = 1.0
         assert np.allclose(rho, expected, atol=1e-15)
 
     def test_full_decay_is_ground(self):
-        rho = reduced_density_closed(EntangledStateSpec(0.4, 1.0), 0.0, 0.0).matrix
+        rho = reduced_density_closed(EntangledStateSpec(0.4, 1.0), 0.0).matrix
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         assert np.allclose(rho, expected, atol=1e-15)
@@ -119,7 +120,7 @@ class TestClosedForm:
     def test_identical_atoms_matches_element_formulas(self):
         xi, phi, survival = 0.3, 1.1, 0.6
         f00 = math.sqrt(survival) * np.exp(0.4j)
-        rho = reduced_density_closed(EntangledStateSpec(xi, phi), f00, f00).matrix
+        rho = reduced_density_closed(EntangledStateSpec(xi, phi), f00).matrix
         assert rho[0, 0] == pytest.approx(1.0 - survival, abs=1e-14)
         assert rho[1, 1] == pytest.approx((1.0 - xi) * survival, abs=1e-14)
         assert rho[2, 2] == pytest.approx(xi * survival, abs=1e-14)
@@ -128,37 +129,50 @@ class TestClosedForm:
         assert rho[1, 2] == pytest.approx(np.conj(coherence), abs=1e-14)
 
     def test_single_excitation_structure(self):
-        rho = reduced_density_closed(EntangledStateSpec(0.7, 0.3), 0.8, 0.6 + 0.1j).matrix
+        rho = reduced_density_closed(EntangledStateSpec(0.7, 0.3), 0.6 + 0.1j).matrix
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert np.all(rho[3, :] == 0.0)
         assert np.all(rho[:, 3] == 0.0)
 
     def test_modulus_above_one_rejected(self):
         with pytest.raises(ContractViolationError):
-            reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.01, 0.5)
+            reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.01)
         with pytest.raises(ContractViolationError, match="at sample 2"):
-            reduced_density_closed(EntangledStateSpec(0.5, 0.0), [0.5, 1.0, 1.01], 0.5)
+            reduced_density_closed(EntangledStateSpec(0.5, 0.0), [0.5, 1.0, 1.01])
 
     def test_arrays_equal_the_scalar_calls_bit_for_bit(self, rng):
         state = EntangledStateSpec(0.3, 1.1)
-        f_aa = rng.uniform(0.0, 1.0, 50) * np.exp(1j * rng.uniform(0.0, 7.0, 50))
-        f_bb = rng.uniform(0.0, 1.0, 50) * np.exp(1j * rng.uniform(0.0, 7.0, 50))
-        stack = reduced_density_closed(state, f_aa, f_bb).matrix
+        f00 = rng.uniform(0.0, 1.0, 50) * np.exp(1j * rng.uniform(0.0, 7.0, 50))
+        stack = reduced_density_closed(state, f00).matrix
         assert stack.shape == (50, 4, 4)
         for i in range(50):
-            single = reduced_density_closed(state, f_aa[i], f_bb[i]).matrix
+            single = reduced_density_closed(state, f00[i]).matrix
             assert single.shape == (4, 4)
             assert single.tobytes() == stack[i].tobytes()
-        grid = reduced_density_closed(state, f_aa.reshape(5, 10), f_bb.reshape(5, 10))
+        grid = reduced_density_closed(state, f00.reshape(5, 10))
         assert grid.matrix.tobytes() == stack.tobytes() and grid.trace.shape == (5, 10)
 
+    def test_elements_equal_the_documented_formulas_exactly(self, rng):
+        # S = survival_probability(f00) and the coherence as left-to-right
+        # scalar complex products w e^{-i phi} * f00 * conj(f00), bit for bit
+        state = EntangledStateSpec(0.3, 1.1)
+        xi = state.xi
+        f00 = rng.uniform(0.0, 1.0, 50) * np.exp(1j * rng.uniform(0.0, 7.0, 50))
+        survival = survival_probability(f00)
+        weight = complex(state.coherence_weight * np.exp(-1j * state.phi))
+        expected = np.zeros((50, 4, 4), dtype=complex)
+        expected[:, 0, 0] = 1.0 - xi * survival - (1.0 - xi) * survival
+        expected[:, 1, 1] = (1.0 - xi) * survival
+        expected[:, 2, 2] = xi * survival
+        expected[:, 2, 1] = [weight * f * f.conjugate() for f in f00.tolist()]
+        expected[:, 1, 2] = [(weight * f * f.conjugate()).conjugate() for f in f00.tolist()]
+        rho = reduced_density_closed(state, f00).matrix
+        assert np.array_equal(rho, expected)
+
     @given(xi=st.floats(0.0, 1.0), phi=st.floats(0.0, 6.28),
-           mod_a=st.floats(0.0, 1.0), mod_b=st.floats(0.0, 1.0),
-           arg_a=st.floats(0.0, 6.28), arg_b=st.floats(0.0, 6.28))
-    def test_always_valid_density_matrix(self, xi, phi, mod_a, mod_b, arg_a, arg_b):
-        state = EntangledStateSpec(xi, phi)
-        rho = reduced_density_closed(state, mod_a * np.exp(1j * arg_a),
-                                     mod_b * np.exp(1j * arg_b))
+           modulus=st.floats(0.0, 1.0), arg=st.floats(0.0, 6.28))
+    def test_always_valid_density_matrix(self, xi, phi, modulus, arg):
+        rho = reduced_density_closed(EntangledStateSpec(xi, phi), modulus * np.exp(1j * arg))
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho.matrix)[0] >= POSITIVITY_FLOOR
 
@@ -169,7 +183,7 @@ class TestThermalTraceOracle:
         spec = oracle_spectrum(1)
         state = EntangledStateSpec(0.3, 1.1)
         f00 = amplitudes(spec, [0.7])[0, 0]
-        closed = reduced_density_closed(state, f00, f00).matrix
+        closed = reduced_density_closed(state, f00).matrix
         results = []
         for beta in (0.2, 1.0, 5.0):
             bath = ThermalBathSpec(beta=beta, n_max=3, n_modes_oracle=1)
@@ -182,7 +196,7 @@ class TestThermalTraceOracle:
     def test_time_zero_any_beta(self):
         spec = oracle_spectrum(2)
         state = EntangledStateSpec(0.5, 0.7)
-        closed = reduced_density_closed(state, 1.0, 1.0).matrix
+        closed = reduced_density_closed(state, 1.0).matrix
         for beta in (0.1, 3.0):
             bath = ThermalBathSpec(beta=beta, n_max=2, n_modes_oracle=2)
             rho = thermal_trace_oracle(state, spec, bath, 0.0).matrix
@@ -194,9 +208,9 @@ class TestThermalTraceOracle:
         for t in (0.5, 2.0):
             bath = ThermalBathSpec(beta=1.0, n_max=3, n_modes_oracle=1)
             rho = thermal_trace_oracle(state, spec, bath, t).matrix
-            closed = reduced_density_closed(state, np.exp(-1j * t), np.exp(-1j * t)).matrix
+            closed = reduced_density_closed(state, np.exp(-1j * t)).matrix
             assert np.max(np.abs(rho - closed)) <= 1e-12
-            # identical atoms: f_AA conj(f_BB) = 1, so coherences sit at their t=0 value
+            # f_00 conj(f_00) = 1, so coherences sit at their t=0 value
             assert rho[2, 2] == pytest.approx(0.4, abs=1e-13)
             assert abs(rho[2, 1]) == pytest.approx(math.sqrt(0.4 * 0.6), abs=1e-13)
 
@@ -206,7 +220,7 @@ class TestThermalTraceOracle:
             state = EntangledStateSpec(xi, phi)
             for t in (0.0, 0.7, 3.1):
                 f00 = amplitudes(spec, [t])[0, 0]
-                closed = reduced_density_closed(state, f00, f00).matrix
+                closed = reduced_density_closed(state, f00).matrix
                 bath = ThermalBathSpec(beta=1.0, n_max=3, n_modes_oracle=2)
                 rho = thermal_trace_oracle(state, spec, bath, t).matrix
                 assert np.max(np.abs(rho - closed)) <= 1e-12
@@ -253,7 +267,7 @@ class TestThermalTraceOracle:
         spec = oracle_spectrum(1)
         state = EntangledStateSpec(0.3, 1.1)
         f00 = amplitudes(spec, [0.7])[0, 0]
-        closed = reduced_density_closed(state, f00, f00).matrix
+        closed = reduced_density_closed(state, f00).matrix
         broken = {}
         for beta in (0.2, 1.0):
             bath = ThermalBathSpec(beta=beta, n_max=3, n_modes_oracle=1)
@@ -267,18 +281,18 @@ class TestThermalTraceOracle:
 
 class TestPositivityCheck:
     def test_ground_state_eigenvalues(self):
-        rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 0.0, 0.0)
+        rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 0.0)
         eigenvalues = np.linalg.eigvalsh(rho.matrix)
         assert np.allclose(eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
         assert eigenvalues[0] >= POSITIVITY_FLOOR
 
     def test_bell_state_is_pure(self):
-        rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.0, 1.0)
+        rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), 1.0)
         assert np.allclose(np.linalg.eigvalsh(rho.matrix), [0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
     def test_half_decayed_bell(self):
         f00 = math.sqrt(0.5)
-        rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), f00, f00)
+        rho = reduced_density_closed(EntangledStateSpec(0.5, 0.0), f00)
         assert np.allclose(np.linalg.eigvalsh(rho.matrix), [0.0, 0.0, 0.5, 0.5], atol=1e-14)
 
     def test_flags_negative_eigenvalue(self):

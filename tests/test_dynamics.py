@@ -5,7 +5,7 @@ import pytest
 
 import dressedcavity.dynamics as dynamics
 from dressedcavity.dynamics import (amplitude_blocks, amplitudes, decay_rate_fit,
-                                    survival_series, wigner_weisskopf_rate)
+                                    wigner_weisskopf_rate)
 from dressedcavity.errors import FitWindowError, InsufficientDataError
 from dressedcavity.model import ModelParams
 from dressedcavity.spectral import DressedSpectrum
@@ -107,63 +107,58 @@ def test_selections_sharing_a_pass_match_their_own_passes(monkeypatch):
 
 class TestSurvivalSeries:
     def test_single_point_grid(self):
-        series = survival_series(dressed_spectrum(WORKED), np.array([0.0]))
-        assert series.t[0] == 0.0
-        assert series.survival[0] == pytest.approx(1.0, abs=1e-13)
-        assert series.phase[0] == pytest.approx(0.0, abs=1e-13)
+        f00 = amplitudes(dressed_spectrum(WORKED), np.array([0.0]), 0)
+        assert np.abs(f00[0]) ** 2 == pytest.approx(1.0, abs=1e-13)
+        assert np.angle(f00[0]) == pytest.approx(0.0, abs=1e-13)
 
     def test_values_in_unit_interval(self):
-        series = survival_series(dressed_spectrum(WORKED), np.linspace(0.0, 50.0, 500))
-        assert np.all(series.survival >= 0.0)
-        assert np.all(series.survival <= 1.0 + 1e-12)
+        f00 = amplitudes(dressed_spectrum(WORKED), np.linspace(0.0, 50.0, 500), 0)
+        survival = np.abs(f00) ** 2
+        assert np.all(survival >= 0.0)
+        assert np.all(survival <= 1.0 + 1e-12)
 
-    def test_nonincreasing_grid_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            survival_series(dressed_spectrum(WORKED), np.array([0.0, 1.0, 1.0]))
+
+def survival_on(spec, t):
+    """|f_00|^2 on the grid t."""
+    return np.abs(amplitudes(spec, t, 0)) ** 2
 
 
 class TestDecayRateFit:
     def test_decoupled_rate_is_zero(self):
         params = ModelParams(omega_bar=1.0, g=0.0, radius=math.pi, n_modes=2)
-        series = survival_series(dressed_spectrum(params), np.linspace(0.0, 10.0, 50))
-        fit = decay_rate_fit(series, (0.0, 10.0))
-        assert fit.rate == pytest.approx(0.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0)
+        t = np.linspace(0.0, 10.0, 50)
+        rate, r_squared = decay_rate_fit(t, survival_on(dressed_spectrum(params), t), (0.0, 10.0))
+        assert rate == pytest.approx(0.0, abs=1e-12)
+        assert r_squared == pytest.approx(1.0)
 
     def test_recovers_synthetic_exponential(self):
-        from dressedcavity.dynamics import SurvivalSeries
         t = np.linspace(0.0, 20.0, 200)
-        series = SurvivalSeries(t=t, survival=np.exp(-0.37 * t), phase=np.zeros_like(t))
-        fit = decay_rate_fit(series, (1.0, 18.0))
-        assert fit.rate == pytest.approx(0.37, rel=1e-10)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        rate, r_squared = decay_rate_fit(t, np.exp(-0.37 * t), (1.0, 18.0))
+        assert rate == pytest.approx(0.37, rel=1e-10)
+        assert r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_too_few_samples(self):
-        series = survival_series(dressed_spectrum(WORKED), np.linspace(0.0, 10.0, 20))
+        t = np.linspace(0.0, 10.0, 20)
         with pytest.raises(InsufficientDataError):
-            decay_rate_fit(series, (3.0, 3.5))
+            decay_rate_fit(t, survival_on(dressed_spectrum(WORKED), t), (3.0, 3.5))
 
     def test_nonpositive_survival_rejected(self):
-        from dressedcavity.dynamics import SurvivalSeries
         t = np.linspace(0.0, 5.0, 20)
-        series = SurvivalSeries(t=t, survival=np.maximum(0.5 - 0.2 * t, 0.0),
-                                phase=np.zeros_like(t))
         with pytest.raises(FitWindowError):
-            decay_rate_fit(series, (0.0, 5.0))
+            decay_rate_fit(t, np.maximum(0.5 - 0.2 * t, 0.0), (0.0, 5.0))
 
     def test_free_space_decay_matches_golden_rule(self, free_space_spectrum):
-        series = survival_series(free_space_spectrum, np.linspace(0.0, 100.0, 2001))
-        fit = decay_rate_fit(series, (5.0, 80.0))
-        assert fit.r_squared >= 0.999
-        assert fit.rate == pytest.approx(wigner_weisskopf_rate(0.01), rel=0.05)
+        t = np.linspace(0.0, 100.0, 2001)
+        rate, r_squared = decay_rate_fit(t, survival_on(free_space_spectrum, t), (5.0, 80.0))
+        assert r_squared >= 0.999
+        assert rate == pytest.approx(wigner_weisskopf_rate(0.01), rel=0.05)
 
     def test_fit_degrades_past_cavity_round_trip(self, free_space_spectrum):
         # revival at t = 2R ~ 3141.6 ruins the log-linear fit
         radius = 500.0 * math.pi
         t = np.linspace(2.0 * radius, 2.0 * radius + 120.0, 400)
-        series = survival_series(free_space_spectrum, t)
-        fit = decay_rate_fit(series, (t[0], t[-1]))
-        assert fit.r_squared < 0.999
+        _, r_squared = decay_rate_fit(t, survival_on(free_space_spectrum, t), (t[0], t[-1]))
+        assert r_squared < 0.999
 
 
 def test_convergence_rate_in_mode_cutoff():

@@ -19,7 +19,7 @@ PT_MIN_EIGENVALUE = -0.10355339059327379
 
 def family_rho(xi, survival, phi=0.0):
     f00 = math.sqrt(survival)
-    return reduced_density_closed(EntangledStateSpec(xi, phi), f00, f00)
+    return reduced_density_closed(EntangledStateSpec(xi, phi), f00)
 
 
 def random_states(count, seed=7):
@@ -111,8 +111,7 @@ class TestMeasureBundle:
     def test_one_positivity_check_matches_the_single_measures(self, monkeypatch):
         # a stack within one block is checked once, and each field matches
         # the measures of its state alone
-        stack = reduced_density_closed(EntangledStateSpec(0.3, 0.4),
-                                       np.sqrt([1.0, 0.6, 0.2]), np.sqrt([1.0, 0.6, 0.2]))
+        stack = reduced_density_closed(EntangledStateSpec(0.3, 0.4), np.sqrt([1.0, 0.6, 0.2]))
         checked = []
         check = entanglement._require_physical
         monkeypatch.setattr(entanglement, "_require_physical",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,8 +102,7 @@ class TestOccupationSeries:
     def test_zero_temperature_reduction(self):
         t = np.linspace(0.0, 30.0, 121)
         occupation = self.series(1e6, 1.0, t)
-        from dressedcavity.dynamics import survival_series
-        survival = survival_series(self.spectrum, t).survival
+        survival = np.abs(amplitudes(self.spectrum, t, 0)) ** 2
         assert np.max(np.abs(occupation - survival)) < 1e-6
 
     def test_monotone_in_temperature(self):
@@ -122,6 +122,23 @@ class TestOccupationSeries:
         nbar = np.array([bose_einstein(w, 0.7) for w in self.params.mode_frequencies])
         one_shot = 1.3 * power[0] + nbar @ power[1:]
         assert np.max(np.abs(occupation - one_shot)) <= 1e-13
+
+    def test_peak_holds_four_phase_tables(self, monkeypatch):
+        # 50 samples per block at N = 400 and T = 200: four blocks.  The
+        # pass holds the two phase workspaces and one block's two products;
+        # a previous block's products still alive would make six tables.
+        params = ModelParams(omega_bar=1.0, g=0.02, radius=2.0, n_modes=400)
+        spectrum = dressed_spectrum(params)
+        monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", spectrum.size * 50)
+        weights = occupation_weights(params, 1.0, 1.0)
+        t = np.linspace(0.0, 40.0, 200)
+        tracemalloc.start()
+        try:
+            occupation_series(spectrum, weights, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * spectrum.size * 50 * 8
 
     def test_stack_rows_equal_single_calls(self, monkeypatch):
         # ragged last block as above; each stacked row must be its single call bit for bit
