@@ -10,8 +10,9 @@
 # Each table subcommand, `verify` and `sweep` runs once from each tree;
 # every CSV a command writes (for `sweep`, `sweep.csv` and each
 # `points/*/dynamics.csv`) has its `#` metadata lines stripped and the
-# remaining body compared with cmp.  Exits 1 on any difference, on a CSV
-# that only one tree writes, or on a command that fails in either tree.
+# remaining body compared with cmp.  `sweep` is skipped for a config with no
+# `*_grid` key, which it needs.  Exits 1 on any difference, on a CSV that
+# only one tree writes, or on a command that fails in either tree.
 set -euo pipefail
 
 base_src=$(cd "$1" && pwd)
@@ -22,6 +23,10 @@ trap 'rm -rf "$work"' EXIT
 
 status=0
 for command in spectrum dynamics density entanglement thermal verify sweep; do
+  if [ "$command" = sweep ] && ! grep -Eq '^[[:space:]]*[a-z_]+_grid[[:space:]]*=' "$config"; then
+    echo "skip sweep: no grid"
+    continue
+  fi
   for side in base head; do
     src=$base_src
     [ "$side" = head ] && src=$head_src

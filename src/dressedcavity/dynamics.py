@@ -8,7 +8,10 @@ over blocks of t that keep the phase tables small.
 
 `amplitude_blocks(spectrum, t_grid, *selections)` builds the two scaled
 phase tables of each block once and contracts every label selection with
-them, so one pass over t serves several selections.
+them, so one pass over t serves several selections.  Its tables and
+products are buffers allocated once per pass: a block's parts stay valid
+until the generator advances, and the all-label selection's imaginary part
+is written into the spent cos table.
 `amplitudes(spectrum, t_grid, labels)` is its one-selection route to the
 complex amplitudes; everything that needs f_0nu (the CLI's unitarity probe
 and row builders, the thermal-trace oracle) calls it, and only the thermal
@@ -26,8 +29,9 @@ import numpy as np
 from .errors import FitWindowError, InsufficientDataError
 from .spectral import DressedSpectrum
 
-# Phase-table entries per block of t (two tables of 8 MB each); smaller
-# blocks cost matrix-product efficiency at N ~ 2000.
+# Phase-table entries per block of t: 8 MB for each of the three tables an
+# all-label pass holds (cos, sin and the real part); smaller blocks cost
+# matrix-product efficiency at N ~ 2000.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -38,36 +42,52 @@ def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections)
     one (re, im) per selection, in order, with the selection's label axis
     first (dropped for a single integer label) and the time axis last.  Each
     block fills the two tables t_0^s cos(Omega_s t) and t_0^s sin(Omega_s t)
-    once, in workspaces allocated once per call (a contiguous view of them
-    for the ragged last block), and each selection's parts are its own
-    products components[labels] @ table, so they do not depend on which
-    other selections share the pass.
+    once, and each selection's parts are its own products
+    components[labels] @ table, so they do not depend on which other
+    selections share the pass.
+
+    The tables and the products live in buffers allocated once per call (a
+    contiguous view of each for the ragged last block), so a block's parts
+    stay valid only until the generator advances.  Every real part is formed
+    before any imaginary one, and the first selection of all labels
+    (slice(None), as large as a table) takes its imaginary part in the spent
+    cos table, so such a pass holds three tables, not four.
     """
     v = spectrum.components
     t0 = v[0][:, None]
     rows = [v[labels] for labels in selections]
     t = np.asarray(t_grid, dtype=float)
     step = max(1, BLOCK_ELEMENTS // spectrum.size)
-    cos_space = np.empty(spectrum.size * min(step, t.size))
-    sin_space = np.empty_like(cos_space)
+    width = min(step, t.size)
+    spent = next((k for k, selected in enumerate(rows) if selected.shape == v.shape), None)
+    # one array per table and per part, as spectral._workspaces explains
+    tables = [np.empty(spectrum.size * width) for _ in range(2)]
+    products = [[np.empty(selected[..., 0].size * width) for _ in range(1 if k == spent else 2)]
+                for k, selected in enumerate(rows)]
     for start in range(0, t.size, step):
-        # drop the previous block's parts first: a caller that freed its own
-        # references then holds no products while the tables are refilled
-        parts = []
         block = slice(start, start + step)
-        held = spectrum.size * min(step, t.size - start)
-        cos = cos_space[:held].reshape(spectrum.size, -1)
-        sin = sin_space[:held].reshape(spectrum.size, -1)
+        cols = min(step, t.size - start)
+        cos, sin = (_leading(table, (spectrum.size, cols)) for table in tables)
         np.multiply.outer(spectrum.omega_dressed, t[block], out=cos)
         np.sin(cos, out=sin)
         np.cos(cos, out=cos)
         cos *= t0
         sin *= t0
-        for selected in rows:
-            im = selected @ sin
+        parts = []
+        for selected, spaces in zip(rows, products):
+            parts.append([_leading(space, selected.shape[:-1] + (cols,)) for space in spaces])
+            np.matmul(selected, cos, out=parts[-1][0])
+        if spent is not None:
+            parts[spent].append(cos)
+        for selected, (re, im) in zip(rows, parts):
+            np.matmul(selected, sin, out=im)
             np.negative(im, out=im)
-            parts.append((selected @ cos, im))
-        yield (block, *parts)
+        yield (block, *map(tuple, parts))
+
+
+def _leading(space: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) entries of the flat buffer space, as a contiguous array."""
+    return space[:math.prod(shape)].reshape(shape)
 
 
 def amplitudes(spectrum: DressedSpectrum, t_grid: np.ndarray, labels=slice(None)) -> np.ndarray:

@@ -28,6 +28,11 @@ eigenvalues; dense eigh remains the small-N cross-check in the tests.
 The component matrix is the stage's only (N+1)^2 array (two on the
 deflation path); its size is checked against SPECTRAL_BYTES_CAP before it
 is allocated, and a larger model stops with ResourceCapError (exit 3).
+The secular solve and the residual work on blocks of rows of about
+BLOCK_ELEMENTS doubles, in two block workspaces that each call allocates
+once and every block and iteration refills.  Every entry is the same
+elementwise operation and every row sum runs over one contiguous row
+whatever the block, so the spectrum does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ MAX_ITERATIONS = 50
 # Bytes of (N+1)^2-sized component arrays diagonalize may hold at once; 2 GiB
 # is one such array of doubles at n_modes = 16383.
 SPECTRAL_BYTES_CAP = 2 << 30
-# Roots are solved in blocks of rows; a block's temporaries hold about this
-# many doubles, so no temporary is (N+1)^2 in size.
+# Roots are solved in blocks of rows; each of a block's two workspaces holds
+# about this many doubles, so no work array is (N+1)^2 in size.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -90,17 +95,30 @@ class DressedSpectrum:
         lam = self.omega_dressed ** 2
         worst = float(np.max(np.abs(vt[:, 1:] @ z + (a - lam) * vt[:, 0])))
         step = max(1, BLOCK_ELEMENTS // self.size)
+        spaces = _workspaces(min(step, self.size), d.size)
         for start in range(0, self.size, step):
             block = slice(start, start + step)
-            body = np.subtract.outer(-lam[block], -d)  # d_k - lam_s
-            body *= vt[block, 1:]
-            body += np.multiply.outer(vt[block, 0], z)
-            worst = max(worst, float(np.max(np.abs(body))))
+            rows = vt[block]
+            body, cross = (space[:len(rows)] for space in spaces)
+            np.subtract.outer(-lam[block], -d, out=body)  # d_k - lam_s
+            body *= rows[:, 1:]
+            body += np.multiply.outer(rows[:, 0], z, out=cross)
+            worst = max(worst, float(np.max(np.abs(body, out=body))))
         return worst / _max_abs(a, z, d)
 
 
 def _max_abs(a: float, z: np.ndarray, d: np.ndarray) -> float:
     return max(abs(a), float(np.max(np.abs(z))), float(np.max(np.abs(d))))
+
+
+def _workspaces(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (rows, width) block workspaces; a block of fewer rows uses their leading rows.
+
+    Two arrays, not one (2, rows, width) array: glibc raises its mmap
+    threshold to the size of a freed mapping, and a mapping twice as large
+    leaves about 1 MB more of later temporaries resident at N = 2000.
+    """
+    return np.empty((rows, width)), np.empty((rows, width))
 
 
 def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
@@ -178,19 +196,22 @@ def _secular_eigenpairs(a: float, d: np.ndarray, z: np.ndarray) -> tuple[np.ndar
     lo[m] = max(a - d[-1], 0.0)
     hi[m] = lo[m] + 2.0 * norm_z
     tau[m] = _quadratic_root(1.0, -(d[-1] - a + far), -z2[-1], 1.0)
+    # delta and q of every _secular call below, a block of rows at a time
+    step = max(1, BLOCK_ELEMENTS // m)
+    spaces = _workspaces(min(step, m + 1), m)
     if m > 1:
-        _interior_start(a, d, z2, origin, tau, lo, hi)
+        _interior_start(a, d, z2, origin, tau, lo, hi, spaces)
 
     lam = np.empty(m + 1)
     vt = np.empty((m + 1, m + 1))
-    step = max(1, BLOCK_ELEMENTS // m)
     for start in range(0, m + 1, step):
         rows = np.arange(start, min(start + step, m + 1))
-        _solve_rows(a, d, z, z2, rows, origin[rows], tau[rows], lo[rows], hi[rows], lam, vt)
+        _solve_rows(a, d, z, z2, rows, origin[rows], tau[rows], lo[rows], hi[rows], lam, vt,
+                    spaces)
     return lam, vt
 
 
-def _interior_start(a, d, z2, origin, tau, lo, hi) -> None:
+def _interior_start(a, d, z2, origin, tau, lo, hi, spaces) -> None:
     """Origin, bracket and first guess for the roots between neighbouring poles.
 
     The sign of F at the midpoint of interval (d_{i-1}, d_i) says which pole
@@ -200,10 +221,10 @@ def _interior_start(a, d, z2, origin, tau, lo, hi) -> None:
     m = d.size
     half = 0.5 * np.diff(d)
     f_mid = np.empty(m - 1)
-    step = max(1, BLOCK_ELEMENTS // m)
+    step = len(spaces[0])
     for start in range(0, m - 1, step):
         k = np.arange(start, min(start + step, m - 1))
-        f_mid[k] = _secular(a, d, z2, k, half[k])[0]
+        f_mid[k] = _secular(a, d, z2, k, half[k], spaces)[0]
     left = f_mid >= 0.0
     gap = 2.0 * half
     zl, zr = z2[:-1], z2[1:]
@@ -227,14 +248,17 @@ def _quadratic_root(c, b, q, sign):
         return np.where(sign * b >= 0.0, (b + sign * root) / (2.0 * c), 2.0 * q / (b - sign * root))
 
 
-def _secular(a, d, z2, origin, tau):
+def _secular(a, d, z2, origin, tau, spaces):
     """F, F' and a rounding-error bound of F at lam = d[origin] + tau, per row.
 
-    Also returns q[s, k] = z_k^2 / (d_k - lam_s).
+    Also returns q[s, k] = z_k^2 / (d_k - lam_s).  It and the differences
+    d_k - lam_s are written into the leading rows of the two `_workspaces`
+    spaces, so q stays valid until the next call.
     """
-    delta = d[None, :] - d[origin][:, None]
+    delta, q = (space[:origin.size] for space in spaces)
+    np.subtract(d[None, :], d[origin][:, None], out=delta)
     delta -= tau[:, None]
-    q = z2 / delta
+    np.divide(z2, delta, out=q)
     base = d[origin] - a
     f = base + tau + q.sum(axis=1)
     np.divide(q, delta, out=delta)
@@ -244,8 +268,11 @@ def _secular(a, d, z2, origin, tau):
     return f, df, err, q
 
 
-def _solve_rows(a, d, z, z2, rows, origin, tau, lo, hi, lam, vt) -> None:
-    """Iterate the roots `rows` to convergence; write eigenvalues and Loewner rows."""
+def _solve_rows(a, d, z, z2, rows, origin, tau, lo, hi, lam, vt, spaces) -> None:
+    """Iterate the roots `rows` to convergence; write eigenvalues and Loewner rows.
+
+    spaces are the `_secular` workspaces, of at least rows.size rows.
+    """
     m = d.size
     outer = np.where(rows == 0, -1.0, np.where(rows == m, 1.0, 0.0))
     # the far pole of an interior root is the other end of its interval
@@ -255,7 +282,7 @@ def _solve_rows(a, d, z, z2, rows, origin, tau, lo, hi, lam, vt) -> None:
     active = np.arange(rows.size)
     for _ in range(MAX_ITERATIONS):
         o, t = origin[active], tau[active]
-        f, df, err, q = _secular(a, d, z2, o, t)
+        f, df, err, q = _secular(a, d, z2, o, t, spaces)
         done = (np.abs(f) <= EPS * err) | (hi[active] - lo[active] <= 4.0 * EPS * np.abs(t))
         if np.any(done):
             finished = active[done]

@@ -103,12 +103,12 @@ def occupation_series(spectrum: DressedSpectrum, weights: np.ndarray,
     for block, (re, im), (re0, im0) in amplitude_blocks(spectrum, t, slice(None), 0):
         f00[block].real = re0
         f00[block].imag = im0
+        # squared in place: the parts are the pass's own buffers, refilled by
+        # the next block, so the pass holds three (N+1) x block tables and
+        # allocates none per block
         re *= re
         im *= im
         re += im
         for row, weight in zip(np.atleast_2d(occupation), np.atleast_2d(stack)):
             row[block] = weight @ re
-        # freed before the next block's products are made, so the pass holds
-        # four (N+1) x block tables at its peak, not six
-        del re, im
     return OccupationSeries(occupation, f00)

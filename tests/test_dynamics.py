@@ -88,6 +88,12 @@ def test_amplitude_matrix_matches_single_times():
     assert np.allclose(amplitudes(spec, grid, 0), mat[0], atol=1e-14)
 
 
+def copied_blocks(spec, t, *selections):
+    """Every block of one pass, its parts copied before the pass refills its buffers."""
+    return [(block, *((re.copy(), im.copy()) for re, im in parts))
+            for block, *parts in amplitude_blocks(spec, t, *selections)]
+
+
 def test_selections_sharing_a_pass_match_their_own_passes(monkeypatch):
     # 7 samples per block (13 labels into 96 elements): T = 100 spans 15
     # blocks, the last one ragged
@@ -95,11 +101,14 @@ def test_selections_sharing_a_pass_match_their_own_passes(monkeypatch):
     spec = dressed_spectrum(ModelParams(1.0, 0.02, 2.0, 12))
     t = np.linspace(0.0, 40.0, 100)
     selections = (slice(None), 0, [3, 1])
-    shared = list(amplitude_blocks(spec, t, *selections))
+    shared = copied_blocks(spec, t, *selections)
     assert [block for block, *_ in shared][-1] == slice(98, 105)
     for k, labels in enumerate(selections):
-        alone = list(amplitude_blocks(spec, t, labels))
+        alone = copied_blocks(spec, t, labels)
         assert len(alone) == len(shared) == 15
+        # each copy holds its own block's values, not the last block's
+        assert not np.array_equal(shared[0][k + 1][0], shared[1][k + 1][0])
+        assert not np.array_equal(alone[0][1][1], alone[1][1][1])
         for (block, *parts), (own_block, own) in zip(shared, alone):
             assert block == own_block
             assert np.array_equal(parts[k][0], own[0]) and np.array_equal(parts[k][1], own[1])

@@ -59,6 +59,27 @@ def test_reconstruction_residual(rng):
         assert spec.reconstruction_residual(matrix) <= 1e-9
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(omega_bar=1.0, g=0.5, radius=300.0, n_modes=600),
+    ModelParams(omega_bar=1.0, g=0.01, radius=500.0 * math.pi, n_modes=1000),
+    ModelParams(omega_bar=1.0, g=0.0, radius=2.0, n_modes=300),
+], ids=["coupled", "free_space", "decoupled"])
+def test_block_size_moves_no_bit(params, monkeypatch):
+    # the solver and the residual refill shared block workspaces: every entry
+    # is the same elementwise operation and every row sum runs over one
+    # contiguous row, whatever the block
+    matrix = build_coupling_matrix(params)
+    runs = []
+    for elements in (96, 5000, spectral.BLOCK_ELEMENTS, 1 << 20):
+        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", elements)
+        spec = diagonalize(matrix)
+        runs.append((spec.omega_dressed, spec.components, spec.reconstruction_residual(matrix)))
+    (omega, components, residual), *others = runs
+    for other in others:
+        assert np.array_equal(other[0], omega) and np.array_equal(other[1], components)
+        assert np.array_equal(other[2], residual)
+
+
 def test_nonpositive_eigenvalue_raises():
     with pytest.raises(ModelInstabilityError):
         diagonalize(CouplingMatrix(a=-1.0, z=np.array([0.0]), d=np.array([1.0])))
