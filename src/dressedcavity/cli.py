@@ -14,8 +14,13 @@ PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
 stderr and in the manifest's `warnings`, and the exit code does not
 change.  The `dynamics`, `density` and `entanglement` rows and `verify`'s
 closed form are built from the survival amplitude f_00 itself, the array
-`amplitudes(spectrum, t, 0)`.  When `fit_window` is set, `dynamics` fits
-the decay rate of the survival over it and records the fit against the
+`amplitudes(spectrum, t, 0)`.  `density` and `entanglement` form the
+closed-form matrices, their checks and the measures one
+`entanglement.sample_blocks` block at a time into (T,) float columns, so
+no (T, 4, 4) stack is held, and hand their rows to `csv_body` as Python
+floats one such block at a time (`_column_rows`).
+When `fit_window` is set, `dynamics` fits the decay rate of the survival
+over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
 fit fails; the exit code does not change); `entanglement` records
 `min_concurrence`, as `dynamics` records `min_survival`.  `sweep` checks
@@ -56,7 +61,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,7 +69,7 @@ from . import __version__
 from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                       survival_probability, thermal_trace_oracle)
 from .dynamics import amplitudes, decay_rate_fit, wigner_weisskopf_rate
-from .entanglement import family_concurrence, measures
+from .entanglement import family_concurrence, measures, sample_blocks
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
 from .reporting import csv_body, write_csv, write_manifest
@@ -361,24 +366,34 @@ def _dynamics_rows(run, spectrum) -> Table:
     return _dynamics_table(run, amplitudes(spectrum, run.t_grid, 0))
 
 
+def _column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length float columns, taken as Python floats one
+    `sample_blocks` block at a time, so no column is ever a T-long list."""
+    for block in sample_blocks(columns[0].size):
+        yield from zip(*(column[block].tolist() for column in columns))
+
+
 def _density_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    rho = reduced_density_closed(run.state, f00).matrix
-    columns = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
-               rho[:, 2, 1].real, rho[:, 2, 1].imag)
-    return Table(zip(run.t_grid.tolist(), *(c.tolist() for c in columns)),
-                 {"xi": run.state.xi, "phi": run.state.phi})
+    columns = np.empty((5, f00.size))
+    for block in sample_blocks(f00.size):
+        rho = reduced_density_closed(run.state, f00[block], block.start).matrix
+        columns[:, block] = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
+                             rho[:, 2, 1].real, rho[:, 2, 1].imag)
+    return Table(_column_rows(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi})
 
 
 def _entanglement_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    m = measures(reduced_density_closed(run.state, f00))
-    survival = survival_probability(f00)
-    return Table(zip(run.t_grid.tolist(), survival.tolist(), m.concurrence.tolist(),
-                     m.eof.tolist(), m.negativity.tolist()),
+    columns = np.empty((4, f00.size))  # survival, concurrence, eof, negativity
+    for block in sample_blocks(f00.size):
+        m = measures(reduced_density_closed(run.state, f00[block], block.start), block.start)
+        columns[:, block] = (survival_probability(f00[block]), m.concurrence, m.eof,
+                             m.negativity)
+    return Table(_column_rows(run.t_grid, *columns),
                  {"xi": run.state.xi, "phi": run.state.phi,
                   "c0": family_concurrence(run.state.xi, 1.0)},
-                 {"min_concurrence": float(np.min(m.concurrence))})
+                 {"min_concurrence": float(np.min(columns[1]))})
 
 
 def _thermal_rows(run, spectrum) -> Table:

@@ -15,7 +15,10 @@ oracle costs O(backgrounds * n_modes^2) scalar operations.
 
 Both routes take their amplitudes from `dynamics.amplitudes`.  The matrices
 built here are checked Hermitian on construction; positivity is checked
-once, where the entanglement measures consume them.
+once, where the entanglement measures consume them.  The closed form is
+elementwise in the samples, so the CLI forms it one sample block at a
+time; given the block's first index, its error names the sample of the
+whole series.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ def bath_weights(omega: float, beta: float, n_max: int,
     raise DomainError(f"unknown weight scheme {scheme!r}")
 
 
-def reduced_density_closed(state: EntangledStateSpec, f00) -> ReducedDensityMatrix:
+def reduced_density_closed(state: EntangledStateSpec, f00,
+                           first: int = 0) -> ReducedDensityMatrix:
     """Closed-form reduced matrices from the survival amplitude f00.
 
     Both atoms couple to the one dressed spectrum, so each survives with
@@ -146,6 +150,8 @@ def reduced_density_closed(state: EntangledStateSpec, f00) -> ReducedDensityMatr
     rho[10,10] = xi S, and the coherence
     rho[10,01] = sqrt(xi(1-xi)) e^{-i phi} f_00 conj(f_00) with its
     conjugate.  The |11> sector is identically zero (single excitation).
+    A modulus above 1 raises, naming the sample by its flat index plus
+    `first`, the index of f00's first sample in the series it was cut from.
     """
     f = np.asarray(f00, dtype=complex)
     shape = f.shape
@@ -155,7 +161,7 @@ def reduced_density_closed(state: EntangledStateSpec, f00) -> ReducedDensityMatr
     if bad.size:
         raise ContractViolationError(
             f"survival amplitudes must have modulus <= 1, got |f_00|^2="
-            f"{float(survival[bad[0]])!r} at sample {bad[0]}")
+            f"{float(survival[bad[0]])!r} at sample {first + bad[0]}")
     xi = state.xi
     rho = np.zeros((f.size, 4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0 - xi * survival - (1.0 - xi) * survival

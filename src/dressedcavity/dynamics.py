@@ -4,14 +4,15 @@ The model is exactly solvable in the dressed eigenbasis, so time series come
 from direct spectral summation: f_0nu(t) = sum_s t_0^s t_nu^s exp(-i Omega_s t).
 No integrator, no accumulation error in t.  The weights are real, so every
 sum runs as two real products against cos(Omega_s t) and sin(Omega_s t),
-over blocks of t that keep the phase tables small.
+over blocks of t that keep the phase table small.
 
-`amplitude_blocks(spectrum, t_grid, *selections)` builds the two scaled
-phase tables of each block once and contracts every label selection with
-them, so one pass over t serves several selections.  Its tables and
-products are buffers allocated once per pass: a block's parts stay valid
-until the generator advances, and the all-label selection's imaginary part
-is written into the spent cos table.
+`amplitude_blocks(spectrum, t_grid, *selections)` fills one phase table
+per block with the scaled cos, which every label selection contracts, and
+then with the scaled sin, so one pass over t serves several selections.
+Its table and products are buffers allocated once per pass, and a block's
+parts stay valid until the generator advances.  A pass for f_00 alone
+holds one (N+1) x block table; an all-label pass holds three (the table
+and its two parts).
 `amplitudes(spectrum, t_grid, labels)` is its one-selection route to the
 complex amplitudes; everything that needs f_0nu (the CLI's unitarity probe
 and row builders, the thermal-trace oracle) calls it, and only the thermal
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import FitWindowError, InsufficientDataError
 from .spectral import DressedSpectrum
 
-# Phase-table entries per block of t: 8 MB for each of the three tables an
-# all-label pass holds (cos, sin and the real part); smaller blocks cost
-# matrix-product efficiency at N ~ 2000.
+# Phase-table entries per block of t: 8 MB each for the phase table and, in
+# an all-label pass, its real and imaginary parts.  Smaller blocks cost
+# matrix-product efficiency at N ~ 2000, and any other width moves some of
+# the products' last bits.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -41,17 +43,17 @@ def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections)
     Yields (block, (re, im), ...): block is the slice of t_grid covered, then
     one (re, im) per selection, in order, with the selection's label axis
     first (dropped for a single integer label) and the time axis last.  Each
-    block fills the two tables t_0^s cos(Omega_s t) and t_0^s sin(Omega_s t)
-    once, and each selection's parts are its own products
+    block fills one phase table twice: with t_0^s cos(Omega_s t), which every
+    selection contracts into its real part, then with t_0^s sin(Omega_s t)
+    for the imaginary parts.  Each selection's parts are its own products
     components[labels] @ table, so they do not depend on which other
     selections share the pass.
 
-    The tables and the products live in buffers allocated once per call (a
+    The table and the products live in buffers allocated once per call (a
     contiguous view of each for the ragged last block), so a block's parts
-    stay valid only until the generator advances.  Every real part is formed
-    before any imaginary one, and the first selection of all labels
-    (slice(None), as large as a table) takes its imaginary part in the spent
-    cos table, so such a pass holds three tables, not four.
+    stay valid only until the generator advances.  A pass holds the table
+    plus two products per selection: one table's worth for row 0 alone,
+    three for all labels.
     """
     v = spectrum.components
     t0 = v[0][:, None]
@@ -59,28 +61,22 @@ def amplitude_blocks(spectrum: DressedSpectrum, t_grid: np.ndarray, *selections)
     t = np.asarray(t_grid, dtype=float)
     step = max(1, BLOCK_ELEMENTS // spectrum.size)
     width = min(step, t.size)
-    spent = next((k for k, selected in enumerate(rows) if selected.shape == v.shape), None)
-    # one array per table and per part, as spectral._workspaces explains
-    tables = [np.empty(spectrum.size * width) for _ in range(2)]
-    products = [[np.empty(selected[..., 0].size * width) for _ in range(1 if k == spent else 2)]
-                for k, selected in enumerate(rows)]
+    # one array for the table and per part, as spectral._workspaces explains
+    table = np.empty(spectrum.size * width)
+    products = [[np.empty(selected[..., 0].size * width) for _ in range(2)] for selected in rows]
     for start in range(0, t.size, step):
         block = slice(start, start + step)
         cols = min(step, t.size - start)
-        cos, sin = (_leading(table, (spectrum.size, cols)) for table in tables)
-        np.multiply.outer(spectrum.omega_dressed, t[block], out=cos)
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
-        cos *= t0
-        sin *= t0
-        parts = []
-        for selected, spaces in zip(rows, products):
-            parts.append([_leading(space, selected.shape[:-1] + (cols,)) for space in spaces])
-            np.matmul(selected, cos, out=parts[-1][0])
-        if spent is not None:
-            parts[spent].append(cos)
-        for selected, (re, im) in zip(rows, parts):
-            np.matmul(selected, sin, out=im)
+        phase = _leading(table, (spectrum.size, cols))
+        parts = [[_leading(space, selected.shape[:-1] + (cols,)) for space in spaces]
+                 for selected, spaces in zip(rows, products)]
+        for k, trig in enumerate((np.cos, np.sin)):
+            np.multiply.outer(spectrum.omega_dressed, t[block], out=phase)
+            trig(phase, out=phase)
+            phase *= t0
+            for selected, part in zip(rows, parts):
+                np.matmul(selected, phase, out=part[k])
+        for _, im in parts:
             np.negative(im, out=im)
         yield (block, *map(tuple, parts))
 

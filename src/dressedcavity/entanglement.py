@@ -9,12 +9,16 @@ Every measure works on a (..., 4, 4) stack of states; a single state is a
 stack of shape (4, 4).  `measures` is the one entry point: it checks the
 stack positive semidefinite and evaluates all three measures, block by
 block, so its temporaries stay bounded however long the stack is.
+`sample_blocks` is that partition of a series into MEASURE_BLOCK samples;
+the CLI's `density` and `entanglement` tables form the closed-form stack
+one such block at a time, so no (T, 4, 4) stack is ever held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +27,9 @@ from .errors import ContractViolationError, DomainError
 
 # Eigenvalues of a physical state may dip below zero by rounding only.
 POSITIVITY_FLOOR = -1e-10
-# States per block of `measures`; bounds the LAPACK temporaries of a long stack.
+# States per block of `measures`, and samples per block of the CLI's closed
+# form: bounds the LAPACK temporaries and the (block, 4, 4) stacks of a long
+# series.  Every block is its own eigh/svd batch, so the width moves no bit.
 MEASURE_BLOCK = 1024
 
 # sigma_y (x) sigma_y in the ordered basis {|00>,|01>,|10>,|11>}.
@@ -101,20 +107,27 @@ def _negativity(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(eigenvalues), axis=-1) - np.sum(eigenvalues, axis=-1)
 
 
-def measures(rho: ReducedDensityMatrix) -> EntanglementMeasures:
+def sample_blocks(size: int) -> Iterator[slice]:
+    """The slices of MEASURE_BLOCK consecutive samples, the last one ragged,
+    that cover range(size)."""
+    return (slice(start, start + MEASURE_BLOCK) for start in range(0, size, MEASURE_BLOCK))
+
+
+def measures(rho: ReducedDensityMatrix, first: int = 0) -> EntanglementMeasures:
     """Concurrence, EoF and negativity of every state of rho's stack, after
     one positivity check per block of MEASURE_BLOCK states, read from the
-    eigendecomposition the concurrence uses."""
+    eigendecomposition the concurrence uses.  The positivity error names
+    the first bad state by its flat index plus `first`, the index of rho's
+    first state in the series it was cut from."""
     lead = rho.matrix.shape[:-2]
     flat = rho.matrix.reshape(-1, 4, 4)
     c = np.empty(flat.shape[0])
     negativity = np.empty(flat.shape[0])
-    for start in range(0, flat.shape[0], MEASURE_BLOCK):
-        block = flat[start:start + MEASURE_BLOCK]
-        evals, vecs = np.linalg.eigh(block)
-        _require_physical(evals[:, 0], start)
-        c[start:start + MEASURE_BLOCK] = _concurrence(evals, vecs)
-        negativity[start:start + MEASURE_BLOCK] = _negativity(block)
+    for block in sample_blocks(flat.shape[0]):
+        evals, vecs = np.linalg.eigh(flat[block])
+        _require_physical(evals[:, 0], first + block.start)
+        c[block] = _concurrence(evals, vecs)
+        negativity[block] = _negativity(flat[block])
     # the scalar EoF keeps its bits; a vectorized log2 rounds some of them apart
     eof = np.array([entanglement_of_formation(x) for x in c.tolist()])
     return EntanglementMeasures(concurrence=c.reshape(lead)[()], eof=eof.reshape(lead)[()],

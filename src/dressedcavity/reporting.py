@@ -31,15 +31,23 @@ def format_value(value: Any) -> str:
 
 
 def csv_body(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """The header line and one line per row, every value through format_value.
+    """The header line and one line per row.
 
+    A row of floats (`np.float64` included) is joined from their reprs,
+    the bytes `csv.writer` writes for them; any other row goes through
+    `format_value` and `csv.writer`, which quotes what needs quoting.
     Column names carry their unit in square brackets, e.g. `t[natural-time]`.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([format_value(v) for v in row])
+        try:
+            line = ",".join(map(float.__repr__, row))
+        except TypeError:  # a value that is not a float: None, an int, a string
+            writer.writerow([format_value(v) for v in row])
+        else:
+            buffer.write(line + "\n")
     return buffer.getvalue()
 
 

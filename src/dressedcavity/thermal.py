@@ -104,8 +104,8 @@ def occupation_series(spectrum: DressedSpectrum, weights: np.ndarray,
         f00[block].real = re0
         f00[block].imag = im0
         # squared in place: the parts are the pass's own buffers, refilled by
-        # the next block, so the pass holds three (N+1) x block tables and
-        # allocates none per block
+        # the next block, so the pass holds three (N+1) x block tables (the
+        # phase table and these two parts) and allocates none per block
         re *= re
         im *= im
         re += im

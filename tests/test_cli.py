@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,16 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressedcavity.cli import (_KINDS, RunConfig, build_parser, config_from_args, main,
-                              parse_config_file, resolve_natural)
+from dressedcavity.cli import (_KINDS, COMMANDS, RunConfig, build_parser, config_from_args,
+                              main, parse_config_file, resolve_natural)
+from dressedcavity.density import reduced_density_closed, survival_probability
+from dressedcavity.dynamics import amplitudes
+from dressedcavity.entanglement import measures
 from dressedcavity.model import BOLTZMANN, HBAR
-from dressedcavity.reporting import sha256_of
+from dressedcavity.reporting import csv_body, sha256_of
 import dressedcavity.cli as cli
 import dressedcavity.dynamics as dynamics
+import dressedcavity.entanglement as entanglement
 import dressedcavity.spectral as spectral
 import dressedcavity.thermal as thermal
 
-from conftest import read_csv
+from conftest import dressed_spectrum, read_csv
 
 
 def run_cli(*args):
@@ -221,6 +226,91 @@ class TestSeriesCommands:
         assert float(metadata["n0_init"]) == 1.0
         assert columns == ["t[natural-time]", "occupation[quanta]"]
         assert floats(rows, 1)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSampleBlocks:
+    """`density` and `entanglement` form the closed form, its checks and the
+    measures one block of `entanglement.MEASURE_BLOCK` samples at a time."""
+
+    CONFIG = RunConfig(g=0.05, n_modes=16, xi=0.3, phi=0.7, t_max=40.0, samples=50)
+    ARGV = ("--g", 0.05, "--n-modes", 16, "--xi", 0.3, "--phi", 0.7, "--t-max", 40,
+            "--samples", 50)
+
+    def test_block_size_moves_no_byte(self, tmp_path, monkeypatch):
+        # blocks of 7 samples: T = 50 spans 8 blocks, the last one ragged.  The
+        # reference is the whole-stack route: one closed-form stack of every
+        # sample, then one measures call on it.
+        run = resolve_natural(self.CONFIG)
+        f00 = amplitudes(dressed_spectrum(run.params), run.t_grid, 0)
+        closed = reduced_density_closed(run.state, f00)
+        m, rho = measures(closed), closed.matrix
+        expected = {
+            "entanglement": (run.t_grid, survival_probability(f00), m.concurrence, m.eof,
+                             m.negativity),
+            "density": (run.t_grid, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
+                        rho[:, 2, 1].real, rho[:, 2, 1].imag),
+        }
+        files, default = {}, entanglement.MEASURE_BLOCK
+        for size in (default, 7):
+            monkeypatch.setattr(entanglement, "MEASURE_BLOCK", size)
+            for command, reference in expected.items():
+                out = tmp_path / f"{command}-{size}"
+                assert run_cli(command, *self.ARGV, "--out", out) == 0
+                files[command, size] = (out / f"{command}.csv").read_bytes()
+                _, _, rows = read_csv(out / f"{command}.csv")
+                columns = np.array(rows, dtype=float).T
+                assert len(columns) == len(reference)
+                for column, whole in zip(columns, reference):
+                    assert np.array_equal(column, whole)
+        for command in expected:
+            assert files[command, 7] == files[command, default]
+
+    @pytest.mark.parametrize("command, modulus, message", [
+        # the modulus check of the closed form
+        ("density", 1.5, "survival amplitudes must have modulus <= 1, got |f_00|^2=2.25 "
+                         "at sample 23"),
+        # |f_00|^2 = 1 + 1e-9 passes it, but rho[00,00] = -1e-9 fails positivity
+        ("entanglement", 1.0 + 5e-10, "density matrix at sample 23 is not positive "
+                                      "semidefinite"),
+    ])
+    def test_errors_name_the_sample_of_the_series(self, tmp_path, capsys, monkeypatch,
+                                                  command, modulus, message):
+        # blocks of 7 samples: sample 23 is the third of the fourth block
+        monkeypatch.setattr(entanglement, "MEASURE_BLOCK", 7)
+
+        def broken(spectrum, t, labels=slice(None)):
+            f = amplitudes(spectrum, t, labels)
+            if labels == 0:
+                f[23] = modulus
+            return f
+        monkeypatch.setattr(cli, "amplitudes", broken)
+        out = tmp_path / "out"
+        assert run_cli(command, *self.ARGV, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"physics contract violation: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["entanglement", "density"])
+    def test_rows_cost_few_bytes_per_sample(self, command):
+        # tracemalloc peak of building and rendering the rows at T and at T
+        # plus 12 blocks.  The whole-stack route held 640-690 bytes per sample
+        # (the complex (T, 4, 4) stack, its Hermiticity temporaries, every
+        # column as Python floats).  Blocked, what grows with T is f_00, the
+        # float columns and the rendered body (its buffer, then the string):
+        # measured at 152 (entanglement) and 263 (density) bytes per sample
+        # over these T, so the bound leaves 50% headroom over the larger.
+        table = COMMANDS[command]
+        peaks = []
+        for samples in (2 * entanglement.MEASURE_BLOCK, 14 * entanglement.MEASURE_BLOCK):
+            run = resolve_natural(dataclasses.replace(self.CONFIG, samples=samples))
+            spectrum = dressed_spectrum(run.params)
+            tracemalloc.start()
+            try:
+                csv_body(table.columns, table.build(run, spectrum).rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (12 * entanglement.MEASURE_BLOCK) <= 400
 
 
 class TestPhasePrecision:

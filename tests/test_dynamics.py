@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,25 @@ def test_selections_sharing_a_pass_match_their_own_passes(monkeypatch):
         for (block, *parts), (own_block, own) in zip(shared, alone):
             assert block == own_block
             assert np.array_equal(parts[k][0], own[0]) and np.array_equal(parts[k][1], own[1])
+
+
+def test_row_pass_holds_one_phase_table(monkeypatch):
+    # 500 samples per block at N = 400 and T = 1800: four blocks, the last
+    # one ragged.  A row-0 pass fills one (N+1) x block table with the
+    # phases, their cos and their sin in turn; separate cos and sin tables
+    # would read 2.  The products of row 0 and the complex result are a few
+    # hundredths of a table.
+    spectrum = dressed_spectrum(ModelParams(omega_bar=1.0, g=0.02, radius=2.0, n_modes=400))
+    table = spectrum.size * 500
+    monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", table)
+    t = np.linspace(0.0, 40.0, 1800)
+    tracemalloc.start()
+    try:
+        amplitudes(spectrum, t, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table * 8
 
 
 class TestSurvivalSeries:

@@ -125,9 +125,9 @@ class TestOccupationSeries:
 
     def test_peak_holds_three_phase_tables(self, monkeypatch):
         # 500 samples per block at N = 400 and T = 1800: four blocks, the last
-        # one ragged.  The pass holds the cos and sin tables and the all-label
-        # real part; its imaginary part goes into the spent cos table, so a
-        # fourth table would read 4.  Blocks this wide keep numpy's fixed
+        # one ragged.  The pass holds one phase table, filled with cos and
+        # then sin, and the all-label real and imaginary parts, so a fourth
+        # table would read 4.  Blocks this wide keep numpy's fixed
         # 8192-element ufunc buffer to a few hundredths of a table.
         params = ModelParams(omega_bar=1.0, g=0.02, radius=2.0, n_modes=400)
         spectrum = dressed_spectrum(params)
