@@ -17,8 +17,9 @@ closed form are built from the survival amplitude f_00 itself, the array
 `amplitudes(spectrum, t, 0)`.  `density` and `entanglement` form the
 closed-form matrices, their checks and the measures one
 `entanglement.sample_blocks` block at a time into (T,) float columns, so
-no (T, 4, 4) stack is held, and hand their rows to `csv_body` as Python
-floats one such block at a time (`_column_rows`).
+no (T, 4, 4) stack is held, and hand their rows to `csv_body` as a `zip`
+over those columns, as `dynamics` and `thermal` do, so no column is ever a
+T-long list of Python floats.
 When `fit_window` is set, `dynamics` fits the decay rate of the survival
 over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
@@ -61,7 +62,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -366,13 +367,6 @@ def _dynamics_rows(run, spectrum) -> Table:
     return _dynamics_table(run, amplitudes(spectrum, run.t_grid, 0))
 
 
-def _column_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """The rows of equal-length float columns, taken as Python floats one
-    `sample_blocks` block at a time, so no column is ever a T-long list."""
-    for block in sample_blocks(columns[0].size):
-        yield from zip(*(column[block].tolist() for column in columns))
-
-
 def _density_rows(run, spectrum) -> Table:
     f00 = amplitudes(spectrum, run.t_grid, 0)
     columns = np.empty((5, f00.size))
@@ -380,7 +374,7 @@ def _density_rows(run, spectrum) -> Table:
         rho = reduced_density_closed(run.state, f00[block], block.start).matrix
         columns[:, block] = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
                              rho[:, 2, 1].real, rho[:, 2, 1].imag)
-    return Table(_column_rows(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi})
+    return Table(zip(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi})
 
 
 def _entanglement_rows(run, spectrum) -> Table:
@@ -390,7 +384,7 @@ def _entanglement_rows(run, spectrum) -> Table:
         m = measures(reduced_density_closed(run.state, f00[block], block.start), block.start)
         columns[:, block] = (survival_probability(f00[block]), m.concurrence, m.eof,
                              m.negativity)
-    return Table(_column_rows(run.t_grid, *columns),
+    return Table(zip(run.t_grid, *columns),
                  {"xi": run.state.xi, "phi": run.state.phi,
                   "c0": family_concurrence(run.state.xi, 1.0)},
                  {"min_concurrence": float(np.min(columns[1]))})

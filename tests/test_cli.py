@@ -296,9 +296,10 @@ class TestSampleBlocks:
         # plus 12 blocks.  The whole-stack route held 640-690 bytes per sample
         # (the complex (T, 4, 4) stack, its Hermiticity temporaries, every
         # column as Python floats).  Blocked, what grows with T is f_00, the
-        # float columns and the rendered body (its buffer, then the string):
-        # measured at 152 (entanglement) and 263 (density) bytes per sample
-        # over these T, so the bound leaves 50% headroom over the larger.
+        # float columns, which the rows' zip holds until the body is done, and
+        # the rendered body (its buffer, then the string): measured at 189
+        # (entanglement) and 310 (density) bytes per sample over these T, so
+        # the bound leaves 29% headroom over the larger.
         table = COMMANDS[command]
         peaks = []
         for samples in (2 * entanglement.MEASURE_BLOCK, 14 * entanglement.MEASURE_BLOCK):
