@@ -1,10 +1,13 @@
 """Command-line front end: config parsing, the physics pipeline, CSV/JSON
 artifacts with run manifests, and parameter sweeps.
 
-Subcommands: spectrum, dynamics, density, entanglement, thermal, verify,
-sweep.  The first five are `TableCommand` rows of the command table
-`COMMANDS` (CSV file, columns, row builder) and share one runner: resolve,
-spectral stage (`_pipeline`), rows, CSV, manifest.  `verify` runs the same
+Commands: spectrum, dynamics, density, entanglement, thermal, verify,
+sweep, the keys of the command table `COMMANDS`.  One parser takes the
+command as its positional argument and one flag per `RunConfig` field,
+before or after it.  The first five are `TableCommand` rows (CSV file,
+columns, row builder) and share one runner: resolve, spectral stage
+(`_pipeline`), rows, then the one output step every command ends with,
+`_write_outputs`: CSV, then manifest.  `verify` runs the same
 spectral stage on the model with `n_modes_oracle` modes over its `t_list`.
 The spectral stage's `convergence` records what the run resolved: modes
 per linewidth pi*g/delta_omega, whether omega_bar lies inside the mode
@@ -26,8 +29,9 @@ golden rule pi*g in its manifest's `decay_fit` (the error message when the
 fit fails; the exit code does not change); `entanglement` records
 `min_concurrence`, as `dynamics` records `min_survival`.  `sweep` checks
 once that the shared time grid holds enough samples for its fit window,
-sets that window on every point and resolves every grid point, then runs
-one serial loop over the distinct resolved models.  Each gets one
+sets that window on every point and resolves every grid point, in index
+order, into a dict keyed by its resolved `ModelParams`, then runs one
+serial loop over those models.  Each gets one
 spectral stage and one occupation pass, in which the weights of all its
 distinct (beta, n0_init) pairs share the amplitude blocks and which also
 gives f_00; the `dynamics` table is built from that f_00, its
@@ -86,7 +90,6 @@ PHASE_TOLERANCE = 1e-6
 TIME_LIMIT = 1e150
 
 # Fixed sweep axis order; rows follow the cartesian product in this order.
-# The axes that change the model come last (see cmd_sweep).
 SWEEP_AXES = ("xi", "phi", "temperature", "radius", "g")
 
 
@@ -266,12 +269,14 @@ def _pipeline(run: NaturalRun, tolerance: float = PHASE_TOLERANCE,
     }, warnings
 
 
-def _write_manifest(out_dir: Path, config: RunConfig, started: float, csv: Path,
-                    run: NaturalRun | None = None, convergence: dict | None = None,
-                    warnings: Sequence[str] = (), **fields) -> None:
-    """Every command's manifest: the shared header, the natural units and
-    convergence of a resolved run, the warnings (also printed on stderr),
-    then the command's own fields."""
+def _write_outputs(csv: Path, body: str, metadata: dict, config: RunConfig, started: float,
+                   run: NaturalRun | None = None, convergence: dict | None = None,
+                   warnings: Sequence[str] = (), **fields) -> Path:
+    """Every command's output step: the CSV (`body` under the `metadata`
+    lines), then beside it the manifest: the shared header, the natural
+    units and convergence of a resolved run, the warnings (also printed on
+    stderr), then the command's own fields."""
+    write_csv(csv, body, metadata)
     payload = {"tool": "dressedcavity", "version": __version__,
                "config": dataclasses.asdict(config), "warnings": list(warnings)}
     if run is not None:
@@ -279,9 +284,10 @@ def _write_manifest(out_dir: Path, config: RunConfig, started: float, csv: Path,
                                       "radius": run.params.radius, "beta": run.beta},
                        si_inputs=run.si_inputs, convergence=convergence)
     payload.update(fields, wall_clock_seconds=time.monotonic() - started)
-    write_manifest(out_dir, payload, [csv])
+    write_manifest(csv.parent, payload, [csv])
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    return csv
 
 
 def _say(*lines: str) -> None:
@@ -318,10 +324,8 @@ class TableCommand:
               body: str, convergence: dict, warnings: Sequence[str]) -> None:
         """The CSV (`body`, the table's rendered rows, under the run's
         metadata) and manifest of one run of this command, in `config.out`."""
-        csv = write_csv(Path(config.out) / self.file, body,
-                        metadata=_metadata(run, table.metadata))
-        _write_manifest(csv.parent, config, started, csv, run, convergence, warnings,
-                        **(table.manifest or {}))
+        _write_outputs(Path(config.out) / self.file, body, _metadata(run, table.metadata),
+                       config, started, run, convergence, warnings, **(table.manifest or {}))
 
     def __call__(self, config: RunConfig) -> int:
         """resolve -> spectral stage -> rows -> `write`."""
@@ -409,7 +413,6 @@ def cmd_verify(config: RunConfig) -> int:
         raise UsageError("verify needs at least one value in each of beta_list and t_list")
     started = time.monotonic()
     run = resolve_natural(config)
-    out_dir = Path(config.out)
     baths = [ThermalBathSpec(beta=beta, n_max=config.n_max,
                              n_modes_oracle=config.n_modes_oracle)
              for beta in config.beta_list]
@@ -424,29 +427,24 @@ def cmd_verify(config: RunConfig) -> int:
     closed_stack = reduced_density_closed(run.state, f00).matrix
 
     rows = []
-    all_pass = True
     for t, closed in zip(config.t_list, closed_stack):
-        reference: np.ndarray | None = None
-        for bath in baths:
-            oracle = thermal_trace_oracle(run.state, spectrum, bath, t,
-                                          weight_scheme=scheme).matrix
-            if reference is None:
-                reference = oracle
+        oracles = [thermal_trace_oracle(run.state, spectrum, bath, t, weight_scheme=scheme).matrix
+                   for bath in baths]
+        for bath, oracle in zip(baths, oracles):
             dev_closed = float(np.max(np.abs(oracle - closed)))
-            dev_cross = float(np.max(np.abs(oracle - reference)))
+            dev_cross = float(np.max(np.abs(oracle - oracles[0])))
             ok = dev_closed <= VERIFY_TOLERANCE and dev_cross <= VERIFY_TOLERANCE
-            all_pass = all_pass and ok
             rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
+    all_pass = all(row[4] == "PASS" for row in rows)
 
-    csv = write_csv(out_dir / "verify.csv",
-                    csv_body(["beta[1/natural-frequency]", "t[natural-time]",
-                              "max_dev_vs_closed[dimensionless]",
-                              "max_dev_vs_first_beta[dimensionless]", "status"], rows),
-                    metadata={"n_modes_oracle": config.n_modes_oracle, "n_max": config.n_max,
-                              "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
-                              "xi": run.state.xi, "phi": run.state.phi})
-    _write_manifest(out_dir, config, started, csv, run, convergence, warnings,
-                    verify_passed=all_pass)
+    _write_outputs(Path(config.out) / "verify.csv",
+                   csv_body(["beta[1/natural-frequency]", "t[natural-time]",
+                             "max_dev_vs_closed[dimensionless]",
+                             "max_dev_vs_first_beta[dimensionless]", "status"], rows),
+                   {"n_modes_oracle": config.n_modes_oracle, "n_max": config.n_max,
+                    "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
+                    "xi": run.state.xi, "phi": run.state.phi},
+                   config, started, run, convergence, warnings, verify_passed=all_pass)
     _say(*(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
            f"dev_cross={row[3]:.3e} {row[4]}" for row in rows),
          "VERIFY " + ("PASS" if all_pass else "FAIL"))
@@ -458,15 +456,15 @@ def _error_row(axes: tuple, exc: Exception) -> tuple:
     return (*axes, None, None, None, None, None, f"error: {exc}")
 
 
-def _sweep_model(points: list, late: np.ndarray) -> list:
+def _sweep_model(points: list) -> list:
     """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
 
     The points share one time grid, run.t_grid.  The model gets one
     spectral stage and one occupation pass over the weights of its distinct
-    (beta, n0_init) pairs, whose means over the `late` samples fill the
-    rows.  The same pass gives f_00, and so the model's `dynamics` table,
-    whose decay fit fills the gamma and r_squared columns (empty when the
-    fit failed); its CSV body is rendered once.  A pair whose weights raise
+    (beta, n0_init) pairs, whose means over the late samples t >= t_max/2
+    fill the rows.  The same pass gives f_00, and so the model's `dynamics`
+    table, whose decay fit fills the gamma and r_squared columns (empty when
+    the fit failed); its CSV body is rendered once.  A pair whose weights raise
     fails only its own points, a failed stage every point.  Each point
     writes its `dynamics` CSV and manifest.  The spectrum is freed on
     return, so a sweep holds one at a time.
@@ -484,6 +482,7 @@ def _sweep_model(points: list, late: np.ndarray) -> list:
             failed[pair] = exc
     shared = occupation_series(
         spectrum, np.reshape(list(weights.values()), (-1, spectrum.size)), run.t_grid)
+    late = run.t_grid >= 0.5 * run.t_grid[-1]
     means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, shared.occupation)}
     table = _dynamics_table(run, shared.f00)
     decay = table.manifest["decay_fit"]
@@ -502,9 +501,9 @@ def _sweep_model(points: list, late: np.ndarray) -> list:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    """One `sweep.csv` row per grid point.  Every point is resolved first;
-    then the points of each distinct resolved model go through one
-    `_sweep_model` call."""
+    """One `sweep.csv` row per grid point.  Every point is resolved first,
+    in index order, under its resolved model; then each model's points go
+    through one `_sweep_model` call."""
     started = time.monotonic()
     out_dir = Path(config.out)
     active = [(axis, values) for axis in SWEEP_AXES if (values := getattr(config, f"{axis}_grid"))]
@@ -519,37 +518,33 @@ def cmd_sweep(config: RunConfig) -> int:
     if (held := int(np.count_nonzero((t >= lo) & (t <= hi)))) < 3:
         raise UsageError(f"fit window [{lo:g}, {hi:g}] holds {held} of the {t.size} samples "
                          f"on [0, {config.t_max:g}]; the decay fit needs at least 3")
-    # Only radius and g, the last axes, change the model: sorted on the
-    # reversed values, each model's points run back to back, so one
-    # spectrum is held at a time.  Rows are put back in index order below.
-    order = sorted(enumerate(itertools.product(*(values for _, values in active))),
-                   key=lambda item: item[1][::-1])
-    resolved, rows = [], []
-    for index, combo in order:
+    # Each model's points run back to back, so one spectrum is held at a time.
+    models: dict[ModelParams, list] = {}
+    rows = []
+    for index, combo in enumerate(itertools.product(*(values for _, values in active))):
         point = dataclasses.replace(
             config, out=str(out_dir / "points" / f"point_{index:04d}"), fit_window=window,
             **{f"{axis}_grid": None for axis in SWEEP_AXES},
             **{axis: value for (axis, _), value in zip(active, combo)})
         axes = (index, *(getattr(point, axis) for axis in SWEEP_AXES))
         try:
-            resolved.append((axes, point, resolve_natural(point)))
+            run = resolve_natural(point)
         except PhysicsError as exc:
             rows.append(_error_row(axes, exc))
-    models = [list(group) for _, group in
-              itertools.groupby(resolved, key=lambda item: item[2].params)]
-    late = t >= 0.5 * config.t_max
-    for points in models:
-        rows.extend(_sweep_model(points, late))
+        else:
+            models.setdefault(run.params, []).append((axes, point, run))
+    for points in models.values():
+        rows.extend(_sweep_model(points))
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
                "gamma[natural-frequency]", "r_squared[dimensionless]", "c0[dimensionless]",
                "occupation_long_time_mean[quanta]", "status"]
-    csv = write_csv(out_dir / "sweep.csv", csv_body(columns, sorted(rows)),
-                    metadata={"axes": ",".join(axis for axis, _ in active), "points": len(rows)})
     failures = sum(1 for row in rows if row[-1] != "ok")
-    _write_manifest(out_dir, config, started, csv, points=len(rows), failures=failures,
-                    models=len(models))
+    csv = _write_outputs(out_dir / "sweep.csv", csv_body(columns, sorted(rows)),  # index order
+                         {"axes": ",".join(axis for axis, _ in active), "points": len(rows)},
+                         config, started, points=len(rows), failures=failures,
+                         models=len(models))
     _say(f"sweep: {len(rows)} points, {failures} failures -> {csv}")
     if failures == len(rows):
         print(f"physics contract violation: all {failures} sweep points failed (see {csv})",
@@ -582,8 +577,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """`--config` plus one flag per `RunConfig` field, coerced by `_coerce`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command, `--config` and one flag per `RunConfig` field, coerced
+    by `_coerce`; flags may come before or after the command."""
+    parser = _Parser(prog="dressedcavity",
+                     description="Dressed-atom bipartite entanglement at finite temperature")
+    parser.add_argument("--version", action="version", version=f"dressedcavity {__version__}")
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=Path, help="key = value config file")
     for spec in dataclasses.fields(RunConfig):
         flag = "--" + spec.name.replace("_", "-")
@@ -593,16 +593,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         else:
             parser.add_argument(flag, type=functools.partial(_coerce, spec.name, where=flag),
                                 help=spec.metadata.get("help"))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dressedcavity",
-                     description="Dressed-atom bipartite entanglement at finite temperature")
-    parser.add_argument("--version", action="version", version=f"dressedcavity {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subparsers.add_parser(name)
-        _add_common_flags(sub)
     return parser
 
 

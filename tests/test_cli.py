@@ -101,6 +101,18 @@ si = false
         assert from_file == from_flags
         assert from_flags != RunConfig()
 
+    def test_flags_before_the_command(self, tmp_path):
+        # one parser: a flag reads the same before or after the command
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["--n-modes", "8", "spectrum", "--out", str(before)]) == 0
+        assert main(["spectrum", "--n-modes", "8", "--out", str(after)]) == 0
+        assert (before / "spectrum.csv").read_bytes() == (after / "spectrum.csv").read_bytes()
+
+    def test_help_lists_every_flag(self):
+        text = build_parser().format_help()
+        assert all(f"--{key.replace('_', '-')}" in text for key in _KINDS)
+        assert "--config" in text and all(name in text for name in COMMANDS)
+
     def test_si_conversion_recorded(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("thermal", "--si", "--omega-bar", 4.0e14, "--radius", 1e-6,
@@ -687,6 +699,25 @@ class TestSweepCommand:
             fit = json.loads(point.read_text())["decay_fit"]
             assert [float(row[7]), float(row[8])] == [fit["rate"], fit["r_squared"]]
         assert json.loads((out / "manifest.json").read_text())["models"] == 2
+
+        # a radius that repeats: radius 1.0 holds points 0, 2, 3 and 5, not
+        # all adjacent, and they still share one spectral stage and one body
+        calls.update(dict.fromkeys(calls, 0))
+        out = tmp_path / "repeat"
+        assert run_cli("sweep", "--temperature-grid", "0.5,2.0", "--radius-grid", "1.0,2.0,1.0",
+                       "--n-modes", 8, "--t-max", 2, "--samples", 16, "--out", out) == 0
+        assert calls["diagonalize"] == 2
+        assert json.loads((out / "manifest.json").read_text())["models"] == 2
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert [int(row[0]) for row in rows] == list(range(6))
+        assert [float(row[4]) for row in rows] == [1.0, 2.0, 1.0, 1.0, 2.0, 1.0]
+        bodies = {1.0: set(), 2.0: set()}
+        for row in rows:
+            text = (out / "points" / f"point_{int(row[0]):04d}" / "dynamics.csv").read_text()
+            bodies[float(row[4])].add("".join(line for line in text.splitlines(keepends=True)
+                                              if not line.startswith("#")))
+        assert [len(shared) for shared in bodies.values()] == [1, 1]
+        assert bodies[1.0] != bodies[2.0]
 
     def test_holds_one_spectrum_at_a_time(self, tmp_path):
         # the (N+1)^2 components of one model (8 MB at N = 1000) are freed
