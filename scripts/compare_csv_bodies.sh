@@ -11,8 +11,11 @@
 # every CSV a command writes (for `sweep`, `sweep.csv` and each
 # `points/*/dynamics.csv`) has its `#` metadata lines stripped and the
 # remaining body compared with cmp.  `sweep` is skipped for a config with no
-# `*_grid` key, which it needs.  Exits 1 on any difference, on a CSV that
-# only one tree writes, or on a command that fails in either tree.
+# `*_grid` key, which it needs.  Then every `manifest.json` the head tree
+# wrote (a sweep's point manifests included) is checked against the files
+# beside it: each `outputs[]` entry's `sha256` and `bytes` must match.
+# Exits 1 on any difference, on a CSV that only one tree writes, on a
+# command that fails in either tree, or on a checksum that does not match.
 set -euo pipefail
 
 base_src=$(cd "$1" && pwd)
@@ -55,4 +58,22 @@ for command in spectrum dynamics density entanglement thermal verify sweep; do
     fi
   done < "$work/head.$command.files"
 done
+python - "$work/head" <<'EOF' || status=1
+import hashlib, json, sys
+from pathlib import Path
+
+manifests = sorted(Path(sys.argv[1]).rglob("manifest.json"))
+bad = 0
+for manifest in manifests:
+    for entry in json.loads(manifest.read_text())["outputs"]:
+        path = manifest.parent / entry["file"]
+        data = path.read_bytes() if path.is_file() else None
+        if data is None or entry["sha256"] != hashlib.sha256(data).hexdigest() \
+                or entry["bytes"] != len(data):
+            print(f"BAD checksum: {path} does not match {manifest}")
+            bad += 1
+if bad:
+    sys.exit(1)
+print(f"checksums ok: {len(manifests)} manifests")
+EOF
 exit $status

@@ -14,15 +14,15 @@ per linewidth pi*g/delta_omega, whether omega_bar lies inside the mode
 ladder, the cavity recurrence time 2R, and `phase_precision`, the radians
 the phases Omega*t at the largest |t| lose to rounding; above
 PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
-stderr and in the manifest's `warnings`, and the exit code does not
-change.  The `dynamics`, `density` and `entanglement` rows and `verify`'s
-closed form are built from the survival amplitude f_00 itself, the array
-`amplitudes(spectrum, t, 0)`.  `density` and `entanglement` form the
-closed-form matrices, their checks and the measures one
-`entanglement.sample_blocks` block at a time into (T,) float columns, so
-no (T, 4, 4) stack is held, and hand their rows to `csv_body` as a `zip`
-over those columns, as `dynamics` and `thermal` do, so no column is ever a
-T-long list of Python floats.
+stderr (a sweep once per model) and in the manifest's `warnings`, and the
+exit code does not change.  The `dynamics`, `density` and `entanglement`
+rows and `verify`'s closed form are built from the survival amplitude f_00
+itself, the array `amplitudes(spectrum, t, 0)`.  `density` and
+`entanglement` form the closed-form matrices, their checks and the
+measures one `entanglement.sample_blocks` block at a time into (T,) float
+columns, so no (T, 4, 4) stack is held, and hand their rows to `csv_body`
+as a `zip` over those columns, as `dynamics` and `thermal` do, so no
+column is ever a T-long list of Python floats.
 When `fit_window` is set, `dynamics` fits the decay rate of the survival
 over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
@@ -274,8 +274,9 @@ def _write_outputs(csv: Path, body: str, metadata: dict, config: RunConfig, star
                    warnings: Sequence[str] = (), **fields) -> Path:
     """Every command's output step: the CSV (`body` under the `metadata`
     lines), then beside it the manifest: the shared header, the natural
-    units and convergence of a resolved run, the warnings (also printed on
-    stderr), then the command's own fields."""
+    units and convergence of a resolved run, the warnings, then the
+    command's own fields.  The caller that owns the run prints the
+    warnings (`_warn`)."""
     write_csv(csv, body, metadata)
     payload = {"tool": "dressedcavity", "version": __version__,
                "config": dataclasses.asdict(config), "warnings": list(warnings)}
@@ -285,9 +286,13 @@ def _write_outputs(csv: Path, body: str, metadata: dict, config: RunConfig, star
                        si_inputs=run.si_inputs, convergence=convergence)
     payload.update(fields, wall_clock_seconds=time.monotonic() - started)
     write_manifest(csv.parent, payload, [csv])
+    return csv
+
+
+def _warn(warnings: Sequence[str]) -> None:
+    """One stderr line per warning of a run (of a model, in a sweep)."""
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return csv
 
 
 def _say(*lines: str) -> None:
@@ -335,6 +340,7 @@ class TableCommand:
         table = self.build(run, spectrum)
         self.write(config, started, run, table, csv_body(self.columns, table.rows),
                    convergence, warnings)
+        _warn(warnings)
         return 0
 
 
@@ -445,6 +451,7 @@ def cmd_verify(config: RunConfig) -> int:
                     "weight_scheme": scheme, "tolerance": VERIFY_TOLERANCE,
                     "xi": run.state.xi, "phi": run.state.phi},
                    config, started, run, convergence, warnings, verify_passed=all_pass)
+    _warn(warnings)
     _say(*(f"beta={row[0]:g} t={row[1]:g} dev_closed={row[2]:.3e} "
            f"dev_cross={row[3]:.3e} {row[4]}" for row in rows),
          "VERIFY " + ("PASS" if all_pass else "FAIL"))
@@ -466,8 +473,9 @@ def _sweep_model(points: list) -> list:
     table, whose decay fit fills the gamma and r_squared columns (empty when
     the fit failed); its CSV body is rendered once.  A pair whose weights raise
     fails only its own points, a failed stage every point.  Each point
-    writes its `dynamics` CSV and manifest.  The spectrum is freed on
-    return, so a sweep holds one at a time.
+    writes its `dynamics` CSV and manifest, which lists the model's
+    warnings; they are printed once, for the model.  The spectrum is freed
+    on return, so a sweep holds one at a time.
     """
     started, run = time.monotonic(), points[0][2]
     try:
@@ -497,6 +505,7 @@ def _sweep_model(points: list) -> list:
             rows.append((*axes, table.manifest["min_survival"], decay.get("rate"),
                          decay.get("r_squared"), family_concurrence(point.xi, 1.0),
                          means[pair], "ok"))
+    _warn(warnings)
     return rows
 
 

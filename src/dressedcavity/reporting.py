@@ -6,13 +6,15 @@ lines, and wall-clock only ever appears in the JSON manifest.  `csv_body`
 renders the header and rows once; `write_csv` writes a body under each
 file's own metadata lines, so files that share their rows (a sweep's
 points of one model) share one rendering.  Manifests are written
-atomically (write to temp file, then rename).
+atomically (write to temp file, then rename) and list each output's
+SHA-256; `hashlib` is imported by `sha256_of`, when the first manifest is
+written, so OpenSSL's libcrypto is not resident while a run computes and
+adds nothing to its peak RSS.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -63,6 +65,8 @@ def write_csv(path: Path, body: str, metadata: Mapping[str, Any] | None = None) 
 
 
 def sha256_of(path: Path) -> str:
+    import hashlib  # OpenSSL's libcrypto (about 3.5 MB) loads after the compute, not at start
+
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
     return digest.hexdigest()

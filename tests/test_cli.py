@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dressedcavity.density import reduced_density_closed, survival_probability
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.entanglement import measures
 from dressedcavity.model import BOLTZMANN, HBAR
-from dressedcavity.reporting import csv_body, sha256_of
+from dressedcavity.reporting import csv_body
 import dressedcavity.cli as cli
 import dressedcavity.dynamics as dynamics
 import dressedcavity.entanglement as entanglement
@@ -113,6 +115,19 @@ si = false
         assert all(f"--{key.replace('_', '-')}" in text for key in _KINDS)
         assert "--config" in text and all(name in text for name in COMMANDS)
 
+    def test_negative_first_list_value_needs_equals(self, tmp_path, capsys):
+        # argparse reads "-0.5,0.5" as a flag, so the list has to be joined with "="
+        assert run_cli("sweep", "--phi-grid", "-0.5,0.5", "--n-modes", 8, "--t-max", 2,
+                       "--samples", 16, "--out", tmp_path / "spaced") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "expected one argument" in err
+        assert not (tmp_path / "spaced").exists()
+        out = tmp_path / "joined"
+        assert run_cli("sweep", "--phi-grid=-0.5,0.5", "--n-modes", 8, "--t-max", 2,
+                       "--samples", 16, "--out", out) == 0
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert floats(rows, 2) == [-0.5, 0.5]
+
     def test_si_conversion_recorded(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("thermal", "--si", "--omega-bar", 4.0e14, "--radius", 1e-6,
@@ -163,8 +178,29 @@ class TestSpectrumCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         entry = manifest["outputs"][0]
         assert entry["file"] == "spectrum.csv"
-        assert entry["sha256"] == sha256_of(out / "spectrum.csv")
+        assert entry["sha256"] == \
+            hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
         assert manifest["convergence"]["eigensolver_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        *((command,) for command in TABLE_COMMANDS),
+        ("verify",),
+        ("sweep", "--xi-grid", "0.3,0.6", "--radius-grid", "1,2"),
+    ], ids=[*TABLE_COMMANDS, "verify", "sweep"])
+    def test_every_manifest_checksums_the_files_beside_it(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--n-modes", 8, "--t-max", 2, "--samples", 16,
+                       "--out", out) == 0
+        manifests = sorted(out.rglob("manifest.json"))
+        assert len(manifests) == (5 if argv[0] == "sweep" else 1)
+        for path in manifests:
+            outputs = json.loads(path.read_text())["outputs"]
+            assert [entry["file"] for entry in outputs] == \
+                sorted(p.name for p in path.parent.glob("*.csv"))
+            for entry in outputs:
+                data = (path.parent / entry["file"]).read_bytes()
+                assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+                assert entry["bytes"] == len(data)
 
 
 class TestSeriesCommands:
@@ -351,6 +387,26 @@ class TestPhasePrecision:
         assert manifest["warnings"] == []
         assert 0.0 < manifest["convergence"]["phase_precision"] < 1e-6
         assert capsys.readouterr().err == ""
+
+    def test_sweep_warns_once_per_model(self, tmp_path, capsys):
+        # 2 models (radius 1 at points 0, 2, 3, 5) at t_max = 1e9: every point
+        # manifest lists its model's warning, and stderr says it once a model
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--radius-grid", "1,2,1", "--temperature-grid", "1,2",
+                       "--t-max", "1e9", "--samples", 16, "--n-modes", 8, "--out", out) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
+        by_radius = {}
+        for index in range(6):
+            manifest = json.loads((out / "points" / f"point_{index:04d}" / "manifest.json")
+                                  .read_text())
+            assert len(manifest["warnings"]) == 1
+            by_radius.setdefault(manifest["config"]["radius"], set()).update(
+                manifest["warnings"])
+        assert [len(warnings) for warnings in by_radius.values()] == [1, 1]
+        assert lines == [f"warning: {warning}" for radius in (1.0, 2.0)
+                         for warning in by_radius[radius]]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == []
 
 
 class TestResolutionDiagnostics:
@@ -883,3 +939,60 @@ def test_fuzzed_cli_exits_cleanly(command, names, data):
                     except ValueError:
                         continue  # status text or an empty fit column
                     assert math.isfinite(value), (csv.name, row)
+
+
+# Values that resolve and never deflate: across the cap, the size alone
+# decides the outcome.
+CAPPED_FLAGS = {
+    "g": st.floats(1e-3, 0.1),
+    "radius": st.floats(0.5, 50.0),
+    "xi": st.floats(0.0, 1.0),
+    "temperature": st.floats(0.1, 10.0),
+    "t_max": st.floats(0.5, 50.0),
+    "samples": st.integers(5, 32),  # a sweep's fit window then holds 3 samples
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from([*TABLE_COMMANDS, "sweep"]), n_modes=st.integers(32, 96),
+       names=st.lists(st.sampled_from(sorted(CAPPED_FLAGS)), max_size=4, unique=True),
+       grids=st.lists(st.sampled_from(["xi", "temperature", "radius", "g"]), min_size=1,
+                      max_size=2, unique=True),
+       data=st.data())
+def test_fuzzed_sizes_across_the_spectral_cap(command, n_modes, names, grids, data):
+    # with the cap at 32 KiB, (n_modes + 1)^2 doubles of components exceed it
+    # from n_modes = 64 on, and are refused before they are allocated
+    argv = [command, f"--n-modes={n_modes}"]
+    if "samples" not in names:
+        argv.append("--samples=16")
+    for name in names:
+        argv.append(f"--{name.replace('_', '-')}={data.draw(CAPPED_FLAGS[name], label=name)!r}")
+    if command == "sweep":
+        for axis in grids:
+            values = data.draw(st.lists(CAPPED_FLAGS[axis], min_size=1, max_size=2), label=axis)
+            argv.append(f"--{axis}-grid={','.join(map(repr, values))}")
+    capped = 8 * (n_modes + 1) ** 2 > 1 << 15
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(spectral, "SPECTRAL_BYTES_CAP", 1 << 15):
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, f"--out={out}"])
+        lines = err.getvalue().splitlines()
+        if not capped:
+            assert code == 0, lines
+            for csv in out.rglob("*.csv"):
+                for row in read_csv(csv)[2]:
+                    # "" is an unset value (temperature) or a failed decay fit
+                    assert all(math.isfinite(float(cell)) for cell in row
+                               if cell not in ("", "ok"))
+        elif command == "sweep":
+            assert code == 2 and len(lines) == 1 and "sweep points failed" in lines[0]
+            rows = read_csv(out / "sweep.csv")[2]
+            assert rows and all(row[-1].startswith("error:") and "MiB cap" in row[-1]
+                                for row in rows)
+            assert not (out / "points").exists()
+        else:
+            assert code == 3 and len(lines) == 1
+            assert lines[0].startswith("resource cap exceeded:") and "MiB cap" in lines[0]
+            assert not out.exists()
