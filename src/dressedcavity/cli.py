@@ -285,7 +285,7 @@ def _write_outputs(csv: Path, body: str, metadata: dict, config: RunConfig, star
                                       "radius": run.params.radius, "beta": run.beta},
                        si_inputs=run.si_inputs, convergence=convergence)
     payload.update(fields, wall_clock_seconds=time.monotonic() - started)
-    write_manifest(csv.parent, payload, [csv])
+    write_manifest(csv, payload)
     return csv
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -84,10 +84,6 @@ class ThermalBathSpec:
         if not 1 <= self.n_modes_oracle <= 3:
             raise DomainError(f"n_modes_oracle must be in 1..3, got {self.n_modes_oracle}")
 
-    @property
-    def basis_size(self) -> int:
-        return (self.n_max + 1) ** self.n_modes_oracle
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedDensityMatrix:
@@ -110,11 +106,6 @@ class ReducedDensityMatrix:
     def trace(self) -> np.ndarray | float:
         """Real trace of each matrix, with the stack's leading shape (a scalar for one)."""
         return np.trace(self.matrix, axis1=-2, axis2=-1).real[()]
-
-
-def bath_basis_states(n_modes: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    """Every background occupation tuple (n_1..n_N) with 0 <= n_k <= n_max."""
-    return itertools.product(range(n_max + 1), repeat=n_modes)
 
 
 def bath_weights(omega: float, beta: float, n_max: int,
@@ -205,13 +196,15 @@ def _field_trace_blocks(amp: np.ndarray, weights: list[np.ndarray],
                         n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thermal-averaged subsystem operators, traced over field occupations.
 
-    Enumerates every background n, weights it by the product of per-mode
-    weights W(n), and builds the evolved state |1(t); n> as a sparse map
-    from field occupations to atom-level amplitudes: amp[0] on (1, n) and
-    amp[j] on (0, n + e_j); the ground state is (0, n) -> 1.  The field
-    labels of sum_n W(n) |1(t); n><1(t); n|, |0; n><0; n| and
-    |0; n><1(t); n| are then contracted by matching labels, so a background
-    costs O(n_modes^2) scalar work.  Returns the three 2x2 atom-level blocks.
+    Enumerates every background n, the (n_max+1)^n_modes occupation tuples
+    with 0 <= n_k <= n_max in `itertools.product` order, weights it by the
+    product of per-mode weights W(n), and builds the evolved state
+    |1(t); n> as a sparse map from field occupations to atom-level
+    amplitudes: amp[0] on (1, n) and amp[j] on (0, n + e_j); the ground
+    state is (0, n) -> 1.  The field labels of sum_n W(n) |1(t); n><1(t); n|,
+    |0; n><0; n| and |0; n><1(t); n| are then contracted by matching labels,
+    so a background costs O(n_modes^2) scalar work.  Returns the three 2x2
+    atom-level blocks.
     """
     n_modes = len(weights)
     amp = [complex(a) for a in amp]
@@ -219,7 +212,7 @@ def _field_trace_blocks(amp: np.ndarray, weights: list[np.ndarray],
     block_exc = [[0j, 0j], [0j, 0j]]
     block_gnd = [[0j, 0j], [0j, 0j]]
     block_cross = [[0j, 0j], [0j, 0j]]
-    for occ in bath_basis_states(n_modes, n_max):
+    for occ in itertools.product(range(n_max + 1), repeat=n_modes):
         weight = 1.0
         for k, n in enumerate(occ):
             weight *= weights[k][n]
@@ -241,7 +234,10 @@ def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,
     """Reduced matrix by literal enumeration and trace of the thermal field.
 
     The spectrum must be a dedicated small model with exactly
-    bath.n_modes_oracle field modes.  Each background is weighted by the
+    bath.n_modes_oracle field modes (n_modes_oracle + 1 labels, else a
+    ContractViolationError), and its (n_max+1)^n_modes_oracle backgrounds
+    may number at most MAX_BACKGROUNDS (else a ResourceCapError, before
+    any amplitude is formed).  Each background is weighted by the
     product of per-mode truncated thermal weights; the excitation hops among
     dressed labels with the amplitudes f_0nu(t) while the background
     occupations ride along as spectators.  With normalized weights the
@@ -251,9 +247,10 @@ def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,
     if spectrum.size != n_modes + 1:
         raise ContractViolationError(
             f"oracle spectrum must have {n_modes + 1} labels, got {spectrum.size}")
-    if bath.basis_size > MAX_BACKGROUNDS:
+    backgrounds = (bath.n_max + 1) ** n_modes
+    if backgrounds > MAX_BACKGROUNDS:
         raise ResourceCapError(
-            f"bath basis has {bath.basis_size} states "
+            f"bath basis has {backgrounds} states "
             f"(n_max={bath.n_max}, n_modes={n_modes}); cap is {MAX_BACKGROUNDS}")
     amp = amplitudes(spectrum, [t])[:, 0]
     # Cancellation makes the weight frequencies immaterial; the dressed

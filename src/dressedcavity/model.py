@@ -134,10 +134,6 @@ class CouplingMatrix:
         if not (math.isfinite(a) and np.all(np.isfinite(z)) and np.all(np.isfinite(d))):
             raise DomainError("coupling matrix has a non-finite entry")
 
-    @property
-    def size(self) -> int:
-        return self.d.size + 1
-
 
 def build_coupling_matrix(params: ModelParams) -> CouplingMatrix:
     """Arrowhead quadratic form for the atom-field coupled oscillators, in O(N).

@@ -5,11 +5,12 @@ written with repr (shortest round trip), metadata lives in leading comment
 lines, and wall-clock only ever appears in the JSON manifest.  `csv_body`
 renders the header and rows once; `write_csv` writes a body under each
 file's own metadata lines, so files that share their rows (a sweep's
-points of one model) share one rendering.  Manifests are written
-atomically (write to temp file, then rename) and list each output's
-SHA-256; `hashlib` is imported by `sha256_of`, when the first manifest is
-written, so OpenSSL's libcrypto is not resident while a run computes and
-adds nothing to its peak RSS.
+points of one model) share one rendering.  Each run writes one CSV and
+beside it one manifest, which lists that CSV with its SHA-256 and size;
+the manifest is written atomically (write to temp file, then rename).
+`hashlib` is imported by `sha256_of`, when the first manifest is written,
+so OpenSSL's libcrypto is not resident while a run computes and adds
+nothing to its peak RSS.
 """
 
 from __future__ import annotations
@@ -72,17 +73,14 @@ def sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, payload: Mapping[str, Any],
-                   artifact_paths: Sequence[Path]) -> Path:
-    """Atomically write manifest.json listing artifacts with checksums."""
+def write_manifest(csv_path: Path, payload: Mapping[str, Any]) -> Path:
+    """Atomically write manifest.json beside the CSV at `csv_path`: the
+    payload, and the one output it lists, that CSV with its checksum and size."""
     manifest = dict(payload)
-    manifest["outputs"] = [
-        {"file": p.name, "sha256": sha256_of(p), "bytes": p.stat().st_size}
-        for p in sorted(artifact_paths, key=lambda p: p.name)
-    ]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "manifest.json"
-    tmp = out_dir / ".manifest.json.tmp"
+    manifest["outputs"] = [{"file": csv_path.name, "sha256": sha256_of(csv_path),
+                            "bytes": csv_path.stat().st_size}]
+    target = csv_path.parent / "manifest.json"
+    tmp = csv_path.parent / ".manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     os.replace(tmp, target)
     return target

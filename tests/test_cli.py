@@ -21,15 +21,17 @@ from dressedcavity.cli import (_KINDS, COMMANDS, RunConfig, build_parser, config
 from dressedcavity.density import reduced_density_closed, survival_probability
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.entanglement import measures
-from dressedcavity.model import BOLTZMANN, HBAR
+from dressedcavity.model import BOLTZMANN, HBAR, ModelParams, build_coupling_matrix
 from dressedcavity.reporting import csv_body
+from dressedcavity.spectral import EPS
+from dressedcavity.thermal import occupation_weights
 import dressedcavity.cli as cli
 import dressedcavity.dynamics as dynamics
 import dressedcavity.entanglement as entanglement
 import dressedcavity.spectral as spectral
 import dressedcavity.thermal as thermal
 
-from conftest import dressed_spectrum, read_csv
+from conftest import dense, dense_reference, dressed_spectrum, read_csv
 
 
 def run_cli(*args):
@@ -996,3 +998,70 @@ def test_fuzzed_sizes_across_the_spectral_cap(command, n_modes, names, grids, da
             assert code == 3 and len(lines) == 1
             assert lines[0].startswith("resource cap exceeded:") and "MiB cap" in lines[0]
             assert not out.exists()
+
+
+# Tolerances of the dense-reference test, in units of u = eps * (1 + Omega_max * t_max),
+# the rounding of the largest phase Omega * t.  Against a 40-digit mpmath eigensolve
+# and sum on 320 models drawn from the test's ranges, `_refined_eigh` gave correctly
+# rounded eigenvalues and eigenvector entries within eps/4, and the reference's
+# f_0nu(t) lay within 0.89 u of the exact amplitudes.  Each route may err by twice
+# that, 2 u, so the two f_0nu may differ by 4 u; a column may then differ by 4 u times
+# its sensitivity to f below.  The phase is compared modulo 2 pi as the chord
+# |f_00| |e^{i phase} - e^{i phase_ref}|, at most 2 |df_00|; the occupation's
+# sensitivity is 2 sum_nu w_nu.
+AMPLITUDE_TOLERANCE = 4.0
+COLUMN_SENSITIVITY = {
+    "t[natural-time]": 0.0,  # the same linspace on both sides
+    "survival[probability]": 2.0,  # |d|f|^2| <= 2 |df|
+    "phase[rad]": 2.0,
+    "rho_00_00[probability]": 2.0,
+    "rho_01_01[probability]": 2.0,
+    "rho_10_10[probability]": 2.0,
+    "re_rho_10_01[dimensionless]": 1.0,  # sqrt(xi (1 - xi)) <= 1/2
+    "im_rho_10_01[dimensionless]": 1.0,
+    "concurrence[dimensionless]": 2.0,
+    "eof[ebits]": 2.0 / math.log(2.0),  # dEoF/dC <= 1/ln 2
+    "negativity[dimensionless]": 4.0,  # d/drho00 in [-1, 0], d/d|rho[10,01]| <= 2
+    "occupation[quanta]": 2.0,  # times sum_nu w_nu
+}
+
+
+def two_ragged_blocks(size):
+    """A block width that cuts range(size), size >= 3, into two blocks, the last shorter."""
+    return size // 2 + 1
+
+
+@given(n_modes=st.integers(4, 24), samples=st.integers(3, 48), g=st.floats(0.0, 0.5),
+       radius=st.floats(0.5, 100.0), t_max=st.floats(0.5, 50.0), xi=st.floats(0.0, 1.0),
+       phi=st.floats(-10.0, 10.0), beta=st.floats(0.05, 20.0), n0_init=st.floats(0.0, 10.0))
+def test_every_table_column_matches_the_dense_reference(n_modes, samples, g, radius, t_max,
+                                                        xi, phi, beta, n0_init):
+    # the time series and the measures run in two sample blocks, and the residual
+    # and (when no border entry deflates) the secular solve in two blocks of rows,
+    # each time with a ragged last one
+    params = ModelParams(1.0, g, radius, n_modes)
+    t = np.linspace(0.0, t_max, samples)
+    f00, reference = dense_reference(params, xi, phi, beta, n0_init, t)
+    omega_max = math.sqrt(np.linalg.eigvalsh(dense(build_coupling_matrix(params)))[-1])
+    tolerance = AMPLITUDE_TOLERANCE * EPS * (1.0 + omega_max * t_max)
+    sensitivity = dict(COLUMN_SENSITIVITY)
+    sensitivity["occupation[quanta]"] *= float(np.sum(occupation_weights(params, beta, n0_init)))
+    argv = [f"--n-modes={n_modes}", f"--samples={samples}", f"--g={g!r}", f"--radius={radius!r}",
+            f"--t-max={t_max!r}", f"--xi={xi!r}", f"--phi={phi!r}", f"--beta={beta!r}",
+            f"--n0-init={n0_init!r}"]
+    width, rows = two_ragged_blocks(samples), two_ragged_blocks(n_modes + 1)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dynamics, "BLOCK_ELEMENTS", width * (n_modes + 1)), \
+            mock.patch.object(spectral, "BLOCK_ELEMENTS", rows * (n_modes + 1)), \
+            mock.patch.object(entanglement, "MEASURE_BLOCK", width):
+        for command in ("dynamics", "thermal", "density", "entanglement"):
+            out = Path(tmp) / command
+            assert main([command, *argv, f"--out={out}"]) == 0
+            _, columns, table = read_csv(out / f"{command}.csv")
+            for name, got in zip(columns, np.array(table, dtype=float).T):
+                want = reference[name]
+                if name == "phase[rad]":
+                    got, want = (np.abs(f00) * np.exp(1j * phase) for phase in (got, want))
+                deviation = float(np.max(np.abs(got - want)))
+                assert deviation <= sensitivity[name] * tolerance, \
+                    (command, name, deviation / tolerance)

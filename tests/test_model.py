@@ -97,7 +97,6 @@ class TestCouplingMatrix:
             params = random_params(rng)
             coupling = build_coupling_matrix(params)
             assert coupling.z.shape == coupling.d.shape == (params.n_modes,)
-            assert coupling.size == params.n_modes + 1
             assert np.linalg.eigvalsh(dense(coupling))[0] > 0.0
 
     @pytest.mark.parametrize("z, d", [

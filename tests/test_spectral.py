@@ -12,7 +12,8 @@ from dressedcavity.model import CouplingMatrix, ModelParams, build_coupling_matr
 from dressedcavity.spectral import DressedSpectrum, diagonalize
 import dressedcavity.spectral as spectral
 
-from conftest import atom_weights, dense, dressed_spectrum, interlacing_counts, random_params
+from conftest import (_refined_eigh, atom_weights, dense, dressed_spectrum, interlacing_counts,
+                      random_params)
 
 WORKED = ModelParams(omega_bar=1.0, g=0.02, radius=math.pi, n_modes=1)
 # Closed-form eigenvalues of [[1.04, -0.2], [-0.2, 1.0]].
@@ -182,30 +183,6 @@ class TestSecularRoots:
         monkeypatch.setattr(spectral, "MAX_ITERATIONS", 0)
         with pytest.raises(BracketingError):
             dressed_spectrum(ModelParams(1.0, 0.01, 2.0, 4))
-
-
-def _refined_eigh(m, steps=3):
-    """Dense eigh with each eigenpair polished by Newton steps on [m x - lam x; (x.x - 1)/2].
-
-    eigh alone leaves eigenvector errors near eps*||m||/gap, which reaches 1e-12 once the
-    top mode is far above a close pair; forming the residuals in extended precision takes
-    the reference below that, so a mismatch is the secular solver's own.
-    """
-    eigenvalues, vectors = np.linalg.eigh(m)
-    wide = m.astype(np.longdouble)
-    lam = eigenvalues.astype(np.longdouble)
-    vec = vectors.astype(np.longdouble)
-    size = len(eigenvalues)
-    for j in range(size):
-        x, shift = vec[:, j].copy(), lam[j]
-        for _ in range(steps):
-            residual = np.append(wide @ x - shift * x, (x @ x - 1) / 2)
-            jacobian = np.block([[m - float(shift) * np.eye(size), -x.astype(float)[:, None]],
-                                 [x.astype(float)[None, :], np.zeros((1, 1))]])
-            step = np.linalg.solve(jacobian, -residual.astype(float))
-            x, shift = x + step[:-1], shift + step[-1]
-        vec[:, j], lam[j] = x, shift
-    return lam.astype(float), vec.astype(float)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
