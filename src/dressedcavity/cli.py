@@ -18,11 +18,13 @@ stderr (a sweep once per model) and in the manifest's `warnings`, and the
 exit code does not change.  The `dynamics`, `density` and `entanglement`
 rows and `verify`'s closed form are built from the survival amplitude f_00
 itself, the array `amplitudes(spectrum, t, 0)`.  `density` and
-`entanglement` form the closed-form matrices, their checks and the
-measures one `entanglement.sample_blocks` block at a time into (T,) float
-columns, so no (T, 4, 4) stack is held, and hand their rows to `csv_body`
-as a `zip` over those columns, as `dynamics` and `thermal` do, so no
-column is ever a T-long list of Python floats.
+`entanglement` read it from one generator, `_closed_form_blocks`, which
+forms f_00 once and yields the closed-form matrices one block of
+MEASURE_BLOCK samples at a time; they write each block's elements,
+checks and measures into (T,) float columns, so no (T, 4, 4) stack is
+held, and hand their rows to `csv_body` as a `zip` over those columns, as
+`dynamics` and `thermal` do, so no column is ever a T-long list of Python
+floats.
 When `fit_window` is set, `dynamics` fits the decay rate of the survival
 over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
@@ -74,7 +76,7 @@ from . import __version__
 from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_closed,
                       survival_probability, thermal_trace_oracle)
 from .dynamics import amplitudes, decay_rate_fit, wigner_weisskopf_rate
-from .entanglement import family_concurrence, measures, sample_blocks
+from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
 from .reporting import csv_body, write_csv, write_manifest
@@ -88,6 +90,11 @@ PHASE_TOLERANCE = 1e-6
 # with the model's squared frequencies capped at 1e150 every phase Omega*t
 # stays finite, and the squared times of the decay fit stay normal doubles.
 TIME_LIMIT = 1e150
+# Samples per block of the `density` and `entanglement` tables: bounds the
+# (block, 4, 4) closed-form stacks and the LAPACK temporaries of `measures`
+# on a long series.  Every block is its own eigh/svd batch, so the width
+# moves no bit.
+MEASURE_BLOCK = 1024
 
 # Fixed sweep axis order; rows follow the cartesian product in this order.
 SWEEP_AXES = ("xi", "phi", "temperature", "radius", "g")
@@ -377,23 +384,31 @@ def _dynamics_rows(run, spectrum) -> Table:
     return _dynamics_table(run, amplitudes(spectrum, run.t_grid, 0))
 
 
-def _density_rows(run, spectrum) -> Table:
+def _closed_form_blocks(run: NaturalRun, spectrum):
+    """f_00 on run.t_grid, formed once, cut into slices of MEASURE_BLOCK
+    samples, the last one ragged: yields each slice `block`, f_00[block] and
+    its closed-form matrices, whose modulus check names a sample by its
+    index in the series."""
     f00 = amplitudes(spectrum, run.t_grid, 0)
-    columns = np.empty((5, f00.size))
-    for block in sample_blocks(f00.size):
-        rho = reduced_density_closed(run.state, f00[block], block.start).matrix
+    for start in range(0, f00.size, MEASURE_BLOCK):
+        block = slice(start, start + MEASURE_BLOCK)
+        yield block, f00[block], reduced_density_closed(run.state, f00[block], start)
+
+
+def _density_rows(run, spectrum) -> Table:
+    columns = np.empty((5, run.t_grid.size))
+    for block, _, closed in _closed_form_blocks(run, spectrum):
+        rho = closed.matrix
         columns[:, block] = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
                              rho[:, 2, 1].real, rho[:, 2, 1].imag)
     return Table(zip(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi})
 
 
 def _entanglement_rows(run, spectrum) -> Table:
-    f00 = amplitudes(spectrum, run.t_grid, 0)
-    columns = np.empty((4, f00.size))  # survival, concurrence, eof, negativity
-    for block in sample_blocks(f00.size):
-        m = measures(reduced_density_closed(run.state, f00[block], block.start), block.start)
-        columns[:, block] = (survival_probability(f00[block]), m.concurrence, m.eof,
-                             m.negativity)
+    columns = np.empty((4, run.t_grid.size))  # survival, concurrence, eof, negativity
+    for block, f00, closed in _closed_form_blocks(run, spectrum):
+        m = measures(closed, block.start)
+        columns[:, block] = (survival_probability(f00), m.concurrence, m.eof, m.negativity)
     return Table(zip(run.t_grid, *columns),
                  {"xi": run.state.xi, "phi": run.state.phi,
                   "c0": family_concurrence(run.state.xi, 1.0)},

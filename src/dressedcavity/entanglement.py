@@ -7,18 +7,16 @@ norm of the partial transpose minus 1 (Bell state scores 1).
 
 Every measure works on a (..., 4, 4) stack of states; a single state is a
 stack of shape (4, 4).  `measures` is the one entry point: it checks the
-stack positive semidefinite and evaluates all three measures, block by
-block, so its temporaries stay bounded however long the stack is.
-`sample_blocks` is that partition of a series into MEASURE_BLOCK samples;
-the CLI's `density` and `entanglement` tables form the closed-form stack
-one such block at a time, so no (T, 4, 4) stack is ever held.
+stack positive semidefinite and evaluates all three measures on the whole
+stack as one batch.  Its temporaries grow with the stack, so a caller with
+a long series hands it one block at a time, as the CLI's `density` and
+`entanglement` tables do (`cli.MEASURE_BLOCK` samples per block).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,10 +25,6 @@ from .errors import ContractViolationError, DomainError
 
 # Eigenvalues of a physical state may dip below zero by rounding only.
 POSITIVITY_FLOOR = -1e-10
-# States per block of `measures`, and samples per block of the CLI's closed
-# form: bounds the LAPACK temporaries and the (block, 4, 4) stacks of a long
-# series.  Every block is its own eigh/svd batch, so the width moves no bit.
-MEASURE_BLOCK = 1024
 
 # sigma_y (x) sigma_y in the ordered basis {|00>,|01>,|10>,|11>}.
 _SPIN_FLIP = np.array([
@@ -51,7 +45,7 @@ class EntanglementMeasures:
 
 
 def _require_physical(lowest: np.ndarray, start: int) -> None:
-    """Raise unless the lowest eigenvalue of every state of a block clears
+    """Raise unless the lowest eigenvalue of every state of a stack clears
     POSITIVITY_FLOOR; the message names the first bad sample by its flat
     index start + i."""
     bad = np.flatnonzero(lowest < POSITIVITY_FLOOR)
@@ -107,27 +101,18 @@ def _negativity(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(eigenvalues), axis=-1) - np.sum(eigenvalues, axis=-1)
 
 
-def sample_blocks(size: int) -> Iterator[slice]:
-    """The slices of MEASURE_BLOCK consecutive samples, the last one ragged,
-    that cover range(size)."""
-    return (slice(start, start + MEASURE_BLOCK) for start in range(0, size, MEASURE_BLOCK))
-
-
 def measures(rho: ReducedDensityMatrix, first: int = 0) -> EntanglementMeasures:
     """Concurrence, EoF and negativity of every state of rho's stack, after
-    one positivity check per block of MEASURE_BLOCK states, read from the
+    one positivity check of the whole stack, read from the one
     eigendecomposition the concurrence uses.  The positivity error names
     the first bad state by its flat index plus `first`, the index of rho's
     first state in the series it was cut from."""
     lead = rho.matrix.shape[:-2]
     flat = rho.matrix.reshape(-1, 4, 4)
-    c = np.empty(flat.shape[0])
-    negativity = np.empty(flat.shape[0])
-    for block in sample_blocks(flat.shape[0]):
-        evals, vecs = np.linalg.eigh(flat[block])
-        _require_physical(evals[:, 0], first + block.start)
-        c[block] = _concurrence(evals, vecs)
-        negativity[block] = _negativity(flat[block])
+    evals, vecs = np.linalg.eigh(flat)
+    _require_physical(evals[:, 0], first)
+    c = _concurrence(evals, vecs)
+    negativity = _negativity(flat)
     # the scalar EoF keeps its bits; a vectorized log2 rounds some of them apart
     eof = np.array([entanglement_of_formation(x) for x in c.tolist()])
     return EntanglementMeasures(concurrence=c.reshape(lead)[()], eof=eof.reshape(lead)[()],

@@ -59,10 +59,11 @@ def _refined_eigh(m, steps=3):
 
 
 def dense_reference(params, xi, phi, beta, n0_init, t):
-    """Every column of the `dynamics`, `thermal`, `density` and `entanglement`
-    tables, keyed by CSV column name, and f_00 itself.
+    """Every column of the `spectrum`, `dynamics`, `thermal`, `density` and
+    `entanglement` tables, keyed by CSV column name, and f_00 itself.
 
-    The dense arrowhead is solved by `_refined_eigh`, and
+    The dense arrowhead is solved by `_refined_eigh`: Omega_s = sqrt(lam_s),
+    and t_0^s = |vectors[0, s]| under Loewner's sign convention t_0^s >= 0.
     f_0nu(t) = sum_s t_0^s t_nu^s exp(-i Omega_s t) is summed directly over
     the whole grid t, with no blocking.  The single-excitation family then
     gives each column in closed form: survival S = |f_00|^2, the coherence
@@ -81,6 +82,9 @@ def dense_reference(params, xi, phi, beta, n0_init, t):
     eof = sum(np.where(p > 0.0, -p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
               for p in (x, 1.0 - x))
     return f[0], {
+        "s[index]": np.arange(lam.size),
+        "Omega_s[natural-frequency]": np.sqrt(lam),
+        "t_0_s[dimensionless]": np.abs(vectors[0]),
         "t[natural-time]": t,
         "survival[probability]": survival,
         "phase[rad]": np.angle(f[0]),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import dressedcavity.entanglement as entanglement
 from dressedcavity.density import EntangledStateSpec, ReducedDensityMatrix, reduced_density_closed
-from dressedcavity.entanglement import (MEASURE_BLOCK, entanglement_of_formation,
-                                        family_concurrence, measures, partial_transpose)
+from dressedcavity.entanglement import (entanglement_of_formation, family_concurrence, measures,
+                                        partial_transpose)
 from dressedcavity.errors import ContractViolationError, DomainError
 
 # Frozen from a 30-digit evaluation of the binary-entropy expression at C = 1/2.
@@ -109,8 +109,8 @@ class TestNegativity:
 
 class TestMeasureBundle:
     def test_one_positivity_check_matches_the_single_measures(self, monkeypatch):
-        # a stack within one block is checked once, and each field matches
-        # the measures of its state alone
+        # a stack, however long, is checked once, and each field matches the
+        # measures of its state alone
         stack = reduced_density_closed(EntangledStateSpec(0.3, 0.4), np.sqrt([1.0, 0.6, 0.2]))
         checked = []
         check = entanglement._require_physical
@@ -123,11 +123,14 @@ class TestMeasureBundle:
             assert m.concurrence[i] == alone.concurrence
             assert m.eof[i] == alone.eof
             assert m.negativity[i] == alone.negativity
+        checked.clear()
+        measures(ReducedDensityMatrix(random_states(1030)))
+        assert len(checked) == 1
 
-    def test_stack_across_blocks_equals_each_state_alone(self):
-        stack = random_states(MEASURE_BLOCK + 3)
+    def test_stack_equals_each_state_alone(self):
+        stack = random_states(1030)
         m = measures(ReducedDensityMatrix(stack))
-        assert m.concurrence.shape == m.eof.shape == m.negativity.shape == (MEASURE_BLOCK + 3,)
+        assert m.concurrence.shape == m.eof.shape == m.negativity.shape == (1030,)
         alone = [measures(ReducedDensityMatrix(single)) for single in stack]
         assert np.array_equal(m.concurrence, [a.concurrence for a in alone])
         assert np.array_equal(m.eof, [a.eof for a in alone])
@@ -139,13 +142,18 @@ class TestMeasureBundle:
         single = measures(family_rho(0.5, 1.0))
         assert isinstance(single.concurrence, float) and isinstance(single.eof, float)
 
-    @pytest.mark.parametrize("bad", [5, MEASURE_BLOCK + 7])
+    @pytest.mark.parametrize("bad", [5, 1031])
     def test_positivity_error_names_the_first_bad_sample(self, bad):
-        stack = random_states(MEASURE_BLOCK + 10)
+        # the first flat index, plus `first`: the index of the stack's first
+        # state in the series it was cut from
+        stack = random_states(1034)
         for index in (bad, bad + 2):
             stack[index] = np.diag([1.5, -0.5, 0.0, 0.0])
+        rho = ReducedDensityMatrix(stack)
         with pytest.raises(ContractViolationError, match=rf"at sample {bad} is not positive"):
-            measures(ReducedDensityMatrix(stack))
+            measures(rho)
+        with pytest.raises(ContractViolationError, match=rf"at sample {100 + bad} is not positive"):
+            measures(rho, first=100)
 
     def test_stacked_partial_transpose_is_per_state(self):
         stack = random_states(5)
