@@ -5,10 +5,13 @@ Commands: spectrum, dynamics, density, entanglement, thermal, verify,
 sweep, the keys of the command table `COMMANDS`.  One parser takes the
 command as its positional argument and one flag per `RunConfig` field,
 before or after it.  The first five are `TableCommand` rows (CSV file,
-columns, row builder) and share one runner: resolve, spectral stage
-(`_pipeline`), rows, then the one output step every command ends with,
-`_write_outputs`: CSV, then manifest.  `verify` runs the same
-spectral stage on the model with `n_modes_oracle` modes over its `t_list`.
+columns, row builder) and share one runner: resolve on the linspace of
+`samples` times up to t_max, spectral stage (`_pipeline`), rows, then
+`TableCommand.write`, which renders the rows once and ends in the one
+output step every command ends with, `_write_outputs`: CSV, then manifest.
+`verify` resolves only its oracle model, the config with `n_modes_oracle`
+modes, on its `t_list`, and runs the same spectral stage on it; `n_modes`
+and `samples` do not enter it.
 The spectral stage's `convergence` records what the run resolved: modes
 per linewidth pi*g/delta_omega, whether omega_bar lies inside the mode
 ladder, the cavity recurrence time 2R, and `phase_precision`, the radians
@@ -36,11 +39,11 @@ order, into a dict keyed by its resolved `ModelParams`, then runs one
 serial loop over those models.  Each gets one
 spectral stage and one occupation pass, in which the weights of all its
 distinct (beta, n0_init) pairs share the amplitude blocks and which also
-gives f_00; the `dynamics` table is built from that f_00, its
-`decay_fit` fills the gamma and r_squared columns, and its CSV body is
-rendered once.  Every point still writes that body and its manifest
-through `TableCommand.write`, the step a standalone `dynamics` run ends
-with.
+gives f_00; the `dynamics` table is built from that f_00, and its
+`decay_fit` fills the gamma and r_squared columns.  All of the model's
+points go through one `TableCommand.write` call, the step a standalone
+`dynamics` run ends with: the body is rendered once, and every point
+writes it and its manifest.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
@@ -157,7 +160,8 @@ class NaturalRun:
     si_inputs: dict | None
 
 
-def resolve_natural(config: RunConfig) -> NaturalRun:
+def resolve_natural(config: RunConfig, t_grid: np.ndarray) -> NaturalRun:
+    """The config in natural units, with the time grid the caller built."""
     if config.temperature is not None and config.temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {config.temperature}")
     si_inputs = None
@@ -175,7 +179,6 @@ def resolve_natural(config: RunConfig) -> NaturalRun:
         raise DomainError(f"temperature {config.temperature} gives a non-finite beta {beta}")
     params = ModelParams(omega_bar=omega_bar, g=g, radius=radius, n_modes=config.n_modes)
     state = EntangledStateSpec(xi=config.xi, phi=config.phi)
-    t_grid = np.linspace(0.0, config.t_max, config.samples)
     return NaturalRun(params=params, state=state, beta=beta,
                       n0_init=config.n0_init, t_grid=t_grid, fit_window=config.fit_window,
                       si_inputs=si_inputs)
@@ -332,22 +335,24 @@ class TableCommand:
     columns: tuple[str, ...]
     build: Callable[..., Table]
 
-    def write(self, config: RunConfig, started: float, run: NaturalRun, table: Table,
-              body: str, convergence: dict, warnings: Sequence[str]) -> None:
-        """The CSV (`body`, the table's rendered rows, under the run's
-        metadata) and manifest of one run of this command, in `config.out`."""
-        _write_outputs(Path(config.out) / self.file, body, _metadata(run, table.metadata),
-                       config, started, run, convergence, warnings, **(table.manifest or {}))
+    def write(self, points: Iterable[tuple[RunConfig, NaturalRun]], started: float,
+              table: Table, convergence: dict, warnings: Sequence[str]) -> None:
+        """Render the table's rows once; write that body under each (config,
+        run) point's metadata, and its manifest, in `config.out`; then print
+        the warnings once."""
+        body = csv_body(self.columns, table.rows)
+        for config, run in points:
+            _write_outputs(Path(config.out) / self.file, body, _metadata(run, table.metadata),
+                           config, started, run, convergence, warnings,
+                           **(table.manifest or {}))
+        _warn(warnings)
 
     def __call__(self, config: RunConfig) -> int:
         """resolve -> spectral stage -> rows -> `write`."""
         started = time.monotonic()
-        run = resolve_natural(config)
+        run = resolve_natural(config, np.linspace(0.0, config.t_max, config.samples))
         spectrum, convergence, warnings = _pipeline(run)
-        table = self.build(run, spectrum)
-        self.write(config, started, run, table, csv_body(self.columns, table.rows),
-                   convergence, warnings)
-        _warn(warnings)
+        self.write([(config, run)], started, self.build(run, spectrum), convergence, warnings)
         return 0
 
 
@@ -426,25 +431,26 @@ def _thermal_rows(run, spectrum) -> Table:
 def cmd_verify(config: RunConfig) -> int:
     """Brute-force trace vs closed form over the configured beta list.
 
-    Each (beta, t) cell reports the max elementwise deviation from the
-    closed form and from the first beta's oracle output; all cells must pass
-    at 1e-12 for exit code 0.
+    The baths are checked first, so a bad `n_modes_oracle` is named as
+    such; then only the oracle model, the config with `n_modes_oracle`
+    modes, is resolved, on the times of `t_list`, so `n_modes` and
+    `samples` do not enter.  Each (beta, t) cell reports the max
+    elementwise deviation from the closed form and from the first beta's
+    oracle output; all cells must pass at 1e-12 for exit code 0.
     """
     if not config.beta_list or not config.t_list:
         raise UsageError("verify needs at least one value in each of beta_list and t_list")
     started = time.monotonic()
-    run = resolve_natural(config)
     baths = [ThermalBathSpec(beta=beta, n_max=config.n_max,
                              n_modes_oracle=config.n_modes_oracle)
              for beta in config.beta_list]
-    oracle_run = dataclasses.replace(
-        run, params=dataclasses.replace(run.params, n_modes=config.n_modes_oracle),
-        t_grid=np.array(config.t_list))
+    run = resolve_natural(dataclasses.replace(config, n_modes=config.n_modes_oracle),
+                          np.array(config.t_list))
     spectrum, convergence, warnings = _pipeline(
-        oracle_run, VERIFY_TOLERANCE,
+        run, VERIFY_TOLERANCE,
         "both routes share the rounded phases, so their agreement shows nothing")
     scheme = "per_level_partition" if config.negative_control else "normalized"
-    f00 = amplitudes(spectrum, oracle_run.t_grid, 0)
+    f00 = amplitudes(spectrum, run.t_grid, 0)
     closed_stack = reduced_density_closed(run.state, f00).matrix
 
     rows = []
@@ -486,11 +492,11 @@ def _sweep_model(points: list) -> list:
     (beta, n0_init) pairs, whose means over the late samples t >= t_max/2
     fill the rows.  The same pass gives f_00, and so the model's `dynamics`
     table, whose decay fit fills the gamma and r_squared columns (empty when
-    the fit failed); its CSV body is rendered once.  A pair whose weights raise
-    fails only its own points, a failed stage every point.  Each point
-    writes its `dynamics` CSV and manifest, which lists the model's
-    warnings; they are printed once, for the model.  The spectrum is freed
-    on return, so a sweep holds one at a time.
+    the fit failed).  A pair whose weights raise fails only its own points,
+    a failed stage every point.  One `TableCommand.write` call renders the
+    table once and writes every point's `dynamics` CSV and manifest, which
+    lists the model's warnings; they are printed once, for the model.  The
+    spectrum is freed on return, so a sweep holds one at a time.
     """
     started, run = time.monotonic(), points[0][2]
     try:
@@ -509,18 +515,16 @@ def _sweep_model(points: list) -> list:
     means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, shared.occupation)}
     table = _dynamics_table(run, shared.f00)
     decay = table.manifest["decay_fit"]
-    dynamics = COMMANDS["dynamics"]
-    body = csv_body(dynamics.columns, table.rows)
+    COMMANDS["dynamics"].write([(point, run) for _, point, run in points], started, table,
+                               convergence, warnings)
     rows = []
     for axes, point, run in points:
-        dynamics.write(point, started, run, table, body, convergence, warnings)
         if (pair := (run.beta, run.n0_init)) in failed:
             rows.append(_error_row(axes, failed[pair]))
         else:
             rows.append((*axes, table.manifest["min_survival"], decay.get("rate"),
                          decay.get("r_squared"), family_concurrence(point.xi, 1.0),
                          means[pair], "ok"))
-    _warn(warnings)
     return rows
 
 
@@ -534,9 +538,9 @@ def cmd_sweep(config: RunConfig) -> int:
     if not active:
         raise UsageError("sweep needs at least one of "
                          + ", ".join(f"{axis}_grid" for axis in SWEEP_AXES))
-    # Every point shares this grid.  Its last sample is t_max, so a grid with
-    # three samples in the fit window also has one in the long-time window
-    # t >= t_max/2 that the occupation mean averages over.
+    # Every point is resolved on this one grid.  Its last sample is t_max, so
+    # a grid with three samples in the fit window also has one in the
+    # long-time window t >= t_max/2 that the occupation mean averages over.
     t = np.linspace(0.0, config.t_max, config.samples)
     lo, hi = window = config.fit_window or (0.05 * config.t_max, 0.8 * config.t_max)
     if (held := int(np.count_nonzero((t >= lo) & (t <= hi)))) < 3:
@@ -552,7 +556,7 @@ def cmd_sweep(config: RunConfig) -> int:
             **{axis: value for (axis, _), value in zip(active, combo)})
         axes = (index, *(getattr(point, axis) for axis in SWEEP_AXES))
         try:
-            run = resolve_natural(point)
+            run = resolve_natural(point, t)
         except PhysicsError as exc:
             rows.append(_error_row(axes, exc))
         else:

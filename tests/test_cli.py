@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dressedcavity.cli import (_KINDS, COMMANDS, RunConfig, build_parser, config_from_args,
@@ -53,6 +52,10 @@ def count_calls(monkeypatch, *names):
 
 
 TABLE_COMMANDS = ("spectrum", "dynamics", "density", "entanglement", "thermal")
+# Every Hypothesis phase but explain: an example of the tests that drive `main`
+# runs up to eight commands, so explaining a failure took minutes, while the
+# failing example itself is reported all the same.
+CLI_PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 class TestConfigHandling:
@@ -143,7 +146,7 @@ si = false
         assert manifest["si_inputs"]["temperature_si"] == 300.0
 
     def test_temperature_in_natural_mode_sets_beta(self):
-        run = resolve_natural(RunConfig(temperature=4.0))
+        run = resolve_natural(RunConfig(temperature=4.0), np.linspace(0.0, 50.0, 2000))
         assert run.beta == pytest.approx(0.25)
 
 
@@ -289,7 +292,8 @@ class TestSampleBlocks:
         # blocks of 7 samples: T = 50 spans 8 blocks, the last one ragged.  The
         # reference is the whole-stack route: one closed-form stack of every
         # sample, then one measures call on it.
-        run = resolve_natural(self.CONFIG)
+        run = resolve_natural(self.CONFIG, np.linspace(0.0, self.CONFIG.t_max,
+                                                   self.CONFIG.samples))
         f00 = amplitudes(dressed_spectrum(run.params), run.t_grid, 0)
         closed = reduced_density_closed(run.state, f00)
         m, rho = measures(closed), closed.matrix
@@ -352,7 +356,7 @@ class TestSampleBlocks:
         table = COMMANDS[command]
         peaks = []
         for samples in (2 * cli.MEASURE_BLOCK, 14 * cli.MEASURE_BLOCK):
-            run = resolve_natural(dataclasses.replace(self.CONFIG, samples=samples))
+            run = resolve_natural(self.CONFIG, np.linspace(0.0, self.CONFIG.t_max, samples))
             spectrum = dressed_spectrum(run.params)
             tracemalloc.start()
             try:
@@ -490,6 +494,32 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "VERIFY" not in captured.out
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--samples", 10 ** 12), ("--n-modes", 10 ** 76)],
+                             ids=["samples", "n_modes"])
+    def test_sizes_of_the_configured_model_do_not_enter(self, tmp_path, capsys, flag, value):
+        # verify resolves only its oracle model on t_list: a samples-long grid
+        # (7.28 TiB at 10^12, which numpy refuses without allocating it) or a
+        # mode span beyond the model's domain cap is never built
+        assert run_cli("verify", "--out", tmp_path / "default") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("verify", flag, value, "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("VERIFY PASS") and captured.err == ""
+        assert (out / "verify.csv").read_bytes() == \
+            (tmp_path / "default" / "verify.csv").read_bytes()
+
+    @pytest.mark.parametrize("model", [(), ("--radius", -1)], ids=["alone", "bad-model"])
+    def test_zero_oracle_modes_names_the_key(self, tmp_path, capsys, model):
+        # the baths are checked before the oracle model is resolved, so a bad
+        # n_modes_oracle is reported as such, also beside a bad model value
+        out = tmp_path / "out"
+        assert run_cli("verify", "--n-modes-oracle", 0, *model, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and "n_modes_oracle" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_non_finite_beta_list_exits_2_without_csv(self, tmp_path, capsys):
@@ -654,7 +684,7 @@ class TestExitCodes:
     def test_memory_error_exits_3_without_csv(self, tmp_path, capsys, monkeypatch, message,
                                               line):
         # the backstop for a size no cap bounds yet, such as --samples 1000000000000
-        def exhausted(config):
+        def exhausted(config, t_grid):
             raise MemoryError(message)
         monkeypatch.setattr(cli, "resolve_natural", exhausted)
         out = tmp_path / "out"
@@ -904,7 +934,7 @@ FLAGS = {
 GRIDS = {f"{axis}_grid": comma_list(1, 2) for axis in ("xi", "phi", "temperature", "radius", "g")}
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, phases=CLI_PHASES)
 @given(command=st.sampled_from(["spectrum", "dynamics", "density", "entanglement", "thermal",
                                 "verify", "sweep"]),
        names=st.lists(st.sampled_from(sorted(FLAGS)), max_size=6, unique=True),
@@ -954,7 +984,7 @@ CAPPED_FLAGS = {
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=CLI_PHASES)
 @given(command=st.sampled_from([*TABLE_COMMANDS, "sweep"]), n_modes=st.integers(32, 96),
        names=st.lists(st.sampled_from(sorted(CAPPED_FLAGS)), max_size=4, unique=True),
        grids=st.lists(st.sampled_from(["xi", "temperature", "radius", "g"]), min_size=1,
@@ -1046,6 +1076,7 @@ def sweep_number(text):
     return float(text) if text else None
 
 
+@settings(phases=CLI_PHASES)
 @given(n_modes=st.integers(4, 24), samples=st.integers(3, 48), g=st.floats(0.0, 0.5),
        radius=st.floats(0.5, 100.0), t_max=st.floats(0.5, 50.0), xi=st.floats(0.0, 1.0),
        phi=st.floats(-10.0, 10.0), beta=st.floats(0.05, 20.0), n0_init=st.floats(0.0, 10.0),
@@ -1141,3 +1172,116 @@ def test_every_table_column_matches_the_dense_reference(n_modes, samples, g, rad
             deviation = abs(float(row["occupation_long_time_mean[quanta]"])
                             - float(np.mean(occupation[late])))
             assert deviation <= COLUMN_SENSITIVITY["occupation[quanta]"] * weight * tolerance
+
+
+# Metamorphic relations: exact symmetries of the model, each checked through `main`
+# on small models (N <= 32, T <= 64).  The tolerances are worst-case counts, in eps,
+# of the roundings that separate the two runs (the affinity's doubled); over 210
+# random configs the largest deviations reached at most a third of them.
+SMALL_MODEL = {
+    "n_modes": st.integers(1, 32),
+    "samples": st.integers(1, 64),
+    "g": st.floats(0.0, 0.5),
+    "radius": st.floats(0.5, 100.0),
+    "t_max": st.floats(0.5, 50.0),
+}
+# A population, at most rho_00_00 = 1 - xi S - (1 - xi) S, takes two products and
+# two differences of values <= 1 on each side, 4 u = 2 eps per side.
+POPULATION_ROUNDING = 4.0
+# The coherence sqrt(xi (1 - xi)) e^{-i phi} S, with sqrt(xi (1 - xi)) <= 1/2: phi and
+# -phi are reduced modulo the rounded 2 pi, the negative one with one rounded sum
+# (pi eps), and the rounded 2 pi misses 2 pi by under pi eps, so the two phases are
+# negatives within 2 pi eps; e^{-i phi} and the four products forming the element
+# add 8 eps.
+COHERENCE_ROUNDING = 0.5 * (2.0 * math.pi + 8.0)
+# Each measure of a 4x4 state of norm <= 1 passes eigh, the products forming
+# sqrt(rho) rho~ sqrt(rho) and an svd (the negativity one eigvalsh), each
+# backward stable to about n u = 2 eps: 16 eps per side bounds the chain.
+MEASURE_ROUNDING = 16.0
+
+
+def small_model_argv(model):
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in model.items()]
+
+
+def table_columns(command, argv, out):
+    """A table command's columns by name, as float arrays, from a run of `main`."""
+    assert main([command, *argv, f"--out={out}"]) == 0
+    _, names, rows = read_csv(out / f"{command}.csv")
+    return dict(zip(names, np.array(rows, dtype=float).reshape(len(rows), len(names)).T))
+
+
+# The atom swap's column pairs: (column, its partner in the swapped run, sign, bound).
+ATOM_SWAP = {
+    "density": (("t[natural-time]", "t[natural-time]", 1, "exact"),
+                ("rho_00_00[probability]", "rho_00_00[probability]", 1, "population"),
+                ("rho_01_01[probability]", "rho_10_10[probability]", 1, "population"),
+                ("rho_10_10[probability]", "rho_01_01[probability]", 1, "population"),
+                ("re_rho_10_01[dimensionless]", "re_rho_10_01[dimensionless]", 1, "coherence"),
+                ("im_rho_10_01[dimensionless]", "im_rho_10_01[dimensionless]", -1,
+                 "coherence")),
+    "entanglement": tuple((name, name, 1, bound) for name, bound in (
+        ("t[natural-time]", "exact"), ("survival[probability]", "exact"),
+        ("concurrence[dimensionless]", "concurrence"), ("eof[ebits]", "eof"),
+        ("negativity[dimensionless]", "negativity"))),
+}
+
+
+@settings(phases=CLI_PHASES)
+@given(model=st.fixed_dictionaries(SMALL_MODEL), xi=st.floats(0.0, 1.0),
+       phi=st.floats(-10.0, 10.0))
+def test_atom_swap_exchanges_the_populations(model, xi, phi):
+    # (xi, phi) -> (1 - xi, -phi) relabels the atoms: rho_01_01 and rho_10_10 trade
+    # places, rho_00_00 and the survival stay, and the coherence turns into its
+    # conjugate, whose modulus the three measures read.  The swapped run's own
+    # 1 - xi may miss xi by an ulp, which shifts a population by at most `shift`
+    # and the coherence weight by `weight_shift`, computed as the closed form
+    # computes it; near xi = 0 the square root magnifies that ulp.
+    swapped = 1.0 - xi
+    shift = abs(xi - (1.0 - swapped))
+    weight_shift = abs(math.sqrt(xi * (1.0 - xi)) - math.sqrt(swapped * (1.0 - swapped)))
+    bounds = {"exact": 0.0, "population": POPULATION_ROUNDING * EPS + shift,
+              "coherence": COHERENCE_ROUNDING * EPS + weight_shift}
+    # C = 2 |rho[10,01]|; dEoF/dC <= 1/ln 2, plus the binary entropy's rounding on
+    # each side; the negativity sqrt(rho00^2 + 4|c|^2) - rho00 has slope at most 1
+    # in rho00 and 2 in |c|
+    bounds["concurrence"] = 2.0 * MEASURE_ROUNDING * EPS + 2.0 * bounds["coherence"]
+    bounds["eof"] = bounds["concurrence"] / math.log(2.0) + 8.0 * EPS
+    bounds["negativity"] = (2.0 * MEASURE_ROUNDING * EPS + bounds["population"]
+                            + 2.0 * bounds["coherence"])
+    argv = small_model_argv(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, pairs in ATOM_SWAP.items():
+            one = table_columns(command, [*argv, f"--xi={xi!r}", f"--phi={phi!r}"],
+                                Path(tmp) / f"{command}-one")
+            two = table_columns(command, [*argv, f"--xi={swapped!r}", f"--phi={-phi!r}"],
+                                Path(tmp) / f"{command}-two")
+            assert len(one) == len(pairs)
+            for name, partner, sign, bound in pairs:
+                deviation = np.abs(one[name] - sign * two[partner])
+                assert np.all(deviation <= bounds[bound]), \
+                    (command, name, float(np.max(deviation)), bounds[bound])
+
+
+@settings(phases=CLI_PHASES)
+@given(model=st.fixed_dictionaries(SMALL_MODEL), beta=st.floats(0.05, 20.0))
+def test_thermal_is_affine_in_n0_init(model, beta):
+    # n_0'(t) = |f_00|^2 n0_init + the field's share, so raising n0_init from 1 to
+    # 2 adds the survival.  Both occupations contract the same powers |f_0nu|^2,
+    # so they differ by exactly |f_00|^2 before rounding.  Each is a dot product
+    # of N + 1 nonnegative terms, within (N + 1) u of its value; the difference
+    # rounds by u of itself; and the pass's re^2 + im^2 and the `dynamics`
+    # survival hypot(re, im)^2 each lie within 3 u of |f_00|^2.  The bound
+    # doubles that sum.
+    argv = [*small_model_argv(model), f"--beta={beta!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = (table_columns("thermal", [*argv, f"--n0-init={n0}"],
+                                  Path(tmp) / f"thermal-{n0}")["occupation[quanta]"]
+                    for n0 in (1, 2))
+        survival = table_columns("dynamics", argv, Path(tmp) / "dynamics")[
+            "survival[probability]"]
+    u = 0.5 * EPS
+    bound = 2.0 * ((model["n_modes"] + 1) * u * (one + two) + u * np.abs(two - one)
+                   + 6.0 * u * survival)
+    deviation = np.abs(two - one - survival)
+    assert np.all(deviation <= bound), float(np.max(deviation / bound))
