@@ -1,62 +1,84 @@
 #!/usr/bin/env bash
-# Check that two source trees write byte-identical CSV bodies for one config.
+# Check that two source trees write byte-identical CSV bodies for one or more configs.
 #
-#   scripts/compare_csv_bodies.sh BASE_SRC HEAD_SRC [CONFIG]
+#   scripts/compare_csv_bodies.sh BASE_SRC HEAD_SRC [CONFIG...]
 #
 # BASE_SRC and HEAD_SRC are `src/` directories (for example of the target
-# branch and of a change); CONFIG defaults to scripts/compare_csv_bodies.cfg,
-# which fits in one block of every kind; scripts/compare_csv_bodies_blocks.cfg
-# crosses the amplitude and spectral block boundaries.
-# Each table subcommand, `verify` and `sweep` runs once from each tree;
-# every CSV a command writes (for `sweep`, `sweep.csv` and each
-# `points/*/dynamics.csv`) has its `#` metadata lines stripped and the
-# remaining body compared with cmp.  `sweep` is skipped for a config with no
-# `*_grid` key, which it needs.  Then every `manifest.json` the head tree
-# wrote (a sweep's point manifests included) is checked against the files
-# beside it: each `outputs[]` entry's `sha256` and `bytes` must match.
+# branch and of a change); with no CONFIG the script uses
+# scripts/compare_csv_bodies.cfg, which fits in one block of every kind;
+# scripts/compare_csv_bodies_blocks.cfg crosses the amplitude and spectral
+# block boundaries.
+# For each config, each table subcommand, `verify`, `verify
+# --negative-control` and `sweep` runs once from each tree; every CSV a
+# command writes (for `sweep`, `sweep.csv` and each `points/*/dynamics.csv`)
+# has its `#` metadata lines stripped and the remaining body compared with
+# cmp.  The negative control must exit 2 in both trees, every other command
+# 0.  `sweep` is skipped for a config with no `*_grid` key, which it needs.
+# Then every `manifest.json` the head tree wrote (a sweep's point manifests
+# included) is checked against the files beside it: each `outputs[]`
+# entry's `sha256` and `bytes` must match.
 # Exits 1 on any difference, on a CSV that only one tree writes, on a
-# command that fails in either tree, or on a checksum that does not match.
+# command that exits otherwise than expected in either tree, or on a
+# checksum that does not match.
 set -euo pipefail
 
 base_src=$(cd "$1" && pwd)
 head_src=$(cd "$2" && pwd)
-config=$(realpath "${3:-$(dirname "$0")/compare_csv_bodies.cfg}")
+shift 2
+[ $# -gt 0 ] || set -- "$(dirname "$0")/compare_csv_bodies.cfg"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# each run: the exit code both trees must give, then the command and its flags
+runs=("0 spectrum" "0 dynamics" "0 density" "0 entanglement" "0 thermal" "0 verify"
+      "2 verify --negative-control" "0 sweep")
 status=0
-for command in spectrum dynamics density entanglement thermal verify sweep; do
-  if [ "$command" = sweep ] && ! grep -Eq '^[[:space:]]*[a-z_]+_grid[[:space:]]*=' "$config"; then
-    echo "skip sweep: no grid"
-    continue
-  fi
-  for side in base head; do
-    src=$base_src
-    [ "$side" = head ] && src=$head_src
-    out="$work/$side/$command"
-    if ! PYTHONPATH="$src" python -m dressedcavity.cli "$command" --config "$config" \
-        --out "$out" > "$work/$side.$command.log" 2>&1; then
-      echo "FAIL $command: the $side tree exited nonzero"
-      cat "$work/$side.$command.log"
-      status=1
-      continue 2
+index=0
+for given in "$@"; do
+  config=$(realpath "$given")
+  name=$(basename "$config")
+  index=$((index + 1))
+  for run in "${runs[@]}"; do
+    read -r expect command flags <<< "$run"
+    label=$command${flags:+-${flags#--}}
+    if [ "$command" = sweep ] && ! grep -Eq '^[[:space:]]*[a-z_]+_grid[[:space:]]*=' "$config"; then
+      echo "skip $name $label: no grid"
+      continue
     fi
-    (cd "$out" && find . -name '*.csv' | sort) > "$work/$side.$command.files"
+    for side in base head; do
+      src=$base_src
+      [ "$side" = head ] && src=$head_src
+      out="$work/$side/$index/$label"
+      log="$work/$side.$index.$label.log"
+      code=0
+      # shellcheck disable=SC2086  # flags is empty or one flag
+      PYTHONPATH="$src" python -m dressedcavity.cli "$command" $flags --config "$config" \
+          --out "$out" > "$log" 2>&1 || code=$?
+      if [ "$code" -ne "$expect" ]; then
+        echo "FAIL $name $label: the $side tree exited $code, expected $expect"
+        cat "$log"
+        status=1
+        continue 2
+      fi
+      (cd "$out" && find . -name '*.csv' | sort) > "$work/$side.$index.$label.files"
+    done
+    if ! cmp -s "$work/base.$index.$label.files" "$work/head.$index.$label.files"; then
+      echo "FAIL $name $label: the trees write different CSV files"
+      diff "$work/base.$index.$label.files" "$work/head.$index.$label.files" || true
+      status=1
+      continue
+    fi
+    while read -r csv; do
+      base_csv="$work/base/$index/$label/$csv"
+      head_csv="$work/head/$index/$label/$csv"
+      if cmp -s <(grep -v '^#' "$base_csv") <(grep -v '^#' "$head_csv"); then
+        echo "same $name $label: ${csv#./} ($(grep -vc '^#' "$head_csv") lines)"
+      else
+        echo "DIFF $name $label: ${csv#./}"
+        status=1
+      fi
+    done < "$work/head.$index.$label.files"
   done
-  if ! cmp -s "$work/base.$command.files" "$work/head.$command.files"; then
-    echo "FAIL $command: the trees write different CSV files"
-    diff "$work/base.$command.files" "$work/head.$command.files" || true
-    status=1
-    continue
-  fi
-  while read -r csv; do
-    if cmp -s <(grep -v '^#' "$work/base/$command/$csv") <(grep -v '^#' "$work/head/$command/$csv"); then
-      echo "same $command: ${csv#./} ($(grep -vc '^#' "$work/head/$command/$csv") lines)"
-    else
-      echo "DIFF $command: ${csv#./}"
-      status=1
-    fi
-  done < "$work/head.$command.files"
 done
 python - "$work/head" <<'EOF' || status=1
 import hashlib, json, sys

@@ -36,14 +36,13 @@ fit fails; the exit code does not change); `entanglement` records
 once that the shared time grid holds enough samples for its fit window,
 sets that window on every point and resolves every grid point, in index
 order, into a dict keyed by its resolved `ModelParams`, then runs one
-serial loop over those models.  Each gets one
-spectral stage and one occupation pass, in which the weights of all its
-distinct (beta, n0_init) pairs share the amplitude blocks and which also
-gives f_00; the `dynamics` table is built from that f_00, and its
-`decay_fit` fills the gamma and r_squared columns.  All of the model's
-points go through one `TableCommand.write` call, the step a standalone
-`dynamics` run ends with: the body is rendered once, and every point
-writes it and its manifest.
+serial loop over those models.  Each gets one spectral stage and one
+occupation pass, in which the weights of all its distinct betas share the
+amplitude blocks and which also gives f_00; the `dynamics` table is built
+from that f_00, and its `decay_fit` fills the gamma and r_squared columns.
+All of the model's points go through one `TableCommand.write` call, the
+step a standalone `dynamics` run ends with: the body is rendered once, and
+every point writes it and its manifest.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
@@ -55,8 +54,9 @@ jobs other than 1, an unreadable config file and an output path that
 cannot be written; a reader that closes stdout early changes no exit code), 2
 physics-contract violation (including a failed verify, a non-finite or
 out-of-range config number and a sweep whose every point failed), 3
-resource cap exceeded (including a MemoryError, the backstop for a size
-no cap bounds yet).
+resource cap exceeded (including a time grid past numpy's largest array, a
+model past the spectral cap, refused before its arrays are built, and a
+MemoryError, the backstop for a size no cap bounds yet).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import ModelParams, build_coupling_matrix, natural_from_si
 from .reporting import csv_body, write_csv, write_manifest
-from .spectral import EPS, diagonalize
+from .spectral import EPS, diagonalize, require_component_budget
 from .thermal import bose_einstein, occupation_series, occupation_weights
 
 VERIFY_TOLERANCE = 1e-12
@@ -166,12 +166,12 @@ def resolve_natural(config: RunConfig, t_grid: np.ndarray) -> NaturalRun:
         raise DomainError(f"temperature must be positive, got {config.temperature}")
     si_inputs = None
     if config.si:
-        converted = natural_from_si(config.omega_bar, config.radius, config.temperature)
+        omega_bar, radius, beta = natural_from_si(config.omega_bar, config.radius,
+                                                  config.temperature)
         si_inputs = {"omega_bar_si": config.omega_bar, "radius_si": config.radius,
                      "temperature_si": config.temperature}
-        omega_bar, radius = converted.omega, converted.radius
         g = config.g / config.omega_bar
-        beta = converted.beta if converted.beta is not None else config.beta
+        beta = config.beta if beta is None else beta
     else:
         omega_bar, g, radius = config.omega_bar, config.g, config.radius
         beta = 1.0 / config.temperature if config.temperature is not None else config.beta
@@ -249,10 +249,24 @@ def _metadata(run: NaturalRun, extra: dict | None = None) -> dict:
     return md
 
 
+def _time_grid(config: RunConfig) -> np.ndarray:
+    """The `samples` times linspace(0, t_max, samples).  A grid whose bytes
+    numpy cannot index, which it refuses with a ValueError before it
+    allocates, is a ResourceCapError."""
+    try:
+        return np.linspace(0.0, config.t_max, config.samples)
+    except ValueError as exc:  # samples >= 1 and t_max is finite: only the size is left
+        raise ResourceCapError(f"a time grid of {config.samples} samples is larger than the "
+                               "largest array numpy can index") from exc
+
+
 def _pipeline(run: NaturalRun, tolerance: float = PHASE_TOLERANCE,
               consequence: str = "every time series built on the phases is rounding noise"):
     """Shared spectral stage plus the residuals the manifest reports, and a
-    warning when the phases on run.t_grid have lost more than `tolerance`."""
+    warning when the phases on run.t_grid have lost more than `tolerance`.
+    A model whose components exceed the spectral cap is refused before its
+    O(N) arrays are built."""
+    require_component_budget(run.params.n_modes)
     matrix = build_coupling_matrix(run.params)
     spectrum = diagonalize(matrix)
     eig_residual = spectrum.reconstruction_residual(matrix)
@@ -262,16 +276,16 @@ def _pipeline(run: NaturalRun, tolerance: float = PHASE_TOLERANCE,
     unitarity = float(np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0)))
     # radians the phases Omega*t lose to rounding at the largest |t|
     phase_precision = float(np.max(np.abs(run.t_grid))) * spectrum.omega_dressed[-1] * EPS
-    ladder = run.params.mode_frequencies
+    span = run.params.n_modes * run.params.delta_omega  # the top of the mode ladder
     warnings = []
     if phase_precision > tolerance:
         warnings.append(f"phase precision max|t|*Omega_max*eps = {phase_precision:.3g} rad "
                         f"exceeds {tolerance:g}; {consequence}")
     return spectrum, {
         "n_modes": run.params.n_modes,
-        "mode_span_over_omega_bar": ladder[-1] / run.params.omega_bar,
+        "mode_span_over_omega_bar": span / run.params.omega_bar,
         "modes_per_linewidth": math.pi * run.params.g / run.params.delta_omega,
-        "omega_bar_in_ladder": bool(ladder[0] <= run.params.omega_bar <= ladder[-1]),
+        "omega_bar_in_ladder": run.params.delta_omega <= run.params.omega_bar <= span,
         "recurrence_time": 2.0 * run.params.radius,
         "eigensolver_residual": eig_residual,
         "unitarity_residual": unitarity,
@@ -350,7 +364,7 @@ class TableCommand:
     def __call__(self, config: RunConfig) -> int:
         """resolve -> spectral stage -> rows -> `write`."""
         started = time.monotonic()
-        run = resolve_natural(config, np.linspace(0.0, config.t_max, config.samples))
+        run = resolve_natural(config, _time_grid(config))
         spectrum, convergence, warnings = _pipeline(run)
         self.write([(config, run)], started, self.build(run, spectrum), convergence, warnings)
         return 0
@@ -487,44 +501,45 @@ def _error_row(axes: tuple, exc: Exception) -> tuple:
 def _sweep_model(points: list) -> list:
     """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
 
-    The points share one time grid, run.t_grid.  The model gets one
-    spectral stage and one occupation pass over the weights of its distinct
-    (beta, n0_init) pairs, whose means over the late samples t >= t_max/2
-    fill the rows.  The same pass gives f_00, and so the model's `dynamics`
-    table, whose decay fit fills the gamma and r_squared columns (empty when
-    the fit failed).  A pair whose weights raise fails only its own points,
-    a failed stage every point.  One `TableCommand.write` call renders the
-    table once and writes every point's `dynamics` CSV and manifest, which
-    lists the model's warnings; they are printed once, for the model.  The
-    spectrum is freed on return, so a sweep holds one at a time.
+    The points share one time grid, run.t_grid, and one n0_init, which is
+    no sweep axis.  The model gets one spectral stage and one occupation
+    pass over the weights of its distinct betas, whose means over the late
+    samples t >= t_max/2 fill the rows.  The same pass gives f_00, and so
+    the model's `dynamics` table, whose decay fit fills the gamma and
+    r_squared columns (empty when the fit failed).  A beta whose weights
+    raise fails only its own points, a failed stage every point.  One
+    `TableCommand.write` call renders the table once and writes every
+    point's `dynamics` CSV and manifest, which lists the model's warnings;
+    they are printed once, for the model.  The spectrum is freed on return,
+    so a sweep holds one at a time.
     """
     started, run = time.monotonic(), points[0][2]
     try:
         spectrum, convergence, warnings = _pipeline(run)
     except (PhysicsError, ResourceCapError) as exc:
         return [_error_row(axes, exc) for axes, _, _ in points]
-    weights, failed = {}, {}
-    for pair in dict.fromkeys((run.beta, run.n0_init) for _, _, run in points):
+    weights, means = {}, {}  # means: each beta's long-time mean, or its PhysicsError
+    for beta in dict.fromkeys(run.beta for _, _, run in points):
         try:
-            weights[pair] = occupation_weights(run.params, *pair)
+            weights[beta] = occupation_weights(run.params, beta, run.n0_init)
         except PhysicsError as exc:
-            failed[pair] = exc
+            means[beta] = exc
     shared = occupation_series(
         spectrum, np.reshape(list(weights.values()), (-1, spectrum.size)), run.t_grid)
     late = run.t_grid >= 0.5 * run.t_grid[-1]
-    means = {pair: float(np.mean(row[late])) for pair, row in zip(weights, shared.occupation)}
+    means |= {beta: float(np.mean(row[late])) for beta, row in zip(weights, shared.occupation)}
     table = _dynamics_table(run, shared.f00)
     decay = table.manifest["decay_fit"]
     COMMANDS["dynamics"].write([(point, run) for _, point, run in points], started, table,
                                convergence, warnings)
     rows = []
     for axes, point, run in points:
-        if (pair := (run.beta, run.n0_init)) in failed:
-            rows.append(_error_row(axes, failed[pair]))
+        if isinstance(mean := means[run.beta], PhysicsError):
+            rows.append(_error_row(axes, mean))
         else:
             rows.append((*axes, table.manifest["min_survival"], decay.get("rate"),
                          decay.get("r_squared"), family_concurrence(point.xi, 1.0),
-                         means[pair], "ok"))
+                         mean, "ok"))
     return rows
 
 
@@ -541,7 +556,7 @@ def cmd_sweep(config: RunConfig) -> int:
     # Every point is resolved on this one grid.  Its last sample is t_max, so
     # a grid with three samples in the fit window also has one in the
     # long-time window t >= t_max/2 that the occupation mean averages over.
-    t = np.linspace(0.0, config.t_max, config.samples)
+    t = _time_grid(config)
     lo, hi = window = config.fit_window or (0.05 * config.t_max, 0.8 * config.t_max)
     if (held := int(np.count_nonzero((t >= lo) & (t <= hi)))) < 3:
         raise UsageError(f"fit window [{lo:g}, {hi:g}] holds {held} of the {t.size} samples "

@@ -33,4 +33,7 @@ class FitWindowError(PhysicsError):
 
 
 class ResourceCapError(Exception):
-    """An enumeration would exceed the configured resource cap."""
+    """A size is refused before it is allocated: eigenvector components past
+    the spectral budget, oracle backgrounds past their cap, or a time grid
+    past numpy's largest array.  The CLI exits 3 on it, as on a MemoryError,
+    the backstop for a size no cap bounds yet."""

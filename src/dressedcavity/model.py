@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +31,8 @@ LIGHT_SPEED = 299792458.0        # m / s
 SQUARED_FREQUENCY_LIMIT = 1e150
 
 
-class NaturalInputs(NamedTuple):
-    omega: float
-    radius: float
-    beta: float | None
-
-
 def natural_from_si(omega_si: float, radius_si: float,
-                    temperature_si: float | None = None) -> NaturalInputs:
+                    temperature_si: float | None = None) -> tuple[float, float, float | None]:
     """Convert SI inputs to natural units with the time unit fixed to 1/omega_si.
 
     Returns (omega, radius, beta): omega is 1 by construction, radius is the
@@ -58,7 +51,7 @@ def natural_from_si(omega_si: float, radius_si: float,
         if thermal_energy == 0.0:
             raise DomainError(f"k_B*T underflows to 0 at temperature_si {temperature_si}")
         beta = HBAR * omega_si / thermal_energy
-    return NaturalInputs(1.0, radius_si * omega_si / LIGHT_SPEED, beta)
+    return 1.0, radius_si * omega_si / LIGHT_SPEED, beta
 
 
 @dataclass(frozen=True)
@@ -140,8 +133,12 @@ def build_coupling_matrix(params: ModelParams) -> CouplingMatrix:
 
     a = omega_bar^2 + N*eta^2, d_k = omega_k^2, z_k = -eta*omega_k
     with eta = sqrt(2 g delta_omega) and omega_k the params' mode frequencies.
+    The scalars are squared as products, which are correctly rounded, as
+    numpy squares the arrays: libm's pow (Python's `**`) may miss a square
+    by an ulp in one binade and not in the next, so power-of-two units
+    would not scale every entry exactly.
     """
     w = params.mode_frequencies
     eta = params.eta
-    return CouplingMatrix(a=params.omega_bar ** 2 + params.n_modes * eta ** 2,
+    return CouplingMatrix(a=params.omega_bar * params.omega_bar + params.n_modes * (eta * eta),
                           z=-eta * w, d=w ** 2)

@@ -28,9 +28,7 @@ def format_value(value: Any) -> str:
         return ""
     if isinstance(value, float):  # includes numpy float64; repr of the builtin round-trips
         return repr(float(value))
-    if isinstance(value, (int, str)):
-        return str(value)
-    return repr(value)
+    return str(value)
 
 
 def csv_body(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

@@ -28,6 +28,8 @@ eigenvalues; dense eigh remains the small-N cross-check in the tests.
 The component matrix is the stage's only (N+1)^2 array (two on the
 deflation path); its size is checked against SPECTRAL_BYTES_CAP before it
 is allocated, and a larger model stops with ResourceCapError (exit 3).
+`require_component_budget` is that check; the CLI also makes it before
+it builds the model's O(N) arrays.
 The secular solve and the residual work on blocks of rows of about
 BLOCK_ELEMENTS doubles, in two block workspaces that each call allocates
 once and every block and iteration refills.  Every entry is the same
@@ -121,6 +123,21 @@ def _workspaces(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((rows, width)), np.empty((rows, width))
 
 
+def require_component_budget(n: int, live: int | None = None) -> None:
+    """Raise ResourceCapError when the component arrays of an n-mode model,
+    `live` of whose borders do not deflate (all by default), would exceed
+    SPECTRAL_BYTES_CAP.  With every border live this is 8*(n+1)^2 bytes, the
+    least `diagonalize` holds, so a caller may refuse a model before any of
+    its arrays exists without refusing one `diagonalize` would accept."""
+    live = n if live is None else live
+    # the secular rows, plus the full matrix they are scattered into on deflation
+    held = 8 * ((live + 1) ** 2 + ((n + 1) ** 2 if live < n else 0))
+    if held > SPECTRAL_BYTES_CAP:
+        raise ResourceCapError(
+            f"the spectral stage would hold {held / 2 ** 20:.0f} MiB of eigenvector "
+            f"components at n_modes={n}, above the {SPECTRAL_BYTES_CAP / 2 ** 20:.0f} MiB cap")
+
+
 def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     """All eigenpairs of the arrowhead coupling matrix, sorted ascending, in O(N^2).
 
@@ -141,12 +158,7 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     dead = np.flatnonzero(np.abs(z) <= tol)
     if np.any(np.diff(d[live]) <= tol):
         raise ContractViolationError("coupled mode entries must ascend strictly")
-    # the secular rows, plus the full matrix they are scattered into on deflation
-    held = 8 * ((live.size + 1) ** 2 + ((n + 1) ** 2 if dead.size else 0))
-    if held > SPECTRAL_BYTES_CAP:
-        raise ResourceCapError(
-            f"the spectral stage would hold {held / 2 ** 20:.0f} MiB of eigenvector "
-            f"components at n_modes={n}, above the {SPECTRAL_BYTES_CAP / 2 ** 20:.0f} MiB cap")
+    require_component_budget(n, live.size)
     lam_live, vt_live = _secular_eigenpairs(a, d[live], z[live])
     lam = np.concatenate((lam_live, d[dead]))
     rank = np.argsort(lam, kind="stable")

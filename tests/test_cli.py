@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from dressedcavity.cli import (_KINDS, COMMANDS, RunConfig, build_parser, config_from_args,
@@ -20,7 +20,8 @@ from dressedcavity.cli import (_KINDS, COMMANDS, RunConfig, build_parser, config
 from dressedcavity.density import reduced_density_closed, survival_probability
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.entanglement import measures
-from dressedcavity.model import BOLTZMANN, HBAR, ModelParams
+from dressedcavity.model import (BOLTZMANN, HBAR, ModelParams, build_coupling_matrix,
+                                 natural_from_si)
 from dressedcavity.reporting import csv_body
 from dressedcavity.spectral import EPS
 from dressedcavity.thermal import occupation_weights
@@ -29,7 +30,7 @@ import dressedcavity.dynamics as dynamics
 import dressedcavity.spectral as spectral
 import dressedcavity.thermal as thermal
 
-from conftest import dense_reference, dressed_spectrum, read_csv
+from conftest import dense, dense_reference, dressed_spectrum, read_csv, si_from_natural
 
 
 def run_cli(*args):
@@ -496,12 +497,15 @@ class TestVerifyCommand:
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--samples", 10 ** 12), ("--n-modes", 10 ** 76)],
-                             ids=["samples", "n_modes"])
+    @pytest.mark.parametrize("flag, value", [("--samples", 10 ** 12), ("--n-modes", 10 ** 76),
+                                             ("--samples", 10 ** 19), ("--n-modes", 10 ** 19)],
+                             ids=["samples", "n_modes", "samples-past-numpy",
+                                  "n_modes-past-numpy"])
     def test_sizes_of_the_configured_model_do_not_enter(self, tmp_path, capsys, flag, value):
         # verify resolves only its oracle model on t_list: a samples-long grid
-        # (7.28 TiB at 10^12, which numpy refuses without allocating it) or a
-        # mode span beyond the model's domain cap is never built
+        # (7.28 TiB at 10^12, which numpy refuses without allocating it; past
+        # numpy's largest array at 10^19), a mode span beyond the model's domain
+        # cap or a model past the spectral cap is never built
         assert run_cli("verify", "--out", tmp_path / "default") == 0
         capsys.readouterr()
         out = tmp_path / "out"
@@ -667,13 +671,14 @@ class TestExitCodes:
 
     def test_spectral_cap_is_a_sweep_error_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "SPECTRAL_BYTES_CAP", 1 << 15)
-        calls = count_calls(monkeypatch, "diagonalize")
+        calls = count_calls(monkeypatch, "_pipeline", "build_coupling_matrix")
         out = tmp_path / "out"
         assert run_cli("sweep", "--xi-grid", "0.3,0.6", "--n-modes", 64, "--t-max", 2,
                        "--samples", 16, "--out", out) == 2
         _, _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 2 and all("MiB cap" in row[-1] for row in rows)
-        assert calls == {"diagonalize": 1}  # both points report the one failed stage
+        # both points report the one failed stage, refused before the model is built
+        assert calls == {"_pipeline": 1, "build_coupling_matrix": 0}
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type "
@@ -691,6 +696,37 @@ class TestExitCodes:
         assert run_cli("dynamics", "--out", out) == 3
         assert capsys.readouterr().err == f"resource cap exceeded: {line}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("dynamics", "--samples", 10 ** 19), ("spectrum", "--n-modes", 10 ** 19),
+        ("sweep", "--xi-grid", 0.5, "--samples", 10 ** 19), ("density", "--n-modes", 10 ** 8)],
+        ids=["samples", "n_modes", "sweep-samples", "n_modes-1e8"])
+    def test_sizes_are_refused_before_any_array(self, tmp_path, capsys, monkeypatch, argv):
+        # a grid past numpy's largest array, and a model past the spectral cap,
+        # are refused with exit 3 before the grid or the model's arrays exist
+        calls = count_calls(monkeypatch, "build_coupling_matrix")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("resource cap exceeded:") and err.count("\n") == 1
+        assert calls == {"build_coupling_matrix": 0} and peak < 1 << 20
+        assert not out.exists()
+
+    def test_sweep_records_a_model_past_the_cap_as_error_rows(self, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = count_calls(monkeypatch, "build_coupling_matrix")
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--xi-grid", "0.3,0.6", "--n-modes", 10 ** 19,
+                       "--out", out) == 2
+        assert "all 2 sweep points failed" in capsys.readouterr().err
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 2 and all("MiB cap" in row[-1] for row in rows)
+        assert calls == {"build_coupling_matrix": 0} and not (out / "points").exists()
 
     def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1285,3 +1321,134 @@ def test_thermal_is_affine_in_n0_init(model, beta):
                    + 6.0 * u * survival)
     deviation = np.abs(two - one - survival)
     assert np.all(deviation <= bound), float(np.max(deviation / bound))
+
+
+# Power-of-two units: omega_bar and g times 2^k, R, t_max and beta over 2^k.  Each
+# scaling is exact in binary floating point while no value leaves the normal range,
+# so the coupling matrix scales by exactly 4^k, every frequency by 2^k and every time
+# by 2^-k, and the products Omega t and beta omega keep their bits.  |k| <= 64 keeps
+# the squared frequencies (at most 4^64 (32 pi / 0.5)^2, about 1e43) and the times
+# far inside SQUARED_FREQUENCY_LIMIT and TIME_LIMIT; a g of 0 or at least 1e-60 stays
+# normal through the model's products and the SI conversion.
+SCALED_COLUMNS = {"t[natural-time]": -1, "Omega_s[natural-frequency]": 1}
+NORMAL_G = st.one_of(st.just(0.0), st.floats(1e-60, 0.5))
+
+
+@settings(phases=CLI_PHASES)
+# libm's pow rounded omega_bar ** 2 here one ulp off its scaled square
+@example(model={"n_modes": 1, "samples": 1, "g": 0.5, "radius": 4.0, "t_max": 1.0,
+                "omega_bar": 0.6365730206603428, "beta": 1.0, "xi": 0.0, "phi": 0.0}, k=-1)
+@given(model=st.fixed_dictionaries(
+           {**SMALL_MODEL, "g": NORMAL_G,
+            "omega_bar": st.floats(0.3, 3.0), "beta": st.floats(0.05, 20.0),
+            "xi": st.floats(0.0, 1.0), "phi": st.floats(-10.0, 10.0)}),
+       k=st.integers(-64, 64).filter(bool))
+def test_power_of_two_units_keep_every_bit(model, k):
+    # Every column is bit-identical to the k = 0 run, but t, which is exactly 2^-k
+    # times it, and Omega_s, exactly 2^k times it.  A column that moves means some
+    # tolerance in the program is absolute where it should be relative.
+    power = {"omega_bar": 1, "g": 1, "radius": -1, "t_max": -1, "beta": -1}
+    scaled = {name: math.ldexp(value, power[name] * k) if name in power else value
+              for name, value in model.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in TABLE_COMMANDS:
+            tables = []
+            for index, values in enumerate((model, scaled)):
+                out = Path(tmp) / f"{command}-{index}"
+                assert main([command, *small_model_argv(values), f"--out={out}"]) == 0
+                tables.append(read_csv(out / f"{command}.csv")[1:])
+            (names, one), (_, two) = tables
+            for name, first, second in zip(names, zip(*one), zip(*two)):
+                if name in SCALED_COLUMNS:
+                    first = tuple(repr(math.ldexp(float(v), SCALED_COLUMNS[name] * k))
+                                  for v in first)
+                assert first == second, (command, name)
+
+
+# The SI round trip rounds R four times (R c / omega_si, then R_si omega_si / c), g
+# twice (g omega_si, then g_si / omega_si) and beta four times (k_B beta, hbar omega_si
+# over it, k_B T_si, hbar omega_si over that; hbar omega_si is one product both ways),
+# so each comes back within that many u = eps/2 of its value, to first order.
+SI_ROUNDINGS = {"radius": 4, "g": 2, "beta": 4}
+
+
+@settings(phases=CLI_PHASES)
+@given(model=st.fixed_dictionaries(
+           {**SMALL_MODEL, "g": NORMAL_G, "beta": st.floats(0.05, 20.0),
+            "xi": st.floats(0.0, 1.0), "phi": st.floats(-10.0, 10.0),
+            "n0_init": st.floats(0.0, 10.0)}),
+       omega_si=st.floats(1e6, 1e18))
+def test_si_run_reproduces_the_natural_run(model, omega_si):
+    # --si with omega_si, g_si = g omega_si, R_si = R c / omega_si and T_si with
+    # hbar omega_si / (k_B T_si) = beta resolves to omega_bar = 1 and to R', g', beta'
+    # within SI_ROUNDINGS of R, g, beta.  The two runs then solve coupling matrices M
+    # and M' = M + dM.  Each run's f_0nu lies within 2 u_t of its exact value,
+    # u_t = eps (1 + Omega_max t_max) as in the dense-reference test, and the exact
+    # amplitudes, entries of exp(-i sqrt(M) t), differ by at most
+    # |t| ||sqrt(M') - sqrt(M)|| <= |t| ||dM|| / (Omega_0 + Omega_0') (the square root
+    # of a positive definite matrix is Lipschitz with that constant).  Each column
+    # may then differ by its COLUMN_SENSITIVITY times that, plus its own rounding on
+    # both sides, at most the measures' 2 MEASURE_ROUNDING eps; the occupation also by
+    # max |dw| over the weights (the |f_0nu|^2 add up to 1) and by its two dot
+    # products' (N + 1) u rounding.  Omega_s moves by |dlam_s| / (Omega_s + Omega_s')
+    # with |dlam_s| <= ||dM|| (Weyl), t_0^s by sqrt(2) ||dM|| / (gap_s - 2 ||dM||)
+    # (Davis-Kahan), each plus the solver's accuracy of the dense-reference test on
+    # both sides.
+    _, radius_si, temperature_si = si_from_natural(1.0, model["radius"], model["beta"],
+                                                   omega_si)
+    g_si = model["g"] * omega_si
+    omega_bar, radius, beta = natural_from_si(omega_si, radius_si, temperature_si)
+    assert omega_bar == 1.0
+    u = 0.5 * EPS
+    for name, back in (("radius", radius), ("g", g_si / omega_si), ("beta", beta)):
+        rounding = SI_ROUNDINGS[name] * u
+        assert abs(back - model[name]) <= rounding * (1.0 + rounding) * model[name], name
+    n_modes = model["n_modes"]
+    natural = ModelParams(1.0, model["g"], model["radius"], n_modes)
+    converted = ModelParams(1.0, g_si / omega_si, radius, n_modes)
+    change = float(np.linalg.norm(dense(build_coupling_matrix(converted))
+                                  - dense(build_coupling_matrix(natural)), 2))
+    weights = occupation_weights(natural, model["beta"], model["n0_init"])
+    weight_change = float(np.max(np.abs(occupation_weights(converted, beta, model["n0_init"])
+                                        - weights)))
+    si_model = {**model, "omega_bar": omega_si, "g": g_si, "radius": radius_si,
+                "temperature": temperature_si}
+    del si_model["beta"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = {command: [table_columns(command, argv, Path(tmp) / f"{command}-{side}")
+                            for side, argv in (("natural", small_model_argv(model)),
+                                               ("si", ["--si", *small_model_argv(si_model)]))]
+                  for command in TABLE_COMMANDS}
+    one, two = tables["spectrum"]
+    omega, omega_si_run = one["Omega_s[natural-frequency]"], two["Omega_s[natural-frequency]"]
+    lam = omega ** 2
+    t = tables["dynamics"][0]["t[natural-time]"]
+    amplitude = (AMPLITUDE_TOLERANCE * EPS * (1.0 + max(omega[-1], omega_si_run[-1])
+                                               * model["t_max"])
+                 + np.abs(t) * change / (omega[0] + omega_si_run[0]))
+    rounding = 2.0 * MEASURE_ROUNDING * EPS
+    bounds = {name: sensitivity * amplitude + rounding
+              for name, sensitivity in COLUMN_SENSITIVITY.items()}
+    bounds["s[index]"] = bounds["t[natural-time]"] = 0.0  # one range and one linspace
+    bounds["occupation[quanta]"] = (COLUMN_SENSITIVITY["occupation[quanta]"] * amplitude
+                                    * float(np.sum(weights)) + weight_change
+                                    + 2.0 * (n_modes + 1) * u * float(np.sum(weights))
+                                    + rounding)
+    gap = np.min(np.abs(lam[:, None] - lam) + np.diag(np.full(lam.size, np.inf)), axis=1)
+    bounds["Omega_s[natural-frequency]"] = (
+        2.0 * OMEGA_TOLERANCE * EPS * (lam[-1] / (2.0 * omega) + omega)
+        + change / (omega + omega_si_run))
+    with np.errstate(divide="ignore"):
+        bounds["t_0_s[dimensionless]"] = np.where(
+            gap > 2.0 * change,
+            2.0 * COMPONENT_TOLERANCE * EPS * lam[-1] / gap
+            + math.sqrt(2.0) * change / (gap - 2.0 * change), np.inf)
+    survival = tables["dynamics"][0]["survival[probability]"]
+    for command, (one, two) in tables.items():
+        for name, got in two.items():
+            want = one[name]
+            if name == "phase[rad]":
+                got, want = (np.sqrt(survival) * np.exp(1j * phase) for phase in (got, want))
+            deviation = np.abs(got - want)
+            assert np.all(deviation <= bounds[name]), \
+                (command, name, float(np.max(deviation / bounds[name])))
