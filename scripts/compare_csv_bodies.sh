@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Check that two source trees write byte-identical CSV bodies for one or more configs.
+# Check that two source trees write byte-identical CSV files for one or more configs.
 #
 #   scripts/compare_csv_bodies.sh BASE_SRC HEAD_SRC [CONFIG...]
 #
@@ -7,12 +7,14 @@
 # branch and of a change); with no CONFIG the script uses
 # scripts/compare_csv_bodies.cfg, which fits in one block of every kind;
 # scripts/compare_csv_bodies_blocks.cfg crosses the amplitude and spectral
-# block boundaries.
+# block boundaries; scripts/compare_csv_bodies_si.cfg runs in SI units, so
+# every table and sweep point echoes its SI inputs in its `#` lines.
 # For each config, each table subcommand, `verify`, `verify
 # --negative-control` and `sweep` runs once from each tree; every CSV a
 # command writes (for `sweep`, `sweep.csv` and each `points/*/dynamics.csv`)
-# has its `#` metadata lines stripped and the remaining body compared with
-# cmp.  The negative control must exit 2 in both trees, every other command
+# is compared whole with cmp, its `#` metadata lines included: they echo
+# only values derived from the config, so they are as deterministic as the
+# body.  The negative control must exit 2 in both trees, every other command
 # 0.  `sweep` is skipped for a config with no `*_grid` key, which it needs.
 # Then every `manifest.json` the head tree wrote (a sweep's point manifests
 # included) is checked against the files beside it: each `outputs[]`
@@ -71,8 +73,8 @@ for given in "$@"; do
     while read -r csv; do
       base_csv="$work/base/$index/$label/$csv"
       head_csv="$work/head/$index/$label/$csv"
-      if cmp -s <(grep -v '^#' "$base_csv") <(grep -v '^#' "$head_csv"); then
-        echo "same $name $label: ${csv#./} ($(grep -vc '^#' "$head_csv") lines)"
+      if cmp -s "$base_csv" "$head_csv"; then
+        echo "same $name $label: ${csv#./} ($(wc -l < "$head_csv") lines)"
       else
         echo "DIFF $name $label: ${csv#./}"
         status=1

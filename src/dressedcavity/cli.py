@@ -149,27 +149,26 @@ _KINDS = {f.name: f.type.split(" |")[0].split("[")[0] for f in dataclasses.field
 
 @dataclass(frozen=True)
 class NaturalRun:
-    """A config resolved to natural units, ready for the physics modules."""
+    """A config resolved to natural units, ready for the physics modules:
+    the config it was resolved from, which its consumers read for `n0_init`,
+    `fit_window`, `out` and the SI inputs, and what resolution computed from
+    it: the model, the state, beta and the caller's time grid."""
 
+    config: RunConfig
     params: ModelParams
     state: EntangledStateSpec
     beta: float
-    n0_init: float
     t_grid: np.ndarray
-    fit_window: tuple[float, float] | None
-    si_inputs: dict | None
 
 
 def resolve_natural(config: RunConfig, t_grid: np.ndarray) -> NaturalRun:
-    """The config in natural units, with the time grid the caller built."""
+    """The config in natural units, with the time grid the caller built;
+    the run carries the config, so it copies no field of it."""
     if config.temperature is not None and config.temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {config.temperature}")
-    si_inputs = None
     if config.si:
         omega_bar, radius, beta = natural_from_si(config.omega_bar, config.radius,
                                                   config.temperature)
-        si_inputs = {"omega_bar_si": config.omega_bar, "radius_si": config.radius,
-                     "temperature_si": config.temperature}
         g = config.g / config.omega_bar
         beta = config.beta if beta is None else beta
     else:
@@ -179,9 +178,7 @@ def resolve_natural(config: RunConfig, t_grid: np.ndarray) -> NaturalRun:
         raise DomainError(f"temperature {config.temperature} gives a non-finite beta {beta}")
     params = ModelParams(omega_bar=omega_bar, g=g, radius=radius, n_modes=config.n_modes)
     state = EntangledStateSpec(xi=config.xi, phi=config.phi)
-    return NaturalRun(params=params, state=state, beta=beta,
-                      n0_init=config.n0_init, t_grid=t_grid, fit_window=config.fit_window,
-                      si_inputs=si_inputs)
+    return NaturalRun(config=config, params=params, state=state, beta=beta, t_grid=t_grid)
 
 
 def parse_config_file(path: Path) -> dict:
@@ -241,10 +238,9 @@ def _metadata(run: NaturalRun, extra: dict | None = None) -> dict:
           "radius[natural-length]": run.params.radius,
           "n_modes": run.params.n_modes,
           "beta[1/natural-frequency]": run.beta}
-    if run.si_inputs is not None:
-        md.update({"omega_bar_si[rad/s]": run.si_inputs["omega_bar_si"],
-                   "radius_si[m]": run.si_inputs["radius_si"],
-                   "temperature_si[K]": run.si_inputs["temperature_si"]})
+    if run.config.si:
+        md.update({"omega_bar_si[rad/s]": run.config.omega_bar, "radius_si[m]": run.config.radius,
+                   "temperature_si[K]": run.config.temperature})
     md.update(extra or {})
     return md
 
@@ -298,16 +294,19 @@ def _write_outputs(csv: Path, body: str, metadata: dict, config: RunConfig, star
                    warnings: Sequence[str] = (), **fields) -> Path:
     """Every command's output step: the CSV (`body` under the `metadata`
     lines), then beside it the manifest: the shared header, the natural
-    units and convergence of a resolved run, the warnings, then the
-    command's own fields.  The caller that owns the run prints the
-    warnings (`_warn`)."""
+    units, SI inputs and convergence of a resolved run, the warnings, then
+    the command's own fields.  `config` is the one the manifest echoes,
+    which for `verify` is not the oracle run's.  The caller that owns the
+    run prints the warnings (`_warn`)."""
     write_csv(csv, body, metadata)
     payload = {"tool": "dressedcavity", "version": __version__,
                "config": dataclasses.asdict(config), "warnings": list(warnings)}
     if run is not None:
+        si = {"omega_bar_si": run.config.omega_bar, "radius_si": run.config.radius,
+              "temperature_si": run.config.temperature}
         payload.update(natural_units={"omega_bar": run.params.omega_bar, "g": run.params.g,
                                       "radius": run.params.radius, "beta": run.beta},
-                       si_inputs=run.si_inputs, convergence=convergence)
+                       si_inputs=si if run.config.si else None, convergence=convergence)
     payload.update(fields, wall_clock_seconds=time.monotonic() - started)
     write_manifest(csv, payload)
     return csv
@@ -349,15 +348,15 @@ class TableCommand:
     columns: tuple[str, ...]
     build: Callable[..., Table]
 
-    def write(self, points: Iterable[tuple[RunConfig, NaturalRun]], started: float,
-              table: Table, convergence: dict, warnings: Sequence[str]) -> None:
-        """Render the table's rows once; write that body under each (config,
-        run) point's metadata, and its manifest, in `config.out`; then print
+    def write(self, runs: Iterable[NaturalRun], started: float, table: Table,
+              convergence: dict, warnings: Sequence[str]) -> None:
+        """Render the table's rows once; write that body under each run's
+        metadata, and its manifest, in the run's `config.out`; then print
         the warnings once."""
         body = csv_body(self.columns, table.rows)
-        for config, run in points:
-            _write_outputs(Path(config.out) / self.file, body, _metadata(run, table.metadata),
-                           config, started, run, convergence, warnings,
+        for run in runs:
+            _write_outputs(Path(run.config.out) / self.file, body, _metadata(run, table.metadata),
+                           run.config, started, run, convergence, warnings,
                            **(table.manifest or {}))
         _warn(warnings)
 
@@ -366,7 +365,7 @@ class TableCommand:
         started = time.monotonic()
         run = resolve_natural(config, _time_grid(config))
         spectrum, convergence, warnings = _pipeline(run)
-        self.write([(config, run)], started, self.build(run, spectrum), convergence, warnings)
+        self.write([run], started, self.build(run, spectrum), convergence, warnings)
         return 0
 
 
@@ -376,11 +375,11 @@ def _spectrum_rows(run, spectrum) -> Table:
 
 
 def _decay_fit(run: NaturalRun, survival: np.ndarray) -> dict:
-    """The decay rate of the survival on run.t_grid over run.fit_window
-    against the golden rule pi*g, or the message of the PhysicsError the
-    fit raised."""
+    """The decay rate of the survival on run.t_grid over the config's
+    fit_window against the golden rule pi*g, or the message of the
+    PhysicsError the fit raised."""
     try:
-        rate, r_squared = decay_rate_fit(run.t_grid, survival, run.fit_window)
+        rate, r_squared = decay_rate_fit(run.t_grid, survival, run.config.fit_window)
     except PhysicsError as exc:
         return {"error": str(exc)}
     golden = wigner_weisskopf_rate(run.params.g)
@@ -390,11 +389,11 @@ def _decay_fit(run: NaturalRun, survival: np.ndarray) -> dict:
 
 def _dynamics_table(run: NaturalRun, f00: np.ndarray) -> Table:
     """The `dynamics` table of f_00 on run.t_grid: survival |f_00|^2 and
-    phase arg f_00, with the survival's minimum and, when run.fit_window is
-    set, its decay fit."""
+    phase arg f_00, with the survival's minimum and, when the config's
+    fit_window is set, its decay fit."""
     survival, phase = np.abs(f00) ** 2, np.angle(f00)
     manifest = {"min_survival": float(np.min(survival))}
-    if run.fit_window is not None:
+    if run.config.fit_window is not None:
         manifest["decay_fit"] = _decay_fit(run, survival)
     return Table(zip(run.t_grid, survival, phase), manifest=manifest)
 
@@ -435,10 +434,11 @@ def _entanglement_rows(run, spectrum) -> Table:
 
 
 def _thermal_rows(run, spectrum) -> Table:
+    n0_init = run.config.n0_init
     occupation = occupation_series(
-        spectrum, occupation_weights(run.params, run.beta, run.n0_init), run.t_grid).occupation
+        spectrum, occupation_weights(run.params, run.beta, n0_init), run.t_grid).occupation
     return Table(zip(run.t_grid, occupation),
-                 {"n0_init": run.n0_init,
+                 {"n0_init": n0_init,
                   "equilibrium_bose_einstein": bose_einstein(run.params.omega_bar, run.beta)})
 
 
@@ -499,7 +499,8 @@ def _error_row(axes: tuple, exc: Exception) -> tuple:
 
 
 def _sweep_model(points: list) -> list:
-    """The `sweep.csv` rows of one model's resolved (axes, config, run) points.
+    """The `sweep.csv` rows of one model's resolved (axes, run) points; each
+    run carries its point's config.
 
     The points share one time grid, run.t_grid, and one n0_init, which is
     no sweep axis.  The model gets one spectral stage and one occupation
@@ -508,20 +509,20 @@ def _sweep_model(points: list) -> list:
     the model's `dynamics` table, whose decay fit fills the gamma and
     r_squared columns (empty when the fit failed).  A beta whose weights
     raise fails only its own points, a failed stage every point.  One
-    `TableCommand.write` call renders the table once and writes every
-    point's `dynamics` CSV and manifest, which lists the model's warnings;
+    `TableCommand.write` call renders the table once and writes each run's
+    `dynamics` CSV and manifest, which lists the model's warnings;
     they are printed once, for the model.  The spectrum is freed on return,
     so a sweep holds one at a time.
     """
-    started, run = time.monotonic(), points[0][2]
+    started, run = time.monotonic(), points[0][1]
     try:
         spectrum, convergence, warnings = _pipeline(run)
     except (PhysicsError, ResourceCapError) as exc:
-        return [_error_row(axes, exc) for axes, _, _ in points]
+        return [_error_row(axes, exc) for axes, _ in points]
     weights, means = {}, {}  # means: each beta's long-time mean, or its PhysicsError
-    for beta in dict.fromkeys(run.beta for _, _, run in points):
+    for beta in dict.fromkeys(run.beta for _, run in points):
         try:
-            weights[beta] = occupation_weights(run.params, beta, run.n0_init)
+            weights[beta] = occupation_weights(run.params, beta, run.config.n0_init)
         except PhysicsError as exc:
             means[beta] = exc
     shared = occupation_series(
@@ -530,15 +531,15 @@ def _sweep_model(points: list) -> list:
     means |= {beta: float(np.mean(row[late])) for beta, row in zip(weights, shared.occupation)}
     table = _dynamics_table(run, shared.f00)
     decay = table.manifest["decay_fit"]
-    COMMANDS["dynamics"].write([(point, run) for _, point, run in points], started, table,
-                               convergence, warnings)
+    COMMANDS["dynamics"].write([run for _, run in points], started, table, convergence,
+                               warnings)
     rows = []
-    for axes, point, run in points:
+    for axes, run in points:
         if isinstance(mean := means[run.beta], PhysicsError):
             rows.append(_error_row(axes, mean))
         else:
             rows.append((*axes, table.manifest["min_survival"], decay.get("rate"),
-                         decay.get("r_squared"), family_concurrence(point.xi, 1.0),
+                         decay.get("r_squared"), family_concurrence(run.state.xi, 1.0),
                          mean, "ok"))
     return rows
 
@@ -575,7 +576,7 @@ def cmd_sweep(config: RunConfig) -> int:
         except PhysicsError as exc:
             rows.append(_error_row(axes, exc))
         else:
-            models.setdefault(run.params, []).append((axes, point, run))
+            models.setdefault(run.params, []).append((axes, run))
     for points in models.values():
         rows.extend(_sweep_model(points))
 

@@ -75,7 +75,10 @@ class ModelParams:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
-        span = self.n_modes * self.delta_omega
+        try:
+            span = self.n_modes * self.delta_omega
+        except OverflowError:  # an n_modes past double range is taken as an infinite span
+            span = math.inf
         squares = (self.omega_bar * self.omega_bar, span * span, 2.0 * self.g * span)
         limit = SQUARED_FREQUENCY_LIMIT
         if not 1.0 / limit <= squares[0] <= max(squares) <= limit:

@@ -146,6 +146,35 @@ si = false
         assert nat["beta"] == pytest.approx(HBAR * 4.0e14 / (BOLTZMANN * 300.0), rel=1e-12)
         assert manifest["si_inputs"]["temperature_si"] == 300.0
 
+    def test_each_output_echoes_its_own_si_inputs(self, tmp_path):
+        # every point of an SI sweep, and an SI table command, echo their own
+        # SI inputs in the CSV's `#` lines and in the manifest
+        si = ("--si", "--omega-bar", 4.0e14, "--g", 4.0e12, "--n-modes", 8, "--samples", 16,
+              "--t-max", 2)
+        sweep, table = tmp_path / "sweep", tmp_path / "thermal"
+        assert run_cli("sweep", *si, "--radius-grid", "1e-6,2.5e-6",
+                       "--temperature-grid", "300,77", "--out", sweep) == 0
+        assert run_cli("thermal", *si, "--radius", 1.5e-6, "--temperature", 4.0,
+                       "--out", table) == 0
+        expected = {table / "thermal.csv": (4.0e14, 1.5e-6, 4.0)}
+        for row in read_csv(sweep / "sweep.csv")[2]:  # temperature and radius of each index
+            point = sweep / "points" / f"point_{int(row[0]):04d}" / "dynamics.csv"
+            expected[point] = (4.0e14, float(row[4]), float(row[3]))
+        assert sorted(inputs[1:] for inputs in expected.values()) == [
+            (1e-6, 77.0), (1e-6, 300.0), (1.5e-6, 4.0), (2.5e-6, 77.0), (2.5e-6, 300.0)]
+        for csv_path, (omega_bar, radius, temperature) in expected.items():
+            metadata = read_csv(csv_path)[0]
+            assert [float(metadata[key]) for key in ("omega_bar_si[rad/s]", "radius_si[m]",
+                                                     "temperature_si[K]")] \
+                == [omega_bar, radius, temperature], csv_path
+            manifest = json.loads((csv_path.parent / "manifest.json").read_text())
+            assert manifest["si_inputs"] == {"omega_bar_si": omega_bar, "radius_si": radius,
+                                             "temperature_si": temperature}, csv_path
+        natural = tmp_path / "natural"
+        assert run_cli("thermal", "--n-modes", 8, "--samples", 16, "--out", natural) == 0
+        assert not any("_si[" in key for key in read_csv(natural / "thermal.csv")[0])
+        assert json.loads((natural / "manifest.json").read_text())["si_inputs"] is None
+
     def test_temperature_in_natural_mode_sets_beta(self):
         run = resolve_natural(RunConfig(temperature=4.0), np.linspace(0.0, 50.0, 2000))
         assert run.beta == pytest.approx(0.25)
@@ -1063,6 +1092,46 @@ def test_fuzzed_sizes_across_the_spectral_cap(command, n_modes, names, grids, da
             assert code == 3 and len(lines) == 1
             assert lines[0].startswith("resource cap exceeded:") and "MiB cap" in lines[0]
             assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None, phases=CLI_PHASES)
+@given(command=st.sampled_from([*TABLE_COMMANDS, "sweep"]),
+       n_modes=st.builds(lambda mantissa, exponent: mantissa * 10 ** exponent,
+                         st.integers(1, 10), st.integers(0, 399)))
+@example(command="spectrum", n_modes=10 ** 400)
+@example(command="sweep", n_modes=10 ** 400)
+def test_fuzzed_n_modes_up_to_1e400(command, n_modes):
+    # with the cap at 32 KiB only n_modes <= 63 builds a model; a larger one
+    # is refused by the cap (exit 3), by its mode span, which is past the
+    # squared-frequency limit from about 3e74 on and past double range from
+    # 2^1024 on (exit 2), or in a sweep as error rows (exit 2), and nothing
+    # large is allocated on the way
+    argv = [command, f"--n-modes={n_modes}", "--samples=16", "--t-max=2"]
+    if command == "sweep":
+        argv.append("--xi-grid=0.3,0.6")
+    built = []
+
+    def counted(params):
+        built.append(params.n_modes)
+        return build_coupling_matrix(params)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(spectral, "SPECTRAL_BYTES_CAP", 1 << 15), \
+            mock.patch.object(cli, "build_coupling_matrix", counted), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        tracemalloc.start()
+        try:
+            code = main([*argv, f"--out={Path(tmp) / 'out'}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = err.getvalue()
+    assert code in (0, 2, 3)
+    assert text == "" or (text.count("\n") == 1 and text.endswith("\n")), text
+    assert (code == 0) == (n_modes <= 63), (code, text)
+    assert code == 0 or not built
+    assert peak < 1 << 20
 
 
 # Tolerances of the dense-reference test, in units of u = eps * (1 + Omega_max * t_max),
