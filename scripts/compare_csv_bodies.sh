@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Check that two source trees write byte-identical CSV files for one or more configs.
+# Check that two source trees write byte-identical CSV files, stdout and
+# stderr, and the same manifests, for one or more configs.
 #
 #   scripts/compare_csv_bodies.sh BASE_SRC HEAD_SRC [CONFIG...]
 #
@@ -14,14 +15,18 @@
 # command writes (for `sweep`, `sweep.csv` and each `points/*/dynamics.csv`)
 # is compared whole with cmp, its `#` metadata lines included: they echo
 # only values derived from the config, so they are as deterministic as the
-# body.  The negative control must exit 2 in both trees, every other command
-# 0.  `sweep` is skipped for a config with no `*_grid` key, which it needs.
-# Then every `manifest.json` the head tree wrote (a sweep's point manifests
-# included) is checked against the files beside it: each `outputs[]`
-# entry's `sha256` and `bytes` must match.
-# Exits 1 on any difference, on a CSV that only one tree writes, on a
-# command that exits otherwise than expected in either tree, or on a
-# checksum that does not match.
+# body.  Each command runs from its own tree's working directory with a
+# relative `--out`, so the paths it prints and echoes are the same in both
+# trees, and its stdout and stderr are compared whole too.  The negative
+# control must exit 2 in both trees, every other command 0.  `sweep` is
+# skipped for a config with no `*_grid` key, which it needs.
+# Then every `manifest.json` (a sweep's point manifests included) is
+# compared between the trees, less `wall_clock_seconds` and `config.out`,
+# and each one the head tree wrote is checked against the files beside it:
+# each `outputs[]` entry's `sha256` and `bytes` must match.
+# Exits 1 on any difference, on a CSV or manifest that only one tree
+# writes, on a command that exits otherwise than expected in either tree,
+# or on a checksum that does not match.
 set -euo pipefail
 
 base_src=$(cd "$1" && pwd)
@@ -50,19 +55,30 @@ for given in "$@"; do
     for side in base head; do
       src=$base_src
       [ "$side" = head ] && src=$head_src
-      out="$work/$side/$index/$label"
-      log="$work/$side.$index.$label.log"
+      run_dir="$work/$side/$index"
+      log="$work/$side.$index.$label"
+      mkdir -p "$run_dir"
       code=0
       # shellcheck disable=SC2086  # flags is empty or one flag
-      PYTHONPATH="$src" python -m dressedcavity.cli "$command" $flags --config "$config" \
-          --out "$out" > "$log" 2>&1 || code=$?
+      (cd "$run_dir" && PYTHONPATH="$src" python -m dressedcavity.cli "$command" $flags \
+          --config "$config" --out "$label" > "$log.stdout" 2> "$log.stderr") || code=$?
       if [ "$code" -ne "$expect" ]; then
         echo "FAIL $name $label: the $side tree exited $code, expected $expect"
-        cat "$log"
+        cat "$log.stdout" "$log.stderr"
         status=1
         continue 2
       fi
-      (cd "$out" && find . -name '*.csv' | sort) > "$work/$side.$index.$label.files"
+      (cd "$run_dir/$label" && find . -name '*.csv' | sort) > "$log.files"
+    done
+    for stream in stdout stderr; do
+      if cmp -s "$work/base.$index.$label.$stream" "$work/head.$index.$label.$stream"; then
+        echo "same $name $label: $stream ($(wc -l < "$work/head.$index.$label.$stream") lines)"
+      else
+        echo "DIFF $name $label: $stream"
+        diff "$work/base.$index.$label.$stream" "$work/head.$index.$label.$stream" | head -20 \
+          || true
+        status=1
+      fi
     done
     if ! cmp -s "$work/base.$index.$label.files" "$work/head.$index.$label.files"; then
       echo "FAIL $name $label: the trees write different CSV files"
@@ -82,11 +98,34 @@ for given in "$@"; do
     done < "$work/head.$index.$label.files"
   done
 done
-python - "$work/head" <<'EOF' || status=1
+python - "$work/base" "$work/head" <<'EOF' || status=1
 import hashlib, json, sys
 from pathlib import Path
 
-manifests = sorted(Path(sys.argv[1]).rglob("manifest.json"))
+
+def comparable(manifest):
+    """The manifest less what differs between any two runs: the wall clock
+    and the output directory."""
+    payload = json.loads(manifest.read_text())
+    payload.pop("wall_clock_seconds", None)
+    payload.get("config", {}).pop("out", None)
+    return payload
+
+
+base, head = (Path(root) for root in sys.argv[1:])
+names = {path.relative_to(root) for root in (base, head) for path in root.rglob("manifest.json")}
+differ = 0
+for name in sorted(names):
+    if not (base / name).is_file() or not (head / name).is_file():
+        print(f"FAIL manifest {name}: only one tree writes it")
+        differ += 1
+    elif (old := comparable(base / name)) != (new := comparable(head / name)):
+        keys = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+        print(f"DIFF manifest {name}: {', '.join(keys)}")
+        differ += 1
+if not differ:
+    print(f"same manifests: {len(names)}, less wall_clock_seconds and config.out")
+manifests = sorted(head.rglob("manifest.json"))
 bad = 0
 for manifest in manifests:
     for entry in json.loads(manifest.read_text())["outputs"]:
@@ -96,8 +135,8 @@ for manifest in manifests:
                 or entry["bytes"] != len(data):
             print(f"BAD checksum: {path} does not match {manifest}")
             bad += 1
-if bad:
-    sys.exit(1)
-print(f"checksums ok: {len(manifests)} manifests")
+if not bad:
+    print(f"checksums ok: {len(manifests)} manifests")
+sys.exit(1 if differ or bad else 0)
 EOF
 exit $status

@@ -20,14 +20,15 @@ PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
 stderr (a sweep once per model) and in the manifest's `warnings`, and the
 exit code does not change.  The `dynamics`, `density` and `entanglement`
 rows and `verify`'s closed form are built from the survival amplitude f_00
-itself, the array `amplitudes(spectrum, t, 0)`.  `density` and
-`entanglement` read it from one generator, `_closed_form_blocks`, which
-forms f_00 once and yields the closed-form matrices one block of
-MEASURE_BLOCK samples at a time; they write each block's elements,
-checks and measures into (T,) float columns, so no (T, 4, 4) stack is
-held, and hand their rows to `csv_body` as a `zip` over those columns, as
-`dynamics` and `thermal` do, so no column is ever a T-long list of Python
-floats.
+itself, the array `amplitudes(spectrum, t, 0)`.  `density`,
+`entanglement` and `verify` read it from one generator,
+`_closed_form_blocks`, which forms f_00 once and yields the closed-form
+matrices one block of MEASURE_BLOCK samples at a time.  `verify` compares
+each block's matrices with the oracle's; `density` and `entanglement`
+write each block's elements, checks and measures into (T,) float columns,
+so no (T, 4, 4) stack is held, and hand their rows to `csv_body` as a
+`zip` over those columns, as `dynamics` and `thermal` do, so no column is
+ever a T-long list of Python floats.
 When `fit_window` is set, `dynamics` fits the decay rate of the survival
 over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
@@ -93,10 +94,10 @@ PHASE_TOLERANCE = 1e-6
 # with the model's squared frequencies capped at 1e150 every phase Omega*t
 # stays finite, and the squared times of the decay fit stay normal doubles.
 TIME_LIMIT = 1e150
-# Samples per block of the `density` and `entanglement` tables: bounds the
-# (block, 4, 4) closed-form stacks and the LAPACK temporaries of `measures`
-# on a long series.  Every block is its own eigh/svd batch, so the width
-# moves no bit.
+# Samples per closed-form block of `density`, `entanglement` and `verify`:
+# bounds the (block, 4, 4) closed-form stacks and the LAPACK temporaries of
+# `measures` on a long series.  The closed form is elementwise and every
+# block is its own eigh/svd batch, so the width moves no bit.
 MEASURE_BLOCK = 1024
 
 # Fixed sweep axis order; rows follow the cartesian product in this order.
@@ -445,37 +446,39 @@ def _thermal_rows(run, spectrum) -> Table:
 def cmd_verify(config: RunConfig) -> int:
     """Brute-force trace vs closed form over the configured beta list.
 
-    The baths are checked first, so a bad `n_modes_oracle` is named as
-    such; then only the oracle model, the config with `n_modes_oracle`
-    modes, is resolved, on the times of `t_list`, so `n_modes` and
-    `samples` do not enter.  Each (beta, t) cell reports the max
-    elementwise deviation from the closed form and from the first beta's
-    oracle output; all cells must pass at 1e-12 for exit code 0.
+    The baths (`beta_list`, `n_max`) are checked first, then
+    `n_modes_oracle` (1..3), so a bad one of them is named as such beside a
+    bad model value; then only the oracle model, the config with
+    `n_modes_oracle` modes, is resolved, on the times of `t_list`, so
+    `n_modes` and `samples` do not enter, and the oracle traces the modes
+    of its spectrum.  The closed form comes from `_closed_form_blocks`.
+    Each (beta, t) cell reports the max elementwise deviation from the
+    closed form and from the first beta's oracle output; all cells must
+    pass at 1e-12 for exit code 0.
     """
     if not config.beta_list or not config.t_list:
         raise UsageError("verify needs at least one value in each of beta_list and t_list")
     started = time.monotonic()
-    baths = [ThermalBathSpec(beta=beta, n_max=config.n_max,
-                             n_modes_oracle=config.n_modes_oracle)
-             for beta in config.beta_list]
+    baths = [ThermalBathSpec(beta=beta, n_max=config.n_max) for beta in config.beta_list]
+    if not 1 <= config.n_modes_oracle <= 3:
+        raise DomainError(f"n_modes_oracle must be in 1..3, got {config.n_modes_oracle}")
     run = resolve_natural(dataclasses.replace(config, n_modes=config.n_modes_oracle),
                           np.array(config.t_list))
     spectrum, convergence, warnings = _pipeline(
         run, VERIFY_TOLERANCE,
         "both routes share the rounded phases, so their agreement shows nothing")
     scheme = "per_level_partition" if config.negative_control else "normalized"
-    f00 = amplitudes(spectrum, run.t_grid, 0)
-    closed_stack = reduced_density_closed(run.state, f00).matrix
 
     rows = []
-    for t, closed in zip(config.t_list, closed_stack):
-        oracles = [thermal_trace_oracle(run.state, spectrum, bath, t, weight_scheme=scheme).matrix
-                   for bath in baths]
-        for bath, oracle in zip(baths, oracles):
-            dev_closed = float(np.max(np.abs(oracle - closed)))
-            dev_cross = float(np.max(np.abs(oracle - oracles[0])))
-            ok = dev_closed <= VERIFY_TOLERANCE and dev_cross <= VERIFY_TOLERANCE
-            rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
+    for block, _, stack in _closed_form_blocks(run, spectrum):
+        for t, closed in zip(config.t_list[block], stack.matrix):
+            oracles = [thermal_trace_oracle(run.state, spectrum, bath, t,
+                                            weight_scheme=scheme).matrix for bath in baths]
+            for bath, oracle in zip(baths, oracles):
+                dev_closed = float(np.max(np.abs(oracle - closed)))
+                dev_cross = float(np.max(np.abs(oracle - oracles[0])))
+                ok = dev_closed <= VERIFY_TOLERANCE and dev_cross <= VERIFY_TOLERANCE
+                rows.append((bath.beta, t, dev_closed, dev_cross, "PASS" if ok else "FAIL"))
     all_pass = all(row[4] == "PASS" for row in rows)
 
     _write_outputs(Path(config.out) / "verify.csv",

@@ -11,7 +11,9 @@ number basis and normalized, so they factor out of every matrix element.
 The trace never builds a dense operator.  Each background's evolved state
 is a sparse map from field occupations to atom-level amplitudes (n_modes+1
 labels), and the field is traced by contracting matching labels, so the
-oracle costs O(backgrounds * n_modes^2) scalar operations.
+oracle costs O(backgrounds * n_modes^2) scalar operations.  Its mode count
+is its spectrum's: a bath describes only the field's temperature and Fock
+truncation.
 
 Both routes take their amplitudes from `dynamics.amplitudes`.  The matrices
 built here are checked Hermitian on construction; positivity is checked
@@ -40,9 +42,8 @@ HERMITICITY_ATOL = 1e-12
 # Largest bath beta: beta*omega*n stays finite for every model frequency
 # (squared frequencies are capped at 1e150) and every occupation n.
 BETA_LIMIT = 1e150
-# Cap on the backgrounds (n_max+1)^n_modes_oracle of one oracle call; the
-# sparse trace does O(n_modes_oracle^2) scalar work per background, so this
-# bounds its cost.
+# Cap on the backgrounds (n_max+1)^n_modes of one oracle call; the sparse
+# trace does O(n_modes^2) scalar work per background, so this bounds its cost.
 MAX_BACKGROUNDS = 1024
 
 WeightScheme = Literal["normalized", "per_level_partition"]
@@ -69,11 +70,11 @@ class EntangledStateSpec:
 
 @dataclass(frozen=True)
 class ThermalBathSpec:
-    """Inverse temperature and Fock truncation for the exact-trace route."""
+    """Inverse temperature and Fock truncation of every field mode for the
+    exact-trace route; the modes are those of the oracle's spectrum."""
 
     beta: float
     n_max: int
-    n_modes_oracle: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.beta <= BETA_LIMIT:
@@ -81,8 +82,6 @@ class ThermalBathSpec:
                               f"got {self.beta}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if not 1 <= self.n_modes_oracle <= 3:
-            raise DomainError(f"n_modes_oracle must be in 1..3, got {self.n_modes_oracle}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,20 +232,16 @@ def thermal_trace_oracle(state: EntangledStateSpec, spectrum: DressedSpectrum,
                          weight_scheme: WeightScheme = "normalized") -> ReducedDensityMatrix:
     """Reduced matrix by literal enumeration and trace of the thermal field.
 
-    The spectrum must be a dedicated small model with exactly
-    bath.n_modes_oracle field modes (n_modes_oracle + 1 labels, else a
-    ContractViolationError), and its (n_max+1)^n_modes_oracle backgrounds
-    may number at most MAX_BACKGROUNDS (else a ResourceCapError, before
-    any amplitude is formed).  Each background is weighted by the
-    product of per-mode truncated thermal weights; the excitation hops among
-    dressed labels with the amplitudes f_0nu(t) while the background
-    occupations ride along as spectators.  With normalized weights the
-    result is exactly independent of beta.
+    The spectrum is a dedicated small model: its n_modes = spectrum.size - 1
+    field modes are the ones traced, and their (n_max+1)^n_modes
+    backgrounds may number at most MAX_BACKGROUNDS (else a
+    ResourceCapError, before any amplitude is formed).  Each background is
+    weighted by the product of per-mode truncated thermal weights; the
+    excitation hops among dressed labels with the amplitudes f_0nu(t) while
+    the background occupations ride along as spectators.  With normalized
+    weights the result is exactly independent of beta.
     """
-    n_modes = bath.n_modes_oracle
-    if spectrum.size != n_modes + 1:
-        raise ContractViolationError(
-            f"oracle spectrum must have {n_modes + 1} labels, got {spectrum.size}")
+    n_modes = spectrum.size - 1
     backgrounds = (bath.n_max + 1) ** n_modes
     if backgrounds > MAX_BACKGROUNDS:
         raise ResourceCapError(

@@ -77,8 +77,13 @@ class ModelParams:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
         try:
             span = self.n_modes * self.delta_omega
-        except OverflowError:  # an n_modes past double range is taken as an infinite span
-            span = math.inf
+        except OverflowError:  # an n_modes past double range: the exact span, rounded
+            from fractions import Fraction  # loads decimal (0.4 MB): only for such a size
+
+            try:
+                span = float(Fraction(self.n_modes) * Fraction(self.delta_omega))
+            except OverflowError:  # a span past double range is taken as infinite
+                span = math.inf
         squares = (self.omega_bar * self.omega_bar, span * span, 2.0 * self.g * span)
         limit = SQUARED_FREQUENCY_LIMIT
         if not 1.0 / limit <= squares[0] <= max(squares) <= limit:

@@ -133,8 +133,12 @@ def require_component_budget(n: int, live: int | None = None) -> None:
     # the secular rows, plus the full matrix they are scattered into on deflation
     held = 8 * ((live + 1) ** 2 + ((n + 1) ** 2 if live < n else 0))
     if held > SPECTRAL_BYTES_CAP:
+        try:
+            mib = f"{held / 2 ** 20:.0f}"
+        except OverflowError:  # past double range: the integer MiB, rounded half up
+            mib = str((held + 2 ** 19) // 2 ** 20)
         raise ResourceCapError(
-            f"the spectral stage would hold {held / 2 ** 20:.0f} MiB of eigenvector "
+            f"the spectral stage would hold {mib} MiB of eigenvector "
             f"components at n_modes={n}, above the {SPECTRAL_BYTES_CAP / 2 ** 20:.0f} MiB cap")
 
 

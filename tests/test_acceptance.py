@@ -52,7 +52,7 @@ def test_criterion_1_temperature_independence():
                 closed = reduced_density_closed(state, f00).matrix
                 reference = None
                 for beta in (0.2, 1.0, 5.0):
-                    bath = ThermalBathSpec(beta=beta, n_max=n_max, n_modes_oracle=n_oracle)
+                    bath = ThermalBathSpec(beta=beta, n_max=n_max)
                     rho = thermal_trace_oracle(state, spec, bath, t).matrix
                     if reference is None:
                         reference = rho
@@ -215,7 +215,7 @@ def test_criterion_8_end_to_end_beta_invariance(tmp_path):
     worst_oracle = 0.0
     reference = None
     for beta in (3055.2930329030956, 10.184310109676986, 0.030552930329030957):
-        bath = ThermalBathSpec(beta=beta, n_max=3, n_modes_oracle=2)
+        bath = ThermalBathSpec(beta=beta, n_max=3)
         m = measures(thermal_trace_oracle(state, spec, bath, 1.7))
         triple = np.array([m.concurrence, m.eof, m.negativity])
         if reference is None:
@@ -240,7 +240,7 @@ def test_criterion_9_negative_control(tmp_path, capsys):
     traces = []
     broken = {}
     for beta in (0.2, 1.0, 5.0):
-        bath = ThermalBathSpec(beta=beta, n_max=3, n_modes_oracle=1)
+        bath = ThermalBathSpec(beta=beta, n_max=3)
         rho = thermal_trace_oracle(state, spec, bath, 0.7,
                                    weight_scheme="per_level_partition").matrix
         broken[beta] = rho

@@ -7,6 +7,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -544,16 +545,32 @@ class TestVerifyCommand:
         assert (out / "verify.csv").read_bytes() == \
             (tmp_path / "default" / "verify.csv").read_bytes()
 
-    @pytest.mark.parametrize("model", [(), ("--radius", -1)], ids=["alone", "bad-model"])
-    def test_zero_oracle_modes_names_the_key(self, tmp_path, capsys, model):
-        # the baths are checked before the oracle model is resolved, so a bad
-        # n_modes_oracle is reported as such, also beside a bad model value
+    @pytest.mark.parametrize("n_modes_oracle, model", [
+        (0, ()), (0, ("--radius", -1)), (4, ()), (4, ("--radius", -1))],
+        ids=["alone", "bad-model", "four-alone", "four-bad-model"])
+    def test_zero_oracle_modes_names_the_key(self, tmp_path, capsys, n_modes_oracle, model):
+        # n_modes_oracle is checked before the oracle model is resolved, so a
+        # value outside 1..3 is reported as such, also beside a bad model value
         out = tmp_path / "out"
-        assert run_cli("verify", "--n-modes-oracle", 0, *model, "--out", out) == 2
+        assert run_cli("verify", "--n-modes-oracle", n_modes_oracle, *model, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("physics contract violation:") and "n_modes_oracle" in err
-        assert err.count("\n") == 1
+        assert err == ("physics contract violation: n_modes_oracle must be in 1..3, "
+                       f"got {n_modes_oracle}\n")
         assert not out.exists()
+
+    def test_block_size_moves_no_byte(self, tmp_path, capsys, monkeypatch):
+        # blocks of 2 samples: the 5 times of t_list span 3 closed-form
+        # blocks, the last one ragged
+        times = ("--t-list", "0,0.7,3.1,5.5,9.2")
+        assert run_cli("verify", *times, "--out", tmp_path / "default") == 0
+        monkeypatch.setattr(cli, "MEASURE_BLOCK", 2)
+        assert run_cli("verify", *times, "--out", tmp_path / "blocks") == 0
+        rows = read_csv(tmp_path / "blocks" / "verify.csv")[2]
+        assert [float(row[1]) for row in rows[::3]] == [0.0, 0.7, 3.1, 5.5, 9.2]
+        assert (tmp_path / "blocks" / "verify.csv").read_bytes() == \
+            (tmp_path / "default" / "verify.csv").read_bytes()
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 32 and out[:16] == out[16:]
 
     def test_non_finite_beta_list_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1097,16 +1114,22 @@ def test_fuzzed_sizes_across_the_spectral_cap(command, n_modes, names, grids, da
 @settings(max_examples=60, deadline=None, phases=CLI_PHASES)
 @given(command=st.sampled_from([*TABLE_COMMANDS, "sweep"]),
        n_modes=st.builds(lambda mantissa, exponent: mantissa * 10 ** exponent,
-                         st.integers(1, 10), st.integers(0, 399)))
-@example(command="spectrum", n_modes=10 ** 400)
-@example(command="sweep", n_modes=10 ** 400)
-def test_fuzzed_n_modes_up_to_1e400(command, n_modes):
-    # with the cap at 32 KiB only n_modes <= 63 builds a model; a larger one
-    # is refused by the cap (exit 3), by its mode span, which is past the
-    # squared-frequency limit from about 3e74 on and past double range from
-    # 2^1024 on (exit 2), or in a sweep as error rows (exit 2), and nothing
-    # large is allocated on the way
-    argv = [command, f"--n-modes={n_modes}", "--samples=16", "--t-max=2"]
+                         st.integers(1, 10), st.integers(0, 399)),
+       radius=st.sampled_from([1.0, 1e150, 1e300]))
+@example(command="spectrum", n_modes=10 ** 400, radius=1.0)
+@example(command="sweep", n_modes=10 ** 400, radius=1.0)
+# component bytes past double range, and an n_modes past it (mode span 3.1e9)
+@example(command="spectrum", n_modes=10 ** 307, radius=1e300)
+@example(command="spectrum", n_modes=10 ** 309, radius=1e300)
+def test_fuzzed_n_modes_up_to_1e400(command, n_modes, radius):
+    # with the cap at 32 KiB only n_modes <= 63 builds a model, and at radius
+    # 1e300 such a ladder lies below double resolution (exit 2).  A larger
+    # one is refused by the cap (exit 3), or by its mode span n_modes*pi/R,
+    # exact also for an n_modes past double range, when that is past the
+    # squared-frequency limit (exit 2); in a sweep either refusal fills
+    # sweep.csv with error rows (exit 2).  Nothing large is allocated.
+    argv = [command, f"--n-modes={n_modes}", f"--radius={radius!r}", "--samples=16",
+            "--t-max=2"]
     if command == "sweep":
         argv.append("--xi-grid=0.3,0.6")
     built = []
@@ -1126,11 +1149,18 @@ def test_fuzzed_n_modes_up_to_1e400(command, n_modes):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        wrote_sweep = (Path(tmp) / "out" / "sweep.csv").exists()
     text = err.getvalue()
+    span = Fraction(n_modes) * Fraction(math.pi / radius)
     assert code in (0, 2, 3)
     assert text == "" or (text.count("\n") == 1 and text.endswith("\n")), text
-    assert (code == 0) == (n_modes <= 63), (code, text)
-    assert code == 0 or not built
+    assert code == 0 or text, code
+    assert (code == 0) == (n_modes <= 63 and radius < 1e300), (code, text)
+    assert n_modes <= 63 or not built
+    if command == "sweep":
+        assert wrote_sweep
+    if n_modes > 63:
+        assert code == (3 if command != "sweep" and span * span <= 10 ** 150 else 2), text
     assert peak < 1 << 20
 
 

@@ -180,7 +180,7 @@ class TestThermalTraceOracle:
         closed = reduced_density_closed(state, f00).matrix
         results = []
         for beta in (0.2, 1.0, 5.0):
-            bath = ThermalBathSpec(beta=beta, n_max=3, n_modes_oracle=1)
+            bath = ThermalBathSpec(beta=beta, n_max=3)
             results.append(thermal_trace_oracle(state, spec, bath, 0.7).matrix)
         for rho in results:
             assert np.max(np.abs(rho - closed)) <= 1e-12
@@ -192,7 +192,7 @@ class TestThermalTraceOracle:
         state = EntangledStateSpec(0.5, 0.7)
         closed = reduced_density_closed(state, 1.0).matrix
         for beta in (0.1, 3.0):
-            bath = ThermalBathSpec(beta=beta, n_max=2, n_modes_oracle=2)
+            bath = ThermalBathSpec(beta=beta, n_max=2)
             rho = thermal_trace_oracle(state, spec, bath, 0.0).matrix
             assert np.max(np.abs(rho - closed)) <= 1e-12
 
@@ -200,7 +200,7 @@ class TestThermalTraceOracle:
         spec = oracle_spectrum(1, g=0.0)
         state = EntangledStateSpec(0.4, 0.9)
         for t in (0.5, 2.0):
-            bath = ThermalBathSpec(beta=1.0, n_max=3, n_modes_oracle=1)
+            bath = ThermalBathSpec(beta=1.0, n_max=3)
             rho = thermal_trace_oracle(state, spec, bath, t).matrix
             closed = reduced_density_closed(state, np.exp(-1j * t)).matrix
             assert np.max(np.abs(rho - closed)) <= 1e-12
@@ -215,17 +215,17 @@ class TestThermalTraceOracle:
             for t in (0.0, 0.7, 3.1):
                 f00 = amplitudes(spec, [t])[0, 0]
                 closed = reduced_density_closed(state, f00).matrix
-                bath = ThermalBathSpec(beta=1.0, n_max=3, n_modes_oracle=2)
+                bath = ThermalBathSpec(beta=1.0, n_max=3)
                 rho = thermal_trace_oracle(state, spec, bath, t).matrix
                 assert np.max(np.abs(rho - closed)) <= 1e-12
 
     def test_beta_independence_elementwise(self):
         spec = oracle_spectrum(2)
         state = EntangledStateSpec(0.6, 2.2)
-        bath0 = ThermalBathSpec(beta=0.05, n_max=4, n_modes_oracle=2)
+        bath0 = ThermalBathSpec(beta=0.05, n_max=4)
         reference = thermal_trace_oracle(state, spec, bath0, 1.3).matrix
         for beta in (0.5, 2.0, 20.0, 3000.0):
-            bath = ThermalBathSpec(beta=beta, n_max=4, n_modes_oracle=2)
+            bath = ThermalBathSpec(beta=beta, n_max=4)
             rho = thermal_trace_oracle(state, spec, bath, 1.3).matrix
             assert np.max(np.abs(rho - reference)) <= 1e-12
 
@@ -244,14 +244,11 @@ class TestThermalTraceOracle:
             assert got.shape == (2, 2)
             assert np.max(np.abs(got - want)) <= 1e-14
 
-    def test_spectrum_size_mismatch_rejected(self):
-        bath = ThermalBathSpec(beta=1.0, n_max=2, n_modes_oracle=2)
-        with pytest.raises(ContractViolationError):
-            thermal_trace_oracle(EntangledStateSpec(0.5, 0.0), oracle_spectrum(1), bath, 0.1)
-
     def test_resource_cap(self):
-        bath = ThermalBathSpec(beta=1.0, n_max=16, n_modes_oracle=3)
-        with pytest.raises(ResourceCapError, match=r"bath basis has 4913 states "):  # 17 ** 3
+        bath = ThermalBathSpec(beta=1.0, n_max=16)
+        # 17 ** 3: the oracle traces the three field modes of its spectrum
+        with pytest.raises(ResourceCapError,
+                           match=r"bath basis has 4913 states \(n_max=16, n_modes=3\)"):
             thermal_trace_oracle(EntangledStateSpec(0.5, 0.0), oracle_spectrum(3), bath, 0.1)
 
     def test_broken_normalization_is_beta_dependent(self):
@@ -263,7 +260,7 @@ class TestThermalTraceOracle:
         closed = reduced_density_closed(state, f00).matrix
         broken = {}
         for beta in (0.2, 1.0):
-            bath = ThermalBathSpec(beta=beta, n_max=3, n_modes_oracle=1)
+            bath = ThermalBathSpec(beta=beta, n_max=3)
             broken[beta] = thermal_trace_oracle(state, spec, bath, 0.7,
                                                 weight_scheme="per_level_partition").matrix
         for rho in broken.values():
@@ -305,8 +302,6 @@ class TestSpecValidation:
                 ThermalBathSpec(beta=beta, n_max=3)
         with pytest.raises(DomainError):
             ThermalBathSpec(beta=1.0, n_max=0)
-        with pytest.raises(DomainError):
-            ThermalBathSpec(beta=1.0, n_max=3, n_modes_oracle=4)
 
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
