@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Check that two source trees write byte-identical CSV files, stdout and
-# stderr, and the same manifests, for one or more configs.
+# stderr, and the same manifests, for one or more configs.  Both trees run
+# on this host with the same environment, so at one BLAS thread count: the
+# bytes are identical only at a fixed count, since another count moves some
+# last bits of the matrix products.
 #
 #   scripts/compare_csv_bodies.sh BASE_SRC HEAD_SRC [CONFIG...]
 #

@@ -3,7 +3,18 @@
 Pipeline: coupled-oscillator model -> dressed spectrum -> excitation
 dynamics -> two-qubit reduced density matrix (closed form and brute-force
 thermal trace) -> entanglement measures and thermal occupation.
+
+Unless the environment already sets it, importing the package sets
+OPENBLAS_THREAD_TIMEOUT to 4, OpenBLAS's minimum, before numpy loads, so
+idle BLAS workers sleep at once instead of spinning for about 0.1 s of CPU
+after each threaded product; it changes neither the thread count nor a byte
+of output, and does nothing when numpy was imported first.
 """
+
+import os
+
+# read by OpenBLAS when numpy first loads it, so it must precede every submodule
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"
 

@@ -1,13 +1,15 @@
 """Deterministic CSV and manifest emission.
 
-CSV bodies must be byte-identical across runs of the same config: floats are
-written with repr (shortest round trip), metadata lives in leading comment
-lines, and wall-clock only ever appears in the JSON manifest.  `csv_body`
-renders the header and rows once; `write_csv` writes a body under each
-file's own metadata lines, so files that share their rows (a sweep's
-points of one model) share one rendering.  Each run writes one CSV and
-beside it one manifest, which lists that CSV with its SHA-256 and size;
-the manifest is written atomically (write to temp file, then rename).
+CSV bodies must be byte-identical across runs of the same config at a fixed
+BLAS thread count (another count moves some last bits of the matrix
+products): floats are written with repr (shortest round trip), metadata
+lives in leading comment lines, and wall-clock only ever appears in the
+JSON manifest.  `csv_body` renders the header and rows once; `write_csv`
+writes a body under each file's own metadata lines, so files that share
+their rows (a sweep's points of one model) share one rendering.  Each run
+writes one CSV and beside it one manifest, which lists that CSV with its
+SHA-256 and size; the manifest is written atomically (write to temp file,
+then rename).
 `hashlib` is imported by `sha256_of`, when the first manifest is written,
 so OpenSSL's libcrypto is not resident while a run computes and adds
 nothing to its peak RSS.
