@@ -273,16 +273,15 @@ def _pipeline(run: NaturalRun, tolerance: float = PHASE_TOLERANCE,
     unitarity = float(np.max(np.abs(np.sum(np.abs(amp) ** 2, axis=0) - 1.0)))
     # radians the phases Omega*t lose to rounding at the largest |t|
     phase_precision = float(np.max(np.abs(run.t_grid))) * spectrum.omega_dressed[-1] * EPS
-    span = run.params.n_modes * run.params.delta_omega  # the top of the mode ladder
     warnings = []
     if phase_precision > tolerance:
         warnings.append(f"phase precision max|t|*Omega_max*eps = {phase_precision:.3g} rad "
                         f"exceeds {tolerance:g}; {consequence}")
     return spectrum, {
         "n_modes": run.params.n_modes,
-        "mode_span_over_omega_bar": span / run.params.omega_bar,
+        "mode_span_over_omega_bar": run.params.span / run.params.omega_bar,
         "modes_per_linewidth": math.pi * run.params.g / run.params.delta_omega,
-        "omega_bar_in_ladder": run.params.delta_omega <= run.params.omega_bar <= span,
+        "omega_bar_in_ladder": run.params.delta_omega <= run.params.omega_bar <= run.params.span,
         "recurrence_time": 2.0 * run.params.radius,
         "eigensolver_residual": eig_residual,
         "unitarity_residual": unitarity,

@@ -1,12 +1,14 @@
 """Two-qubit reduced density matrix, built two independent ways.
 
 The closed form propagates the initial superposition weights through the
-survival amplitude f_00, which both atoms share: they couple to one
-dressed spectrum.  The brute-force route enumerates a truncated thermal
-field background state by state, evolves the single excitation over the
-dressed labels, and literally traces out the field occupations.  The two
-must agree for every temperature: the thermal weights are diagonal in the
-number basis and normalized, so they factor out of every matrix element.
+survival amplitude f_00, the same for both atoms: each atom couples to its
+own field (or the atoms are far enough apart that they share none), and
+the two fields have one dressed spectrum.  The brute-force route
+enumerates a truncated thermal field background state by state, evolves
+the single excitation over the dressed labels, and literally traces out
+the field occupations.  The two must agree for every temperature: the
+thermal weights are diagonal in the number basis and normalized, so they
+factor out of every matrix element.
 
 The trace never builds a dense operator.  Each background's evolved state
 is a sparse map from field occupations to atom-level amplitudes (n_modes+1
@@ -133,10 +135,12 @@ def reduced_density_closed(state: EntangledStateSpec, f00,
                            first: int = 0) -> ReducedDensityMatrix:
     """Closed-form reduced matrices from the survival amplitude f00.
 
-    Both atoms couple to the one dressed spectrum, so each survives with
-    the same f_00.  f00 is an amplitude array (a scalar gives one 4x4); the
-    result stacks one matrix per sample.  With S = |f_00|^2 the nonzero
-    elements are rho[00,00] = 1 - xi S - (1-xi) S, rho[01,01] = (1-xi) S,
+    Each atom couples to its own field (or the atoms are far enough apart
+    that they share none), and both fields have one dressed spectrum, so
+    each atom survives with the same f_00.  f00 is an amplitude array (a
+    scalar gives one 4x4); the result stacks one matrix per sample.  With
+    S = |f_00|^2 the nonzero elements are
+    rho[00,00] = 1 - xi S - (1-xi) S, rho[01,01] = (1-xi) S,
     rho[10,10] = xi S, and the coherence
     rho[10,01] = sqrt(xi(1-xi)) e^{-i phi} f_00 conj(f_00) with its
     conjugate.  The |11> sector is identically zero (single excitation).
@@ -177,15 +181,15 @@ def survival_probability(f: np.ndarray) -> np.ndarray:
 
 
 def _contract(block: list[list[complex]], weight: float, left: dict, right: dict) -> None:
-    """block[a][b] += weight * sum_f left(a, f) conj(right(b, f)) over shared field labels f.
+    """block[a][b] += weight * sum_f left(a, f) conj(right(b, f)) over the field labels f.
 
     States map a field occupation tuple f to the amplitudes [level 0, level 1]
-    of the atom; labels present in only one state contribute nothing.
+    of the atom.  Every label of `left` must be a label of `right`: the
+    ground state of a background holds only its own occupations, which its
+    evolved state holds too.
     """
     for field, lhs in left.items():
-        rhs = right.get(field)
-        if rhs is None:
-            continue
+        rhs = right[field]
         for a in range(2):
             for b in range(2):
                 block[a][b] += weight * lhs[a] * rhs[b].conjugate()

@@ -75,15 +75,7 @@ class ModelParams:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
-        try:
-            span = self.n_modes * self.delta_omega
-        except OverflowError:  # an n_modes past double range: the exact span, rounded
-            from fractions import Fraction  # loads decimal (0.4 MB): only for such a size
-
-            try:
-                span = float(Fraction(self.n_modes) * Fraction(self.delta_omega))
-            except OverflowError:  # a span past double range is taken as infinite
-                span = math.inf
+        span = self.span
         squares = (self.omega_bar * self.omega_bar, span * span, 2.0 * self.g * span)
         limit = SQUARED_FREQUENCY_LIMIT
         if not 1.0 / limit <= squares[0] <= max(squares) <= limit:
@@ -96,6 +88,19 @@ class ModelParams:
     def delta_omega(self) -> float:
         """Mode spacing pi/R of the spherical cavity."""
         return math.pi / self.radius
+
+    @property
+    def span(self) -> float:
+        """Top of the mode ladder, n_modes * delta_omega; inf past double range."""
+        try:
+            return self.n_modes * self.delta_omega
+        except OverflowError:  # an n_modes past double range: the exact span, rounded
+            from fractions import Fraction  # loads decimal (0.4 MB): only for such a size
+
+            try:
+                return float(Fraction(self.n_modes) * Fraction(self.delta_omega))
+            except OverflowError:  # a span past double range is taken as infinite
+                return math.inf
 
     @property
     def eta(self) -> float:

@@ -150,8 +150,10 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     ModelInstabilityError when any eigenvalue is nonpositive: the arrowhead
     form is positive definite for every valid parameter set, so for a model
     matrix this means the lowest eigenvalue is below the double-precision
-    resolution eps*max|M| (the mode span dwarfs omega_bar).  Raises
-    BracketingError when a secular root fails to converge, and
+    resolution eps*max|M|.  The message names one of two causes: squared
+    mode frequencies d that fall below that resolution themselves (a
+    ladder whose squares underflow), or else a mode span that dwarfs
+    omega_bar.  Raises BracketingError when a secular root fails to converge, and
     ResourceCapError, before any (N+1)^2 array exists, when the component
     arrays would exceed SPECTRAL_BYTES_CAP.
     """
@@ -168,11 +170,13 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     rank = np.argsort(lam, kind="stable")
     lam = lam[rank]
     if lam[0] <= 0.0:
+        resolution = EPS * _max_abs(a, z, d)
+        cause = ("the squared mode frequencies omega_k^2 fall below it too"
+                 if np.min(d) <= resolution else "the mode span dwarfs omega_bar")
         raise ModelInstabilityError(
             f"lowest squared frequency {float(lam[0])!r} is not positive; the model's "
             "coupling matrix is positive definite, so its lowest eigenvalue is below the "
-            f"double-precision resolution eps*max|M| = {EPS * _max_abs(a, z, d):.3g}: "
-            "the mode span dwarfs omega_bar")
+            f"double-precision resolution eps*max|M| = {resolution:.3g}: {cause}")
     if dead.size == 0:
         vt = vt_live  # rows ascend, columns follow the modes
     else:

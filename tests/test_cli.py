@@ -286,6 +286,25 @@ class TestSeriesCommands:
             abs(fit["rate"] - fit["golden_rule_rate"]) / fit["golden_rule_rate"], rel=1e-12)
         assert fit["relative_deviation"] < 0.05 and fit["r_squared"] >= 0.999
 
+    @pytest.mark.parametrize("radius, n_modes, t_max", [(1.0, 64, 1000.0),
+                                                        (50.0 * math.pi, 100, 300.0)],
+                             ids=["small_cavity", "free_space"])
+    def test_survival_columns_agree_within_their_rounding(self, tmp_path, radius, n_modes,
+                                                          t_max):
+        # dynamics.csv squares np.abs(f00) as x * x, entanglement.csv squares
+        # hypot(re, im) by libm pow.  Each modulus lies within an ulp of |f_00|
+        # (eps relative), so each square of it within 2 eps; the two squarings
+        # round by eps/2 and by at most an ulp: 2 * 2 eps + eps/2 + eps apart
+        survival = []
+        for command in ("dynamics", "entanglement"):
+            out = tmp_path / command
+            assert run_cli(command, "--radius", radius, "--n-modes", n_modes, "--t-max", t_max,
+                           "--samples", 4001, "--out", out) == 0
+            survival.append(np.array(floats(read_csv(out / f"{command}.csv")[2], 1)))
+        squared_abs, hypot_pow = survival
+        assert np.all(np.abs(squared_abs - hypot_pow)
+                      <= 5.5 * EPS * np.maximum(squared_abs, hypot_pow))
+
     def test_failed_decay_fit_is_recorded(self, tmp_path, capsys, monkeypatch):
         # survival that has decayed to zero inside the window has no logarithm
         # to fit; the run records why and keeps its exit code
@@ -683,7 +702,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("physics contract violation:") and err.count("\n") == 1
         assert "np.float64" not in err
-        assert "double-precision resolution eps*max|M|" in err and "omega_bar" in err
+        assert "double-precision resolution eps*max|M|" in err
+        assert "the mode span dwarfs omega_bar" in err and "omega_k^2" not in err
+        assert not out.exists()
+
+    def test_underflowing_ladder_names_its_squares(self, tmp_path, capsys):
+        # at R = 1e200 the ladder tops out at 2.5e-199, whose square underflows
+        # to 0: the lowest eigenvalue is a bare mode's, and no span dwarfs anything
+        out = tmp_path / "out"
+        assert run_cli("dynamics", "--radius", 1e200, "--n-modes", 8, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and err.count("\n") == 1
+        assert "eps*max|M| = 2.22e-16: the squared mode frequencies omega_k^2 fall below it" in err
+        assert "dwarfs" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [(), ("--omega-bar", "4e14"), ("--radius", "1e-6"),

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dressedcavity.cli import main
 from dressedcavity.density import (EntangledStateSpec, ReducedDensityMatrix, ThermalBathSpec,
                                    _field_trace_blocks, bath_weights, reduced_density_closed,
                                    survival_probability, thermal_trace_oracle)
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.entanglement import POSITIVITY_FLOOR, measures
 from dressedcavity.errors import ContractViolationError, DomainError, ResourceCapError
-from dressedcavity.model import ModelParams
+from dressedcavity.model import ModelParams, build_coupling_matrix
+from dressedcavity.spectral import EPS
 
-from conftest import dressed_spectrum
+from conftest import dressed_spectrum, read_csv
 
 
 def oracle_spectrum(n_modes, g=0.01, omega_bar=1.0, radius=1.0):
@@ -308,3 +310,35 @@ class TestSpecValidation:
         bad[0, 1] = 1.0
         with pytest.raises(ContractViolationError):
             ReducedDensityMatrix(matrix=bad)
+
+
+def test_closed_form_is_not_a_shared_field(tmp_path):
+    # Two atoms on one field: each gets the atom entry a and the border z, and
+    # completing the square sum_k (omega_k x_k - eta x_A - eta x_B)^2 couples
+    # them by n*eta^2.  The antisymmetric coordinate (x_A - x_B)/sqrt2 then
+    # meets no mode, so it never decays; the closed form's xi = 1/2, phi = pi
+    # state decays as one atom does, so its atoms do not share a field.
+    params = ModelParams(omega_bar=1.0, g=0.01, radius=50.0 * math.pi, n_modes=100)
+    coupling = build_coupling_matrix(params)
+    shared = np.diag(np.concatenate(([coupling.a, coupling.a], coupling.d)))
+    shared[0, 1] = shared[1, 0] = params.n_modes * params.eta ** 2
+    shared[:2, 2:] = coupling.z
+    shared[2:, :2] = coupling.z[:, None]
+    antisymmetric = np.zeros(params.n_modes + 2)
+    antisymmetric[:2] = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    image = shared @ antisymmetric
+    assert np.max(np.abs(image - (antisymmetric @ image) * antisymmetric)) <= EPS * coupling.a
+    lam, vectors = np.linalg.eigh(shared)
+    weights = (vectors.T @ antisymmetric) ** 2
+    t = np.linspace(0.0, 300.0, 3001)
+    survival = np.abs(weights @ np.exp(-1j * np.outer(np.sqrt(lam), t))) ** 2
+    assert np.max(np.abs(survival - 1.0)) <= 1e-12
+
+    out = tmp_path / "density"
+    assert main(["density", "--radius", str(params.radius), "--n-modes", str(params.n_modes),
+                 "--g", str(params.g), "--xi", "0.5", "--phi", str(math.pi),
+                 "--t-max", "300", "--samples", "301", "--out", str(out)]) == 0
+    _, columns, rows = read_csv(out / "density.csv")
+    assert columns[2:4] == ["rho_01_01[probability]", "rho_10_10[probability]"]
+    assert float(rows[-1][0]) == 300.0
+    assert float(rows[-1][2]) + float(rows[-1][3]) < 1e-3

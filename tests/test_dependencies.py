@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import dressedcavity
-
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dressedcavity"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "dressedcavity"}
 
@@ -28,11 +26,6 @@ def test_runtime_dependencies_are_numpy_only(path):
     assert not outside, f"{path.name} imports {outside}; the library depends on numpy only"
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in dressedcavity.__all__ if not hasattr(dressedcavity, name)]
-    assert not missing, f"dressedcavity.__all__ names {missing}, which the package lacks"
-
-
 OPENSSL = {"hashlib", "_hashlib"}
 TIMEOUT_VAR = "OPENBLAS_THREAD_TIMEOUT"
 
@@ -41,7 +34,7 @@ def _fresh(*args, timeout=None, cwd=None):
     """Run a fresh interpreter on the package in src/; its stdout and stderr.
 
     OPENBLAS_THREAD_TIMEOUT is set in the child only when `timeout` is
-    given: importing the package here has already set it in this process.
+    given: the suite's imports of the package have set it in this process.
     """
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     env.pop(TIMEOUT_VAR, None)
