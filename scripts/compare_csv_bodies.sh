@@ -12,7 +12,10 @@
 # scripts/compare_csv_bodies.cfg, which fits in one block of every kind;
 # scripts/compare_csv_bodies_blocks.cfg crosses the amplitude and spectral
 # block boundaries; scripts/compare_csv_bodies_si.cfg runs in SI units, so
-# every table and sweep point echoes its SI inputs in its `#` lines.
+# every table and sweep point echoes its SI inputs in its `#` lines;
+# scripts/compare_csv_bodies_deflation.cfg deflates 28 of its 64 border
+# entries, so every table takes diagonalize's deflation path, and sweeps a
+# g grid that leaves none, 36 and 62 of the 64 borders live.
 # For each config, each table subcommand, `verify`, `verify
 # --negative-control` and `sweep` runs once from each tree; every CSV a
 # command writes (for `sweep`, `sweep.csv` and each `points/*/dynamics.csv`)

@@ -25,9 +25,11 @@ HBAR = PLANCK / (2.0 * math.pi)  # J s
 BOLTZMANN = 1.380649e-23         # J / K
 LIGHT_SPEED = 299792458.0        # m / s
 
-# Largest squared frequency a coupling-matrix entry may reach (and the
-# inverse of the smallest omega_bar^2): the eigensolver squares the entries
-# again, and span/omega_bar is reported, so both stay far inside double range.
+# Largest squared frequency a coupling-matrix entry may reach, and the
+# inverse of the smallest omega_bar^2 and delta_omega^2 (the lowest d_k): the
+# eigensolver squares the entries again, and span/omega_bar is reported, so
+# all stay far inside double range.  An accepted model so has R <= pi*1e75
+# and n_modes <= 1e150.
 SQUARED_FREQUENCY_LIMIT = 1e150
 
 
@@ -75,14 +77,15 @@ class ModelParams:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
-        span = self.span
-        squares = (self.omega_bar * self.omega_bar, span * span, 2.0 * self.g * span)
+        delta, span = self.delta_omega, self.span
+        squares = (self.omega_bar * self.omega_bar, delta * delta, span * span,
+                   2.0 * self.g * span)
         limit = SQUARED_FREQUENCY_LIMIT
-        if not 1.0 / limit <= squares[0] <= max(squares) <= limit:
+        if not (1.0 / limit <= min(squares[:2]) and max(squares) <= limit):
             raise DomainError(
-                f"omega_bar^2 must lie in [{1.0 / limit:g}, {limit:g}] and the mode span^2 and "
-                f"2*g*span must not exceed {limit:g}; got omega_bar={self.omega_bar}, "
-                f"span={span}, g={self.g}")
+                f"omega_bar^2 and delta_omega^2 must lie in [{1.0 / limit:g}, {limit:g}] and the "
+                f"mode span^2 and 2*g*span must not exceed {limit:g}; got "
+                f"omega_bar={self.omega_bar}, delta_omega={delta}, span={span}, g={self.g}")
 
     @property
     def delta_omega(self) -> float:
@@ -91,16 +94,13 @@ class ModelParams:
 
     @property
     def span(self) -> float:
-        """Top of the mode ladder, n_modes * delta_omega; inf past double range."""
+        """Top of the mode ladder, n_modes * delta_omega; inf for an n_modes past
+        double range, which no model takes: with delta_omega^2 >= 1e-150 its
+        span^2 would exceed SQUARED_FREQUENCY_LIMIT."""
         try:
             return self.n_modes * self.delta_omega
-        except OverflowError:  # an n_modes past double range: the exact span, rounded
-            from fractions import Fraction  # loads decimal (0.4 MB): only for such a size
-
-            try:
-                return float(Fraction(self.n_modes) * Fraction(self.delta_omega))
-            except OverflowError:  # a span past double range is taken as infinite
-                return math.inf
+        except OverflowError:
+            return math.inf
 
     @property
     def eta(self) -> float:

@@ -128,17 +128,15 @@ def require_component_budget(n: int, live: int | None = None) -> None:
     `live` of whose borders do not deflate (all by default), would exceed
     SPECTRAL_BYTES_CAP.  With every border live this is 8*(n+1)^2 bytes, the
     least `diagonalize` holds, so a caller may refuse a model before any of
-    its arrays exists without refusing one `diagonalize` would accept."""
+    its arrays exists without refusing one `diagonalize` would accept.  A
+    model's n_modes is at most 1e150 (model.SQUARED_FREQUENCY_LIMIT), so the
+    bytes, at most 1.6e301, convert to a float."""
     live = n if live is None else live
     # the secular rows, plus the full matrix they are scattered into on deflation
     held = 8 * ((live + 1) ** 2 + ((n + 1) ** 2 if live < n else 0))
     if held > SPECTRAL_BYTES_CAP:
-        try:
-            mib = f"{held / 2 ** 20:.0f}"
-        except OverflowError:  # past double range: the integer MiB, rounded half up
-            mib = str((held + 2 ** 19) // 2 ** 20)
         raise ResourceCapError(
-            f"the spectral stage would hold {mib} MiB of eigenvector "
+            f"the spectral stage would hold {held / 2 ** 20:.0f} MiB of eigenvector "
             f"components at n_modes={n}, above the {SPECTRAL_BYTES_CAP / 2 ** 20:.0f} MiB cap")
 
 
@@ -146,26 +144,38 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     """All eigenpairs of the arrowhead coupling matrix, sorted ascending, in O(N^2).
 
     The mode entries d of the diagonal must ascend strictly wherever their
-    border entry does not deflate, as every mode ladder does.  Raises
+    border entry does not deflate, as every mode ladder does; a d that does
+    not is a ContractViolationError.  Raises ModelInstabilityError when two
+    such entries lie within the deflation tolerance tol = 8 eps max|M| of
+    each other, which a strong coupling or a fine ladder at large N brings
+    about: the secular solve cannot separate their roots.  It also raises
     ModelInstabilityError when any eigenvalue is nonpositive: the arrowhead
     form is positive definite for every valid parameter set, so for a model
     matrix this means the lowest eigenvalue is below the double-precision
     resolution eps*max|M|.  The message names one of two causes: squared
     mode frequencies d that fall below that resolution themselves (a
-    ladder whose squares underflow), or else a mode span that dwarfs
-    omega_bar.  Raises BracketingError when a secular root fails to converge, and
-    ResourceCapError, before any (N+1)^2 array exists, when the component
-    arrays would exceed SPECTRAL_BYTES_CAP.
+    ladder whose squares, at least 1e-150 in every model, are small against
+    the atom entry a), or else a mode span that dwarfs omega_bar.  Raises
+    BracketingError when a secular root fails to converge, overflowing
+    starts and steps included, and ResourceCapError, before any (N+1)^2
+    array exists, when the component arrays would exceed SPECTRAL_BYTES_CAP.
     """
     a, z, d = matrix.a, matrix.z, matrix.d
     n = d.size
     tol = DEFLATION_RTOL * _max_abs(a, z, d)
     live = np.flatnonzero(np.abs(z) > tol)
     dead = np.flatnonzero(np.abs(z) <= tol)
-    if np.any(np.diff(d[live]) <= tol):
+    gap = float(np.min(np.diff(d[live]), initial=math.inf))
+    if gap <= 0.0:
         raise ContractViolationError("coupled mode entries must ascend strictly")
+    if gap <= tol:
+        raise ModelInstabilityError(
+            f"the smallest coupled mode spacing {gap:.3g} is within the deflation tolerance "
+            f"8*eps*max|M| = {tol:.3g}; the secular solve cannot separate its roots")
     require_component_budget(n, live.size)
-    lam_live, vt_live = _secular_eigenpairs(a, d[live], z[live])
+    # non-finite starts and steps fall back to bisection or Newton; BracketingError ends the rest
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam_live, vt_live = _secular_eigenpairs(a, d[live], z[live])
     lam = np.concatenate((lam_live, d[dead]))
     rank = np.argsort(lam, kind="stable")
     lam = lam[rank]
@@ -264,8 +274,7 @@ def _quadratic_root(c, b, q, sign):
     """The root (b + sign*sqrt(|b^2 - 4 q c|)) / (2 c) of c x^2 - b x + q, formed stably."""
     c, b, q = np.asarray(c, dtype=float), np.asarray(b, dtype=float), np.asarray(q, dtype=float)
     root = np.sqrt(np.abs(b * b - 4.0 * q * c))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(sign * b >= 0.0, (b + sign * root) / (2.0 * c), 2.0 * q / (b - sign * root))
+    return np.where(sign * b >= 0.0, (b + sign * root) / (2.0 * c), 2.0 * q / (b - sign * root))
 
 
 def _secular(a, d, z2, origin, tau, spaces):
@@ -317,8 +326,7 @@ def _solve_rows(a, d, z, z2, rows, origin, tau, lo, hi, lam, vt, spaces) -> None
         lo[active] = np.where(f < 0.0, t, lo[active])
         hi[active] = np.where(f > 0.0, t, hi[active])
         eta = _rational_step(d, z2, o, far[active], outer[active], t, f, df)
-        with np.errstate(invalid="ignore"):
-            eta = np.where(np.isfinite(eta) & (f * eta < 0.0), eta, -f / df)
+        eta = np.where(np.isfinite(eta) & (f * eta < 0.0), eta, -f / df)
         new = t + eta
         inside = (new > lo[active]) & (new < hi[active])
         tau[active] = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
@@ -337,11 +345,10 @@ def _rational_step(d, z2, origin, far, outer, tau, f, df):
     gap = d[far] - d[origin]
     d_near = -tau       # d_origin - lam
     d_far = gap - tau   # d_far - lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near_slope = zn / (d_near * d_near)
-        c = f - d_far * df + gap * near_slope
-        interior = _quadratic_root(c, (d_near + d_far) * f - d_near * d_far * df,
-                                   d_near * d_far * f, -1.0)
-        slope = df - near_slope
-        edge = _quadratic_root(slope, slope * d_near - (f - zn / d_near), -d_near * f, outer)
+    near_slope = zn / (d_near * d_near)
+    c = f - d_far * df + gap * near_slope
+    interior = _quadratic_root(c, (d_near + d_far) * f - d_near * d_far * df,
+                               d_near * d_far * f, -1.0)
+    slope = df - near_slope
+    edge = _quadratic_root(slope, slope * d_near - (f - zn / d_near), -d_near * f, outer)
     return np.where(outer == 0.0, interior, edge)

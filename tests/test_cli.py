@@ -7,6 +7,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -80,6 +81,21 @@ si = false
         cfg.write_text("coupling = 3\n")
         assert run_cli("spectrum", "--config", cfg) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("g 0.5", "expected 'key = value', got 'g 0.5'"),
+        ("si = maybe", "bad value for si: not a boolean: 'maybe'"),
+        ("n_modes = 8.5", "bad value for n_modes: invalid literal for int()"),
+    ], ids=["no_equals", "not_boolean", "bad_int"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# a comment\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--config", cfg, "--n-modes", 4, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {cfg}:2: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -706,15 +722,57 @@ class TestExitCodes:
         assert "the mode span dwarfs omega_bar" in err and "omega_k^2" not in err
         assert not out.exists()
 
-    def test_underflowing_ladder_names_its_squares(self, tmp_path, capsys):
-        # at R = 1e200 the ladder tops out at 2.5e-199, whose square underflows
-        # to 0: the lowest eigenvalue is a bare mode's, and no span dwarfs anything
+    @pytest.mark.parametrize("radius", [1e162, 1e200])
+    def test_underflowing_ladder_names_its_squares(self, tmp_path, capsys, radius):
+        # delta_omega^2 is below 1e-150: at R = 1e162 the squares are subnormal
+        # and keep a few bits, at R = 1e200 they underflow to 0
         out = tmp_path / "out"
-        assert run_cli("dynamics", "--radius", 1e200, "--n-modes", 8, "--out", out) == 2
+        assert run_cli("dynamics", "--radius", radius, "--n-modes", 8, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("physics contract violation:") and err.count("\n") == 1
-        assert "eps*max|M| = 2.22e-16: the squared mode frequencies omega_k^2 fall below it" in err
+        assert "delta_omega^2 must lie in [1e-150, 1e+150]" in err
+        assert not out.exists()
+
+    def test_unresolved_ladder_names_its_squares(self, tmp_path, capsys):
+        # at R = 1e19 the square d_1 = 9.9e-38 lies inside the squared range but
+        # below eps*max|M| = 1.4e-37, and the lowest eigenvalue (omega_bar^2 d_1 / a,
+        # about 1.6e-133) comes out 0; no span dwarfs anything
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--omega-bar", 1e-59, "--g", 0.001, "--radius", 1e19,
+                       "--n-modes", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and err.count("\n") == 1
+        assert "eps*max|M| = 1.4e-37: the squared mode frequencies omega_k^2 fall below it" in err
         assert "dwarfs" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--omega-bar", "5.723102760478449e-29", "--g", "3.8214964719660635e+47",
+         "--radius", "1.7093685461432977e-62", "--n-modes", "3"),
+        ("--omega-bar", "2.8861534134200247e+62", "--g", "3.0958675620496877e+41",
+         "--radius", "2.6919333974724982e-61", "--n-modes", "2"),
+    ], ids=["three_modes", "two_modes"])
+    def test_overflowing_secular_solve_prints_one_line(self, tmp_path, capsys, flags):
+        # the solve's starts and steps overflow; it warns nothing and stops with
+        # one line when its roots do not converge
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("spectrum", *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--g", "1e20"), ("--g", "0.01", "--radius", "3e10")],
+                             ids=["strong", "fine_ladder"])
+    def test_spacing_within_the_deflation_tolerance_is_named(self, tmp_path, capsys, flags):
+        # the ladder ascends, but tol = 8 eps max|M| exceeds its coupled spacings
+        out = tmp_path / "out"
+        assert run_cli("spectrum", *flags, "--n-modes", 64, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation: the smallest coupled mode spacing ")
+        assert "within the deflation tolerance 8*eps*max|M|" in err and err.count("\n") == 1
+        assert "ascend" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [(), ("--omega-bar", "4e14"), ("--radius", "1e-6"),
@@ -1149,16 +1207,18 @@ def test_fuzzed_sizes_across_the_spectral_cap(command, n_modes, names, grids, da
        radius=st.sampled_from([1.0, 1e150, 1e300]))
 @example(command="spectrum", n_modes=10 ** 400, radius=1.0)
 @example(command="sweep", n_modes=10 ** 400, radius=1.0)
-# component bytes past double range, and an n_modes past it (mode span 3.1e9)
-@example(command="spectrum", n_modes=10 ** 307, radius=1e300)
+# the largest span^2 inside 1e150 (the cap refuses it), and the next past it
+@example(command="spectrum", n_modes=3 * 10 ** 74, radius=1.0)
+@example(command="spectrum", n_modes=4 * 10 ** 74, radius=1.0)
+# an n_modes past double range at a delta_omega^2 below 1e-150
 @example(command="spectrum", n_modes=10 ** 309, radius=1e300)
 def test_fuzzed_n_modes_up_to_1e400(command, n_modes, radius):
-    # with the cap at 32 KiB only n_modes <= 63 builds a model, and at radius
-    # 1e300 such a ladder lies below double resolution (exit 2).  A larger
-    # one is refused by the cap (exit 3), or by its mode span n_modes*pi/R,
-    # exact also for an n_modes past double range, when that is past the
-    # squared-frequency limit (exit 2); in a sweep either refusal fills
-    # sweep.csv with error rows (exit 2).  Nothing large is allocated.
+    # at radius 1e150 and 1e300 delta_omega^2 is below 1e-150, so no model
+    # is accepted (exit 2).  At radius 1, with the cap at 32 KiB, only
+    # n_modes <= 63 builds a model; a larger one is refused by the cap
+    # (exit 3), or, when its mode span^2 is past 1e150, by the squared-
+    # frequency limit (exit 2); in a sweep either refusal fills sweep.csv
+    # with error rows (exit 2).  Nothing large is allocated.
     argv = [command, f"--n-modes={n_modes}", f"--radius={radius!r}", "--samples=16",
             "--t-max=2"]
     if command == "sweep":
@@ -1186,12 +1246,12 @@ def test_fuzzed_n_modes_up_to_1e400(command, n_modes, radius):
     assert code in (0, 2, 3)
     assert text == "" or (text.count("\n") == 1 and text.endswith("\n")), text
     assert code == 0 or text, code
-    assert (code == 0) == (n_modes <= 63 and radius < 1e300), (code, text)
+    assert (code == 0) == (n_modes <= 63 and radius == 1.0), (code, text)
+    assert (code == 3) == (n_modes > 63 and radius == 1.0 and command != "sweep"
+                           and span * span <= 10 ** 150), (code, text)
     assert n_modes <= 63 or not built
     if command == "sweep":
         assert wrote_sweep
-    if n_modes > 63:
-        assert code == (3 if command != "sweep" and span * span <= 10 ** 150 else 2), text
     assert peak < 1 << 20
 
 

@@ -305,6 +305,11 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             ThermalBathSpec(beta=1.0, n_max=0)
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 3)])
+    def test_stack_of_four_by_four_required(self, shape):
+        with pytest.raises(ContractViolationError, match=r"expected a \(\.\.\., 4, 4\) stack"):
+            ReducedDensityMatrix(matrix=np.zeros(shape, dtype=complex))
+
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0

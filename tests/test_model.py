@@ -137,10 +137,11 @@ def test_invalid_params_rejected(kwargs):
     {"omega_bar": 1.0, "g": 0.1, "radius": 1e-76, "n_modes": 1},    # span^2 > 1e150
     {"omega_bar": 1.0, "g": 1e151, "radius": 1.0, "n_modes": 1},    # 2 g span > 1e150
     {"omega_bar": 1.0, "g": 0.0, "radius": 5e-324, "n_modes": 1},   # infinite span, 0 * inf
+    {"omega_bar": 1.0, "g": 0.1, "radius": 1e76, "n_modes": 1},     # delta_omega^2 < 1e-150
 ])
 def test_scales_outside_double_range_rejected(kwargs):
     # each of these overflowed or underflowed in the matrix or the eigensolver
-    with pytest.raises(DomainError, match="omega_bar\\^2 must lie in"):
+    with pytest.raises(DomainError, match="omega_bar\\^2 and delta_omega\\^2 must lie in"):
         ModelParams(**kwargs)
 
 

@@ -86,6 +86,15 @@ def test_nonpositive_eigenvalue_raises():
         diagonalize(CouplingMatrix(a=-1.0, z=np.array([0.0]), d=np.array([1.0])))
 
 
+@pytest.mark.parametrize("omega, components, error, message", [
+    ([1.0, 2.0], np.eye(3), ContractViolationError, "components shape"),
+    ([0.0, 2.0], np.eye(2), ModelInstabilityError, "nonpositive frequency"),
+], ids=["shape", "nonpositive"])
+def test_dressed_spectrum_checks_its_parts(omega, components, error, message):
+    with pytest.raises(error, match=message):
+        DressedSpectrum(omega_dressed=np.array(omega), components=components)
+
+
 def _dense(params):
     """Reference eigenpairs of the same coupling matrix from dense eigh."""
     matrix = build_coupling_matrix(params)
@@ -152,8 +161,15 @@ class TestSecularRoots:
 
     @pytest.mark.parametrize("d", [(2.0, 1.0, 3.0), (1.0, 1.0, 3.0)])
     def test_unordered_or_repeated_modes_rejected(self, d):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="must ascend strictly"):
             diagonalize(CouplingMatrix(a=10.0, z=np.full(3, 0.5), d=np.array(d)))
+
+    def test_spacing_within_the_deflation_tolerance_is_named(self):
+        # the modes ascend, but 1e-15 apart, below tol = 8 eps * 10 = 1.8e-14
+        d = np.array([1.0, 1.0 + 1e-15, 3.0])
+        with pytest.raises(ModelInstabilityError, match="coupled mode spacing 1.11e-15 is "
+                                                        "within the deflation tolerance"):
+            diagonalize(CouplingMatrix(a=10.0, z=np.full(3, 0.5), d=d))
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
     def test_non_finite_entry_rejected(self, entry):
