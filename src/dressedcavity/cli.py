@@ -47,7 +47,9 @@ every point writes it and its manifest.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
-t_max in range, before any output is written.
+t_max, t_list and n0_init in range, before any output is written; beta is
+checked in range when a run resolves (`require_beta`), so in a sweep a
+beta out of range fails only its own points.
 
 Exit codes: 0 success, 1 usage error (including a sweep fit window that
 holds fewer than 3 samples, --si without both --omega-bar and --radius,
@@ -82,18 +84,14 @@ from .density import (EntangledStateSpec, ThermalBathSpec, reduced_density_close
 from .dynamics import amplitudes, decay_rate_fit, wigner_weisskopf_rate
 from .entanglement import family_concurrence, measures
 from .errors import DomainError, PhysicsError, ResourceCapError
-from .model import ModelParams, build_coupling_matrix, natural_from_si
+from .model import RANGE_LIMIT, ModelParams, build_coupling_matrix, natural_from_si, require_beta
 from .reporting import csv_body, write_csv, write_manifest
 from .spectral import EPS, diagonalize, require_component_budget
-from .thermal import bose_einstein, occupation_series, occupation_weights
+from .thermal import OCCUPATION_LIMIT, bose_einstein, occupation_series, occupation_weights
 
 VERIFY_TOLERANCE = 1e-12
 # Radians of phase Omega*t a table command may lose to rounding before it warns.
 PHASE_TOLERANCE = 1e-6
-# t_max lies in [1/TIME_LIMIT, TIME_LIMIT] and |t_list| below TIME_LIMIT:
-# with the model's squared frequencies capped at 1e150 every phase Omega*t
-# stays finite, and the squared times of the decay fit stay normal doubles.
-TIME_LIMIT = 1e150
 # Samples per closed-form block of `density`, `entanglement` and `verify`:
 # bounds the (block, 4, 4) closed-form stacks and the LAPACK temporaries of
 # `measures` on a long series.  The closed form is elementwise and every
@@ -164,7 +162,8 @@ class NaturalRun:
 
 def resolve_natural(config: RunConfig, t_grid: np.ndarray) -> NaturalRun:
     """The config in natural units, with the time grid the caller built;
-    the run carries the config, so it copies no field of it."""
+    the run carries the config, so it copies no field of it.  beta obeys the
+    model's range rule (`require_beta`)."""
     if config.temperature is not None and config.temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {config.temperature}")
     if config.si:
@@ -175,8 +174,7 @@ def resolve_natural(config: RunConfig, t_grid: np.ndarray) -> NaturalRun:
     else:
         omega_bar, g, radius = config.omega_bar, config.g, config.radius
         beta = 1.0 / config.temperature if config.temperature is not None else config.beta
-    if not math.isfinite(beta):
-        raise DomainError(f"temperature {config.temperature} gives a non-finite beta {beta}")
+    require_beta(beta, config.temperature)
     params = ModelParams(omega_bar=omega_bar, g=g, radius=radius, n_modes=config.n_modes)
     state = EntangledStateSpec(xi=config.xi, phi=config.phi)
     return NaturalRun(config=config, params=params, state=state, beta=beta, t_grid=t_grid)
@@ -507,49 +505,38 @@ def _sweep_model(points: list) -> list:
     The points share one time grid, run.t_grid, and one n0_init, which is
     no sweep axis.  The model gets one spectral stage and one occupation
     pass over the weights of its distinct betas, whose means over the late
-    samples t >= t_max/2 fill the rows.  The same pass gives f_00, and so
-    the model's `dynamics` table, whose decay fit fills the gamma and
-    r_squared columns (empty when the fit failed).  A beta whose weights
-    raise fails only its own points, a failed stage every point.  One
+    samples t >= t_max/2 fill the rows; a resolved beta and n0_init lie in
+    the range rule, so no weight vector fails.  The same pass gives f_00,
+    and so the model's `dynamics` table, whose decay fit fills the gamma
+    and r_squared columns (empty when the fit failed).  One
     `TableCommand.write` call renders the table once and writes each run's
     `dynamics` CSV and manifest, which lists the model's warnings;
     they are printed once, for the model.  The spectrum is freed on return,
     so a sweep holds one at a time.
     """
     started, run = time.monotonic(), points[0][1]
-    try:
-        spectrum, convergence, warnings = _pipeline(run)
-    except (PhysicsError, ResourceCapError) as exc:
-        return [_error_row(axes, exc) for axes, _ in points]
-    weights, means = {}, {}  # means: each beta's long-time mean, or its PhysicsError
-    for beta in dict.fromkeys(run.beta for _, run in points):
-        try:
-            weights[beta] = occupation_weights(run.params, beta, run.config.n0_init)
-        except PhysicsError as exc:
-            means[beta] = exc
+    spectrum, convergence, warnings = _pipeline(run)
+    betas = list(dict.fromkeys(run.beta for _, run in points))
     shared = occupation_series(
-        spectrum, np.reshape(list(weights.values()), (-1, spectrum.size)), run.t_grid)
+        spectrum, [occupation_weights(run.params, beta, run.config.n0_init) for beta in betas],
+        run.t_grid)
     late = run.t_grid >= 0.5 * run.t_grid[-1]
-    means |= {beta: float(np.mean(row[late])) for beta, row in zip(weights, shared.occupation)}
+    means = {beta: float(np.mean(row[late])) for beta, row in zip(betas, shared.occupation)}
     table = _dynamics_table(run, shared.f00)
     decay = table.manifest["decay_fit"]
     COMMANDS["dynamics"].write([run for _, run in points], started, table, convergence,
                                warnings)
-    rows = []
-    for axes, run in points:
-        if isinstance(mean := means[run.beta], PhysicsError):
-            rows.append(_error_row(axes, mean))
-        else:
-            rows.append((*axes, table.manifest["min_survival"], decay.get("rate"),
-                         decay.get("r_squared"), family_concurrence(run.state.xi, 1.0),
-                         mean, "ok"))
-    return rows
+    return [(*axes, table.manifest["min_survival"], decay.get("rate"), decay.get("r_squared"),
+             family_concurrence(run.state.xi, 1.0), means[run.beta], "ok")
+            for axes, run in points]
 
 
 def cmd_sweep(config: RunConfig) -> int:
     """One `sweep.csv` row per grid point.  Every point is resolved first,
     in index order, under its resolved model; then each model's points go
-    through one `_sweep_model` call."""
+    through one `_sweep_model` call.  A point that does not resolve, a beta
+    out of range among them, fails alone and writes nothing under
+    `points/`; a model whose stage fails fails each of its points."""
     started = time.monotonic()
     out_dir = Path(config.out)
     active = [(axis, values) for axis in SWEEP_AXES if (values := getattr(config, f"{axis}_grid"))]
@@ -580,7 +567,10 @@ def cmd_sweep(config: RunConfig) -> int:
         else:
             models.setdefault(run.params, []).append((axes, run))
     for points in models.values():
-        rows.extend(_sweep_model(points))
+        try:
+            rows.extend(_sweep_model(points))
+        except (PhysicsError, ResourceCapError) as exc:
+            rows.extend(_error_row(axes, exc) for axes, _ in points)
 
     columns = ["index", "xi[dimensionless]", "phi[rad]", "temperature[config-units]",
                "radius[config-units]", "g[config-units]", "min_survival[probability]",
@@ -663,11 +653,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"jobs must be 1, got {config.jobs}: sweep runs its points in one "
                          "process")
     _check_finite(config)
-    if not 1.0 / TIME_LIMIT <= config.t_max <= TIME_LIMIT:
-        raise DomainError(f"t_max must lie in [{1.0 / TIME_LIMIT:g}, {TIME_LIMIT:g}], "
+    if not 1.0 / RANGE_LIMIT <= config.t_max <= RANGE_LIMIT:
+        raise DomainError(f"t_max must lie in [{1.0 / RANGE_LIMIT:g}, {RANGE_LIMIT:g}], "
                           f"got {config.t_max}")
-    if any(abs(t) > TIME_LIMIT for t in config.t_list):
-        raise DomainError(f"t_list entries must lie within +-{TIME_LIMIT:g}, got {config.t_list}")
+    if any(abs(t) > RANGE_LIMIT for t in config.t_list):
+        raise DomainError(f"t_list entries must lie within +-{RANGE_LIMIT:g}, got {config.t_list}")
+    if not 0.0 <= config.n0_init <= OCCUPATION_LIMIT:
+        raise DomainError(f"n0_init must lie in [0, {OCCUPATION_LIMIT:g}], got {config.n0_init}")
     return config
 
 

@@ -36,14 +36,12 @@ import numpy as np
 
 from .dynamics import amplitudes
 from .errors import ContractViolationError, DomainError, ResourceCapError
+from .model import require_beta
 from .spectral import DressedSpectrum
 
 # Matrices use the ordered two-qubit basis {|00>, |01>, |10>, |11>};
 # index = 2*p_A + p_B.
 HERMITICITY_ATOL = 1e-12
-# Largest bath beta: beta*omega*n stays finite for every model frequency
-# (squared frequencies are capped at 1e150) and every occupation n.
-BETA_LIMIT = 1e150
 # Cap on the backgrounds (n_max+1)^n_modes of one oracle call; the sparse
 # trace does O(n_modes^2) scalar work per background, so this bounds its cost.
 MAX_BACKGROUNDS = 1024
@@ -73,15 +71,15 @@ class EntangledStateSpec:
 @dataclass(frozen=True)
 class ThermalBathSpec:
     """Inverse temperature and Fock truncation of every field mode for the
-    exact-trace route; the modes are those of the oracle's spectrum."""
+    exact-trace route; the modes are those of the oracle's spectrum.  beta
+    obeys the model's range rule (`require_beta`), so beta*omega*n stays
+    finite for every model frequency and every occupation n."""
 
     beta: float
     n_max: int
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= BETA_LIMIT:
-            raise DomainError(f"beta must be finite, positive and at most {BETA_LIMIT:g}, "
-                              f"got {self.beta}")
+        require_beta(self.beta)
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 

@@ -25,12 +25,17 @@ HBAR = PLANCK / (2.0 * math.pi)  # J s
 BOLTZMANN = 1.380649e-23         # J / K
 LIGHT_SPEED = 299792458.0        # m / s
 
-# Largest squared frequency a coupling-matrix entry may reach, and the
-# inverse of the smallest omega_bar^2 and delta_omega^2 (the lowest d_k): the
-# eigensolver squares the entries again, and span/omega_bar is reported, so
-# all stay far inside double range.  An accepted model so has R <= pi*1e75
-# and n_modes <= 1e150.
-SQUARED_FREQUENCY_LIMIT = 1e150
+# The one range rule: omega_bar^2 and delta_omega^2 (the lowest d_k), every
+# inverse temperature beta (`require_beta`) and t_max lie in
+# [1/RANGE_LIMIT, RANGE_LIMIT]; the mode span^2, 2*g*span and |t_list| do not
+# exceed RANGE_LIMIT.  The eigensolver squares the entries again, and
+# span/omega_bar is reported, so all stay far inside double range.  An
+# accepted model has R <= pi*1e75, n_modes <= 1e150, omega_bar and every
+# omega_k within [1e-75, 1e75] and every Omega_s below 2e75, so each phase
+# Omega*t, each beta*omega_k (within [1e-225, 1e225], which `bose_einstein`
+# takes without overflow) and each squared time of the decay fit is a
+# normal double.
+RANGE_LIMIT = 1e150
 
 
 def natural_from_si(omega_si: float, radius_si: float,
@@ -54,6 +59,16 @@ def natural_from_si(omega_si: float, radius_si: float,
             raise DomainError(f"k_B*T underflows to 0 at temperature_si {temperature_si}")
         beta = HBAR * omega_si / thermal_energy
     return 1.0, radius_si * omega_si / LIGHT_SPEED, beta
+
+
+def require_beta(beta: float, temperature: float | None = None) -> None:
+    """Raise DomainError unless the inverse temperature beta lies in
+    [1/RANGE_LIMIT, RANGE_LIMIT]; the message names the temperature beta
+    came from, when it came from one."""
+    if not 1.0 / RANGE_LIMIT <= beta <= RANGE_LIMIT:
+        source = "" if temperature is None else f" from temperature {temperature}"
+        raise DomainError(f"beta must lie in [{1.0 / RANGE_LIMIT:g}, {RANGE_LIMIT:g}], "
+                          f"got {beta}{source}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ class ModelParams:
         delta, span = self.delta_omega, self.span
         squares = (self.omega_bar * self.omega_bar, delta * delta, span * span,
                    2.0 * self.g * span)
-        limit = SQUARED_FREQUENCY_LIMIT
+        limit = RANGE_LIMIT
         if not (1.0 / limit <= min(squares[:2]) and max(squares) <= limit):
             raise DomainError(
                 f"omega_bar^2 and delta_omega^2 must lie in [{1.0 / limit:g}, {limit:g}] and the "
@@ -96,7 +111,7 @@ class ModelParams:
     def span(self) -> float:
         """Top of the mode ladder, n_modes * delta_omega; inf for an n_modes past
         double range, which no model takes: with delta_omega^2 >= 1e-150 its
-        span^2 would exceed SQUARED_FREQUENCY_LIMIT."""
+        span^2 would exceed RANGE_LIMIT."""
         try:
             return self.n_modes * self.delta_omega
         except OverflowError:

@@ -129,7 +129,7 @@ def require_component_budget(n: int, live: int | None = None) -> None:
     SPECTRAL_BYTES_CAP.  With every border live this is 8*(n+1)^2 bytes, the
     least `diagonalize` holds, so a caller may refuse a model before any of
     its arrays exists without refusing one `diagonalize` would accept.  A
-    model's n_modes is at most 1e150 (model.SQUARED_FREQUENCY_LIMIT), so the
+    model's n_modes is at most 1e150 (model.RANGE_LIMIT), so the
     bytes, at most 1.6e301, convert to a float."""
     live = n if live is None else live
     # the secular rows, plus the full matrix they are scattered into on deflation
@@ -162,7 +162,8 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
     """
     a, z, d = matrix.a, matrix.z, matrix.d
     n = d.size
-    tol = DEFLATION_RTOL * _max_abs(a, z, d)
+    max_abs = _max_abs(a, z, d)
+    tol = DEFLATION_RTOL * max_abs
     live = np.flatnonzero(np.abs(z) > tol)
     dead = np.flatnonzero(np.abs(z) <= tol)
     gap = float(np.min(np.diff(d[live]), initial=math.inf))
@@ -173,14 +174,21 @@ def diagonalize(matrix: CouplingMatrix) -> DressedSpectrum:
             f"the smallest coupled mode spacing {gap:.3g} is within the deflation tolerance "
             f"8*eps*max|M| = {tol:.3g}; the secular solve cannot separate its roots")
     require_component_budget(n, live.size)
-    # non-finite starts and steps fall back to bisection or Newton; BracketingError ends the rest
+    # The solve runs on M scaled by the power of two that puts max|M| in
+    # [1/2, 1) and divides its roots back.  For a model's matrix the scaled
+    # live entries stay normal (a and d are at least 1e-150, each live z_k
+    # exceeds tol), so the scaling is exact and moves a bit only where an
+    # unscaled intermediate would leave double range.  Non-finite starts
+    # and steps fall back to bisection or Newton; BracketingError ends the
+    # rest.
+    scale = math.ldexp(1.0, -math.frexp(max_abs)[1])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lam_live, vt_live = _secular_eigenpairs(a, d[live], z[live])
-    lam = np.concatenate((lam_live, d[dead]))
+        lam_live, vt_live = _secular_eigenpairs(scale * a, scale * d[live], scale * z[live])
+    lam = np.concatenate((lam_live / scale, d[dead]))
     rank = np.argsort(lam, kind="stable")
     lam = lam[rank]
     if lam[0] <= 0.0:
-        resolution = EPS * _max_abs(a, z, d)
+        resolution = EPS * max_abs
         cause = ("the squared mode frequencies omega_k^2 fall below it too"
                  if np.min(d) <= resolution else "the mode span dwarfs omega_bar")
         raise ModelInstabilityError(

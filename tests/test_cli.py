@@ -35,6 +35,29 @@ import dressedcavity.thermal as thermal
 from conftest import dense, dense_reference, dressed_spectrum, read_csv, si_from_natural
 
 
+# An SI model that resolves: 4e14 rad/s in a 1 um sphere, g of 0.01 in natural units.
+SI_INPUTS = ("--si", "--omega-bar", "4e14", "--radius", "1e-6", "--g", "4e12")
+
+
+# A beta of -5, 0, 1e-151 or 1e151 set three ways, and the message part each gives.
+BAD_BETAS = {
+    **{f"beta_{beta}": (("--beta", beta), "beta must lie in [1e-150, 1e+150]")
+       for beta in ("-5", "0", "1e-151", "1e151")},
+    **{f"temperature_{t}": (("--temperature", t), "temperature must be positive")
+       for t in ("-5", "0")},
+    "temperature_1e151": (("--temperature", "1e151"), "got 1e-151 from temperature 1e+151"),
+    "temperature_1e-151": (("--temperature", "1e-151"), "got 1e+151 from temperature 1e-151"),
+    **{f"si_beta_{beta}": ((*SI_INPUTS, "--beta", beta), "beta must lie in [1e-150, 1e+150]")
+       for beta in ("-5", "0")},
+    "si_temperature_-5": ((*SI_INPUTS, "--temperature", "-5"), "temperature must be positive"),
+    # hbar*omega_si/k_B is 3055 K at 4e14 rad/s: beta about 1e-151 and 1e151
+    "si_temperature_hot": ((*SI_INPUTS, "--temperature", "3.06e154"),
+                           "from temperature 3.06e+154"),
+    "si_temperature_cold": ((*SI_INPUTS, "--temperature", "3.06e-148"),
+                            "from temperature 3.06e-148"),
+}
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
@@ -149,6 +172,13 @@ si = false
                        "--samples", 16, "--out", out) == 0
         _, _, rows = read_csv(out / "sweep.csv")
         assert floats(rows, 2) == [-0.5, 0.5]
+        # a lone value too, unless it is a plain decimal
+        assert run_cli("spectrum", "--phi", "-1e-3", "--n-modes", 8,
+                       "--out", tmp_path / "exponent") == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "exponent").exists()
+        assert run_cli("spectrum", "--phi", "-0.001", "--n-modes", 8,
+                       "--out", tmp_path / "decimal") == 0
 
     def test_si_conversion_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -702,6 +732,7 @@ class TestExitCodes:
         ("thermal", ("--n0-init", "1e301")),                  # the weighted sum overflows
         ("verify", ("--beta-list", "1e151")),                 # beta*omega*n could overflow
         ("spectrum", ("--omega-bar", "5e-324", "--g", "5e-324")),  # span/omega_bar overflows
+        ("verify", ("--beta-list", "1e-151")),                # below the range rule
     ])
     def test_values_outside_double_range_exit_2(self, tmp_path, capsys, command, flags):
         out = tmp_path / "out"
@@ -746,22 +777,32 @@ class TestExitCodes:
         assert "dwarfs" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
-        ("--omega-bar", "5.723102760478449e-29", "--g", "3.8214964719660635e+47",
-         "--radius", "1.7093685461432977e-62", "--n-modes", "3"),
-        ("--omega-bar", "2.8861534134200247e+62", "--g", "3.0958675620496877e+41",
-         "--radius", "2.6919333974724982e-61", "--n-modes", "2"),
+    @pytest.mark.parametrize("flags, code, line", [
+        (("--omega-bar", "5.723102760478449e-29", "--g", "3.8214964719660635e+47",
+          "--radius", "1.7093685461432977e-62", "--n-modes", "3"), 2,
+         "physics contract violation: lowest squared frequency"),
+        (("--omega-bar", "2.8861534134200247e+62", "--g", "3.0958675620496877e+41",
+          "--radius", "2.6919333974724982e-61", "--n-modes", "2"), 0,
+         "warning: phase precision"),
     ], ids=["three_modes", "two_modes"])
-    def test_overflowing_secular_solve_prints_one_line(self, tmp_path, capsys, flags):
-        # the solve's starts and steps overflow; it warns nothing and stops with
-        # one line when its roots do not converge
+    def test_overflowing_secular_solve_prints_one_line(self, tmp_path, capsys, flags, code,
+                                                       line):
+        # entries near 1e78 overflow the unscaled solve's starts and steps; the
+        # exactly rescaled solve warns nothing, names the real cause of the first
+        # model and solves the second, whose only line is its phase warning
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli("spectrum", *flags, "--out", out) == 2
+            assert run_cli("spectrum", *flags, "--out", out) == code
         err = capsys.readouterr().err
-        assert err.startswith("physics contract violation:") and err.count("\n") == 1
-        assert not out.exists()
+        assert err.startswith(line) and err.count("\n") == 1
+        if code:
+            assert "the mode span dwarfs omega_bar" in err and "did not converge" not in err
+            assert not out.exists()
+        else:
+            residual = json.loads((out / "manifest.json").read_text())["convergence"][
+                "eigensolver_residual"]
+            assert residual <= 4.0 * EPS
 
     @pytest.mark.parametrize("flags", [("--g", "1e20"), ("--g", "0.01", "--radius", "3e10")],
                              ids=["strong", "fine_ladder"])
@@ -862,6 +903,49 @@ class TestExitCodes:
         _, _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 2 and all("MiB cap" in row[-1] for row in rows)
         assert calls == {"build_coupling_matrix": 0} and not (out / "points").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_BETAS))
+    @pytest.mark.parametrize("command", [*TABLE_COMMANDS, "verify", "sweep"])
+    def test_beta_out_of_range_exits_2(self, tmp_path, capsys, command, case):
+        # a table command or verify writes nothing; a sweep writes one error
+        # row per point and no point directory
+        out = tmp_path / "out"
+        argv, message = BAD_BETAS[case]
+        code = run_cli(command, *argv, "--xi-grid", "0.3,0.6", "--n-modes", 8, "--t-max", 2,
+                       "--samples", 16, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("physics contract violation:")
+        assert err.count("\n") == 1
+        if command == "sweep":
+            _, _, rows = read_csv(out / "sweep.csv")
+            assert len(rows) == 2 and all(row[-1].startswith("error:") and message in row[-1]
+                                          for row in rows)
+            assert not (out / "points").exists()
+        else:
+            assert message in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("n0_init", ["-1", "1e301"])
+    @pytest.mark.parametrize("command", [*TABLE_COMMANDS, "verify", "sweep"])
+    def test_n0_init_out_of_range_exits_2_without_output(self, tmp_path, capsys, command,
+                                                          n0_init):
+        out = tmp_path / "out"
+        assert run_cli(command, f"--n0-init={n0_init}", "--xi-grid", "0.3,0.6", "--n-modes", 8,
+                       "--t-max", 2, "--samples", 16, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation: n0_init must lie in [0, 1e+300]")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", [1e-150, 1e150])
+    def test_thermal_at_the_range_ends_is_finite(self, tmp_path, beta):
+        out = tmp_path / "out"
+        assert run_cli("thermal", "--beta", beta, "--n0-init", 1e300, "--n-modes", 8,
+                       "--t-max", 2, "--samples", 16, "--out", out) == 0
+        _, _, rows = read_csv(out / "thermal.csv")
+        occupation = np.array(floats(rows, 1))
+        assert len(rows) == 16 and np.all(np.isfinite(occupation))
+        assert occupation[0] == pytest.approx(1e300, rel=4.0 * EPS)  # n0_init at t = 0
 
     def test_zero_temperature_exits_2_without_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -993,33 +1077,40 @@ class TestSweepCommand:
         assert peaks[1] < 1.2 * peaks[0]
 
     def test_failed_occupation_fails_only_its_points(self, tmp_path):
-        # beta*omega = 1e-301 is below what bose_einstein accepts; the other
-        # temperature of the same model still gives ok rows
+        # beta = 1e-301 is below the range rule, so its points fail when they
+        # resolve and write nothing; the other temperature of the same model
+        # still gives ok rows
         out = tmp_path / "out"
         assert run_cli("sweep", "--temperature-grid", "1.0,1e301", "--xi-grid", "0.3,0.6",
                        "--n-modes", 8, "--t-max", 2, "--samples", 16, "--out", out) == 0
         _, _, rows = read_csv(out / "sweep.csv")
         status = {(float(row[1]), float(row[3])): row[-1] for row in rows}
         assert status[0.3, 1.0] == status[0.6, 1.0] == "ok"
-        assert status[0.3, 1e301].startswith("error:") and "beta*omega" in status[0.3, 1e301]
+        assert status[0.3, 1e301] == ("error: beta must lie in [1e-150, 1e+150], got "
+                                      f"{1.0 / 1e301} from temperature 1e+301")
         assert status[0.6, 1e301] == status[0.3, 1e301]
+        points = sorted(path.name for path in (out / "points").iterdir())
+        assert points == ["point_0000", "point_0002"]
 
-    def test_all_pairs_failed_still_writes_dynamics(self, tmp_path, capsys):
-        # no weight vector survives, so the occupation pass runs on an empty
-        # stack; it still gives f00, so every point writes the dynamics CSV
-        # of a standalone run
+    def test_every_temperature_out_of_range_fails_every_point(self, tmp_path, capsys):
+        # beta = 1e-301 and 1e151: no point resolves, so no point writes
         out = tmp_path / "out"
-        assert run_cli("sweep", "--temperature-grid", "1e301", "--xi-grid", "0.3,0.6",
+        assert run_cli("sweep", "--temperature-grid", "1e301,1e-151", "--xi-grid", "0.3,0.6",
                        "--n-modes", 8, "--t-max", 2, "--samples", 16, "--out", out) == 2
         _, _, rows = read_csv(out / "sweep.csv")
-        assert len(rows) == 2 and all("beta*omega" in row[-1] for row in rows)
-        assert capsys.readouterr().err.startswith("physics contract violation:")
+        assert len(rows) == 4
+        assert all(row[-1].startswith("error: beta must lie in [1e-150, 1e+150]")
+                   and "from temperature" in row[-1] for row in rows)
+        err = capsys.readouterr().err
+        assert err.startswith("physics contract violation: all 4 sweep points failed")
+        assert not (out / "points").exists()
         alone = tmp_path / "alone"
         assert run_cli("dynamics", "--temperature", "1e301", "--n-modes", 8, "--t-max", 2,
-                       "--samples", 16, "--fit-window", "0.1,1.6", "--out", alone) == 0
-        for point in ("point_0000", "point_0001"):
-            assert (out / "points" / point / "dynamics.csv").read_bytes() == \
-                (alone / "dynamics.csv").read_bytes()
+                       "--samples", 16, "--out", alone) == 2
+        err = capsys.readouterr().err
+        assert err == ("physics contract violation: beta must lie in [1e-150, 1e+150], got "
+                       f"{1.0 / 1e301} from temperature 1e+301\n")
+        assert not alone.exists()
 
     def test_radius_sweep_crosses_regimes(self, tmp_path):
         # small cavity holds the excitation; free space lets it decay away
@@ -1518,7 +1609,7 @@ def test_thermal_is_affine_in_n0_init(model, beta):
 # so the coupling matrix scales by exactly 4^k, every frequency by 2^k and every time
 # by 2^-k, and the products Omega t and beta omega keep their bits.  |k| <= 64 keeps
 # the squared frequencies (at most 4^64 (32 pi / 0.5)^2, about 1e43) and the times
-# far inside SQUARED_FREQUENCY_LIMIT and TIME_LIMIT; a g of 0 or at least 1e-60 stays
+# far inside model.RANGE_LIMIT; a g of 0 or at least 1e-60 stays
 # normal through the model's products and the SI conversion.
 SCALED_COLUMNS = {"t[natural-time]": -1, "Omega_s[natural-frequency]": 1}
 NORMAL_G = st.one_of(st.just(0.0), st.floats(1e-60, 0.5))

@@ -1,15 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dressedcavity.dynamics as dynamics
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import DomainError
-from dressedcavity.model import ModelParams, natural_from_si
+from dressedcavity.model import RANGE_LIMIT, ModelParams, natural_from_si
 from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
                                    occupation_series, occupation_weights)
 
@@ -242,3 +243,42 @@ def test_free_space_thermalization(free_space_spectrum):
         long_time = occupation[t >= 150.0]
         target = bose_einstein(1.0, beta)
         assert np.mean(long_time) == pytest.approx(target, rel=0.05)
+
+
+# Frequencies whose squares lie just inside the range rule's ends, 1e-150 and 1e150.
+LOWEST, HIGHEST = math.nextafter(1e-75, 1.0), 1e75
+
+
+def corner_model(omega_bar, g, n_modes, top):
+    """The model with delta_omega^2 at the lower end of the range rule, or,
+    with `top`, its mode span^2 at the upper end: the radius is stepped by
+    ulps until the rounded spacing or span lies inside."""
+    radius = math.pi * (n_modes / HIGHEST if top else 1.0 / LOWEST)
+    for _ in range(8):
+        try:
+            return ModelParams(omega_bar, g, radius, n_modes)
+        except DomainError:
+            radius = math.nextafter(radius, math.inf if top else 0.0)
+    raise AssertionError("no radius inside the range rule")
+
+
+@settings(max_examples=300)
+@given(omega_bar=st.sampled_from([LOWEST, HIGHEST]), coupling=st.sampled_from([0.0, 1e-3, 0.1]),
+       n_modes=st.integers(1, 3), top=st.booleans(),
+       beta=st.sampled_from([1.0 / RANGE_LIMIT, RANGE_LIMIT]),
+       n0_init=st.sampled_from([0.0, 1e300]), t_max=st.sampled_from([1e-150, 1e150]))
+def test_occupation_is_finite_at_the_range_corners(omega_bar, coupling, n_modes, top, beta,
+                                                   n0_init, t_max):
+    # every point a sweep resolves gets finite weights and a finite occupation
+    # pass, so a model's stacked pass over its betas has no per-beta failure:
+    # omega_bar^2, delta_omega^2 and the span^2 at 1e-150 or 1e150 (with one
+    # mode, both ends of the spacing and of the span), beta at either end and
+    # n0_init at 0 or its cap: 288 cases.
+    params = corner_model(omega_bar, coupling * omega_bar, n_modes, top)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        weights = occupation_weights(params, beta, n0_init)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        series = occupation_series(dressed_spectrum(params), weights,
+                                   np.linspace(0.0, t_max, 5))
+    assert np.all(np.isfinite(series.occupation)) and np.all(np.isfinite(series.f00))
