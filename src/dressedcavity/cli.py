@@ -33,7 +33,10 @@ When `fit_window` is set, `dynamics` fits the decay rate of the survival
 over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
 fit fails; the exit code does not change); `entanglement` records
-`min_concurrence`, as `dynamics` records `min_survival`.  `sweep` checks
+`min_concurrence`, as `dynamics` records `min_survival`, and both record
+the survival floor that holds at every real t and the infinite-time mean
+survival, from the atom weights alone (`_stability_bounds`); `entanglement`
+scales the floor by c0 into a concurrence floor.  `sweep` checks
 once that the shared time grid holds enough samples for its fit window,
 sets that window on every point and resolves every grid point, in index
 order, into a dict keyed by its resolved `ModelParams`, then runs one
@@ -385,19 +388,32 @@ def _decay_fit(run: NaturalRun, survival: np.ndarray) -> dict:
             "relative_deviation": abs(rate - golden) / golden if golden else None}
 
 
-def _dynamics_table(run: NaturalRun, f00: np.ndarray) -> Table:
+def _stability_bounds(spectrum) -> dict:
+    """What the atom weights w_s = (t_0^s)^2, which sum to 1, say of the
+    survival |f_00(t)|^2 at every real t, with no phase pass: the triangle
+    inequality on f_00 = sum_s w_s exp(-i Omega_s t) gives
+    |f_00| >= w_max - (1 - w_max), so the floor max(0, 2 w_max - 1)^2, and
+    the infinite-time mean of |f_00|^2 is sum_s w_s^2 (a deflated pair has
+    t_0^s = 0 and drops out)."""
+    w = spectrum.components[0] ** 2
+    return {"survival_floor_bound": max(0.0, 2.0 * float(np.max(w)) - 1.0) ** 2,
+            "survival_time_average": float(np.sum(w * w))}
+
+
+def _dynamics_table(run: NaturalRun, spectrum, f00: np.ndarray) -> Table:
     """The `dynamics` table of f_00 on run.t_grid: survival |f_00|^2 and
-    phase arg f_00, with the survival's minimum and, when the config's
-    fit_window is set, its decay fit."""
+    phase arg f_00, with the survival's minimum, the spectrum's
+    `_stability_bounds` and, when the config's fit_window is set, the
+    survival's decay fit."""
     survival, phase = np.abs(f00) ** 2, np.angle(f00)
-    manifest = {"min_survival": float(np.min(survival))}
+    manifest = {"min_survival": float(np.min(survival)), **_stability_bounds(spectrum)}
     if run.config.fit_window is not None:
         manifest["decay_fit"] = _decay_fit(run, survival)
     return Table(zip(run.t_grid, survival, phase), manifest=manifest)
 
 
 def _dynamics_rows(run, spectrum) -> Table:
-    return _dynamics_table(run, amplitudes(spectrum, run.t_grid, 0))
+    return _dynamics_table(run, spectrum, amplitudes(spectrum, run.t_grid, 0))
 
 
 def _closed_form_blocks(run: NaturalRun, spectrum):
@@ -425,10 +441,11 @@ def _entanglement_rows(run, spectrum) -> Table:
     for block, f00, closed in _closed_form_blocks(run, spectrum):
         m = measures(closed, block.start)
         columns[:, block] = (survival_probability(f00), m.concurrence, m.eof, m.negativity)
-    return Table(zip(run.t_grid, *columns),
-                 {"xi": run.state.xi, "phi": run.state.phi,
-                  "c0": family_concurrence(run.state.xi, 1.0)},
-                 {"min_concurrence": float(np.min(columns[1]))})
+    c0, bounds = family_concurrence(run.state.xi, 1.0), _stability_bounds(spectrum)
+    # C(t) = c0 |f_00(t)|^2 on the family, so the survival floor scales to a concurrence floor
+    return Table(zip(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi, "c0": c0},
+                 {"min_concurrence": float(np.min(columns[1])), **bounds,
+                  "concurrence_floor_bound": c0 * bounds["survival_floor_bound"]})
 
 
 def _thermal_rows(run, spectrum) -> Table:
@@ -522,7 +539,7 @@ def _sweep_model(points: list) -> list:
         run.t_grid)
     late = run.t_grid >= 0.5 * run.t_grid[-1]
     means = {beta: float(np.mean(row[late])) for beta, row in zip(betas, shared.occupation)}
-    table = _dynamics_table(run, shared.f00)
+    table = _dynamics_table(run, spectrum, shared.f00)
     decay = table.manifest["decay_fit"]
     COMMANDS["dynamics"].write([run for _, run in points], started, table, convergence,
                                warnings)

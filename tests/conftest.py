@@ -1,10 +1,12 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from dressedcavity.cli import RunConfig, parse_config_file, resolve_natural
 from dressedcavity.model import (BOLTZMANN, HBAR, LIGHT_SPEED, ModelParams,
                                  build_coupling_matrix)
 from dressedcavity.spectral import diagonalize
@@ -13,8 +15,19 @@ from dressedcavity.thermal import occupation_weights
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
 
-# Free-space acceptance parameters; the eigh is expensive enough to share.
-FREE_SPACE = ModelParams(omega_bar=1.0, g=0.01, radius=500.0 * math.pi, n_modes=1000)
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+
+
+def experiment_params(name):
+    """The model of `experiments/<name>.cfg`, resolved as the CLI resolves it."""
+    config = RunConfig(**parse_config_file(EXPERIMENTS / f"{name}.cfg"))
+    return resolve_natural(config, np.empty(0)).params
+
+
+# The paper's free-space and small-cavity models, written once, in their configs;
+# the free-space eigh is expensive enough to share.
+FREE_SPACE = experiment_params("free_space")
+SMALL_CAVITY = experiment_params("small_cavity")
 
 
 @pytest.fixture(scope="session")

@@ -22,8 +22,8 @@ from dressedcavity.model import ModelParams, build_coupling_matrix
 from dressedcavity.spectral import diagonalize
 from dressedcavity.thermal import bose_einstein, occupation_series, occupation_weights
 
-from conftest import (FREE_SPACE, dense, dressed_spectrum, interlacing_counts, random_params,
-                      read_csv)
+from conftest import (FREE_SPACE, SMALL_CAVITY, dense, dressed_spectrum, interlacing_counts,
+                      random_params, read_csv)
 
 # Frozen oracle values (direct evaluation, see the module tests for provenance).
 NBAR_BETA_1 = 0.5819767068693265
@@ -125,8 +125,7 @@ def test_criterion_4_free_space_dissipation(free_space_spectrum):
 
 def test_criterion_5_small_cavity_stability():
     started = time.perf_counter()
-    params = ModelParams(omega_bar=1.0, g=0.01, radius=1.0, n_modes=64)
-    spectrum = dressed_spectrum(params)
+    spectrum = dressed_spectrum(SMALL_CAVITY)
     f00 = amplitudes(spectrum, np.linspace(0.0, 1000.0, 20001), 0)
     min_survival = float(np.min(np.abs(f00) ** 2))
     c0 = family_concurrence(0.5, 1.0)

@@ -32,7 +32,8 @@ import dressedcavity.dynamics as dynamics
 import dressedcavity.spectral as spectral
 import dressedcavity.thermal as thermal
 
-from conftest import dense, dense_reference, dressed_spectrum, read_csv, si_from_natural
+from conftest import (SMALL_CAVITY, dense, dense_reference, dressed_spectrum, read_csv,
+                      si_from_natural)
 
 
 # An SI model that resolves: 4e14 rad/s in a 1 um sphere, g of 0.01 in natural units.
@@ -356,7 +357,8 @@ class TestSeriesCommands:
         # to fit; the run records why and keeps its exit code
         table = cli._dynamics_table
         monkeypatch.setattr(cli, "_dynamics_table",
-                            lambda run, f00: table(run, np.where(run.t_grid > 1.0, 0.0, f00)))
+                            lambda run, spectrum, f00:
+                            table(run, spectrum, np.where(run.t_grid > 1.0, 0.0, f00)))
         out = tmp_path / "out"
         assert run_cli("dynamics", "--n-modes", 8, "--t-max", 5, "--samples", 50,
                        "--fit-window", "0.5,4", "--out", out) == 0
@@ -1383,6 +1385,13 @@ OMEGA_TOLERANCE = 8.0
 COMPONENT_TOLERANCE = 16.0
 
 
+def component_bounds(lam):
+    """The bound on each t_0^s of the eigenvalues lam: 16 eps lam_max / gap_s."""
+    gap = np.min(np.abs(lam[:, None] - lam) + np.diag(np.full(lam.size, np.inf)), axis=1)
+    with np.errstate(divide="ignore"):  # a degenerate pair leaves its components free
+        return COMPONENT_TOLERANCE * EPS * lam[-1] / gap
+
+
 def two_ragged_blocks(size):
     """A block width that cuts range(size), size >= 3, into two blocks, the last shorter."""
     return size // 2 + 1
@@ -1413,11 +1422,9 @@ def test_every_table_column_matches_the_dense_reference(n_modes, samples, g, rad
     tolerance = AMPLITUDE_TOLERANCE * EPS * (1.0 + omega[-1] * t_max)
     bounds = {name: sensitivity * tolerance for name, sensitivity in COLUMN_SENSITIVITY.items()}
     bounds["occupation[quanta]"] *= float(np.sum(occupation_weights(params, beta, n0_init)))
-    gap = np.min(np.abs(lam[:, None] - lam) + np.diag(np.full(lam.size, np.inf)), axis=1)
     bounds["Omega_s[natural-frequency]"] = OMEGA_TOLERANCE * EPS * (lam[-1] / (2.0 * omega)
                                                                     + omega)
-    with np.errstate(divide="ignore"):  # a degenerate pair leaves its components free
-        bounds["t_0_s[dimensionless]"] = COMPONENT_TOLERANCE * EPS * lam[-1] / gap
+    bounds["t_0_s[dimensionless]"] = component_bounds(lam)
     lo, hi = window[0] * t_max, min(window[0] + window[1], 1.0) * t_max
     argv = [f"--n-modes={n_modes}", f"--samples={samples}", f"--g={g!r}", f"--radius={radius!r}",
             f"--t-max={t_max!r}", f"--xi={xi!r}", f"--phi={phi!r}", f"--beta={beta!r}",
@@ -1477,6 +1484,10 @@ def test_every_table_column_matches_the_dense_reference(n_modes, samples, g, rad
             assert ((sweep / "points" / f"point_{index:04d}" / "dynamics.csv").read_bytes()
                     == (alone / "dynamics.csv").read_bytes())
             manifest = json.loads((alone / "manifest.json").read_text())
+            shared = json.loads((sweep / "points" / f"point_{index:04d}"
+                                 / "manifest.json").read_text())
+            for key in ("survival_floor_bound", "survival_time_average"):
+                assert shared[key] == manifest[key]
             assert row["status"] == "ok"
             assert float(row["min_survival[probability]"]) == manifest["min_survival"]
             assert sweep_number(row["gamma[natural-frequency]"]) == \
@@ -1489,6 +1500,43 @@ def test_every_table_column_matches_the_dense_reference(n_modes, samples, g, rad
             deviation = abs(float(row["occupation_long_time_mean[quanta]"])
                             - float(np.mean(occupation[late])))
             assert deviation <= COLUMN_SENSITIVITY["occupation[quanta]"] * weight * tolerance
+
+
+@settings(phases=CLI_PHASES)
+@given(n_modes=st.integers(1, 48), samples=st.integers(1, 400), t_max=st.floats(0.5, 400.0),
+       g=st.one_of(st.floats(0.0, 0.02), st.floats(0.1, 0.5)),
+       radius=st.one_of(st.floats(0.5, 3.0), st.floats(20.0, 100.0)))
+@example(n_modes=SMALL_CAVITY.n_modes, samples=2001, t_max=1000.0, g=SMALL_CAVITY.g,
+         radius=SMALL_CAVITY.radius)
+def test_survival_stays_above_its_certified_floor(n_modes, samples, t_max, g, radius):
+    # For the solver's own weights w_s the triangle inequality gives
+    # |f_00| >= 2 w_max - sum w >= 2 w_max - 1 - |sum w - 1| at every t, and the run's
+    # f_00 lies within the amplitude tolerance of that exact sum; the survival moves
+    # by at most its sensitivity 2 times the sum of the two.  The infinite-time mean
+    # sum w_s^2 moves by at most 4 t^3 per unit of each t_0^s (each within its
+    # component bound, and trivially within 1), plus the sum's rounding.
+    params = ModelParams(1.0, g, radius, n_modes)
+    argv = [f"--n-modes={n_modes}", f"--samples={samples}", f"--g={g!r}",
+            f"--radius={radius!r}", f"--t-max={t_max!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("spectrum", "dynamics"):
+            assert main([command, *argv, f"--out={Path(tmp) / command}"]) == 0
+        _, _, rows = read_csv(Path(tmp) / "spectrum" / "spectrum.csv")
+        manifest = json.loads((Path(tmp) / "dynamics" / "manifest.json").read_text())
+    _, omega, t0 = np.array(rows, dtype=float).T
+    w = t0 ** 2
+    tolerance = COLUMN_SENSITIVITY["survival[probability]"] * (
+        AMPLITUDE_TOLERANCE * EPS * (1.0 + omega[-1] * t_max) + abs(float(np.sum(w)) - 1.0))
+    assert manifest["min_survival"] >= manifest["survival_floor_bound"] - tolerance, \
+        (manifest["min_survival"], manifest["survival_floor_bound"], tolerance)
+
+    reference = dense_reference(params, 0.5, 0.0, 1.0, 1.0, np.zeros(1))[1]
+    t0_ref = reference["t_0_s[dimensionless]"]
+    lam = reference["Omega_s[natural-frequency]"] ** 2
+    bound = (4.0 * np.sum(np.maximum(t0, t0_ref) ** 3 * np.minimum(component_bounds(lam), 1.0))
+             + (n_modes + 4) * EPS)
+    deviation = abs(manifest["survival_time_average"] - float(np.sum(t0_ref ** 4)))
+    assert deviation <= bound, (deviation, bound)
 
 
 # Metamorphic relations: exact symmetries of the model, each checked through `main`
