@@ -26,10 +26,17 @@
 # trees, and its stdout and stderr are compared whole too.  The negative
 # control must exit 2 in both trees, every other command 0.  `sweep` is
 # skipped for a config with no `*_grid` key, which it needs.
+# For each config the head tree also runs the five table commands as one
+# invocation, which writes each table into `<out>/<command>/`; each of
+# those CSV files must equal, by cmp, the one the head's single-command run
+# wrote, and the invocation's stderr each single run's stderr.  This check
+# reads only the head tree.
 # Then every `manifest.json` (a sweep's point manifests included) is
 # compared between the trees, less `wall_clock_seconds` and `config.out`,
 # and each one the head tree wrote is checked against the files beside it:
-# each `outputs[]` entry's `sha256` and `bytes` must match.
+# each `outputs[]` entry's `sha256` and `bytes` must match.  Each manifest
+# of the combined invocation is compared the same way with its table's
+# single-command manifest.
 # Exits 1 on any difference, on a CSV or manifest that only one tree
 # writes, on a command that exits otherwise than expected in either tree,
 # or on a checksum that does not match.
@@ -45,6 +52,7 @@ trap 'rm -rf "$work"' EXIT
 # each run: the exit code both trees must give, then the command and its flags
 runs=("0 spectrum" "0 dynamics" "0 density" "0 entanglement" "0 thermal" "0 verify"
       "2 verify --negative-control" "0 sweep")
+tables=(spectrum dynamics density entanglement thermal)
 status=0
 index=0
 for given in "$@"; do
@@ -103,8 +111,36 @@ for given in "$@"; do
       fi
     done < "$work/head.$index.$label.files"
   done
+  # the five tables as one invocation of the head tree, against its single runs
+  combined="$work/combined/$index"
+  log="$work/combined.$index"
+  mkdir -p "$combined"
+  code=0
+  (cd "$combined" && PYTHONPATH="$head_src" python -m dressedcavity.cli "${tables[@]}" \
+      --config "$config" --out tables > "$log.stdout" 2> "$log.stderr") || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "FAIL $name combined: the head tree exited $code, expected 0"
+    cat "$log.stdout" "$log.stderr"
+    status=1
+    continue
+  fi
+  for command in "${tables[@]}"; do
+    single="$work/head/$index/$command/$command.csv"
+    if cmp -s "$combined/tables/$command/$command.csv" "$single"; then
+      echo "same $name combined: $command.csv ($(wc -l < "$single") lines)"
+    else
+      echo "DIFF $name combined: $command.csv"
+      status=1
+    fi
+    if cmp -s "$log.stderr" "$work/head.$index.$command.stderr"; then
+      echo "same $name combined: stderr of $command ($(wc -l < "$log.stderr") lines)"
+    else
+      echo "DIFF $name combined: stderr of $command"
+      status=1
+    fi
+  done
 done
-python - "$work/base" "$work/head" <<'EOF' || status=1
+python - "$work/base" "$work/head" "$work/combined" <<'EOF' || status=1
 import hashlib, json, sys
 from pathlib import Path
 
@@ -118,7 +154,7 @@ def comparable(manifest):
     return payload
 
 
-base, head = (Path(root) for root in sys.argv[1:])
+base, head, combined = (Path(root) for root in sys.argv[1:])
 names = {path.relative_to(root) for root in (base, head) for path in root.rglob("manifest.json")}
 differ = 0
 for name in sorted(names):
@@ -131,6 +167,22 @@ for name in sorted(names):
         differ += 1
 if not differ:
     print(f"same manifests: {len(names)}, less wall_clock_seconds and config.out")
+# <index>/tables/<command>/manifest.json against the single run's <index>/<command>/
+tables = sorted(combined.rglob("manifest.json"))
+unequal = 0
+for manifest in tables:
+    index, _, command = manifest.relative_to(combined).parts[:3]
+    single = head / index / command / "manifest.json"
+    if not single.is_file():
+        print(f"FAIL combined manifest {manifest.relative_to(combined)}: no single run wrote "
+              f"{single.relative_to(head)}")
+        unequal += 1
+    elif (one := comparable(single)) != (many := comparable(manifest)):
+        keys = sorted(key for key in one.keys() | many.keys() if one.get(key) != many.get(key))
+        print(f"DIFF combined manifest {manifest.relative_to(combined)}: {', '.join(keys)}")
+        unequal += 1
+if not unequal:
+    print(f"same combined manifests: {len(tables)}, less wall_clock_seconds and config.out")
 manifests = sorted(head.rglob("manifest.json"))
 bad = 0
 for manifest in manifests:
@@ -143,6 +195,6 @@ for manifest in manifests:
             bad += 1
 if not bad:
     print(f"checksums ok: {len(manifests)} manifests")
-sys.exit(1 if differ or bad else 0)
+sys.exit(1 if differ or unequal or bad else 0)
 EOF
 exit $status

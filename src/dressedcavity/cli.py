@@ -3,32 +3,44 @@ artifacts with run manifests, and parameter sweeps.
 
 Commands: spectrum, dynamics, density, entanglement, thermal, verify,
 sweep, the keys of the command table `COMMANDS`.  One parser takes the
-command as its positional argument and one flag per `RunConfig` field,
-before or after it.  The first five are `TableCommand` rows (CSV file,
-columns, row builder) and share one runner: resolve on the linspace of
-`samples` times up to t_max, spectral stage (`_pipeline`), rows, then
-`TableCommand.write`, which renders the rows once and ends in the one
-output step every command ends with, `_write_outputs`: CSV, then manifest.
+commands as its positional arguments and one flag per `RunConfig` field,
+before or after them.  The first five are `TableCommand` rows (CSV file,
+columns, row builder), the keys of `TABLES`; one invocation may name
+several of them, each once, in one contiguous list, while `verify` and
+`sweep` run alone.  `run_tables` resolves the config once, on the linspace
+of `samples` times up to t_max, runs one spectral stage, a `Stage`, builds
+every named table from it, then hands each to `TableCommand.write`, which
+renders the rows once and ends in the one output step every command ends
+with, `_write_outputs`: CSV, then manifest.  One named table writes into
+`out`; several write each into `out/<command>/`, and each of those files
+equals the one its command writes alone, less the manifest's wall clock
+and `config.out`.  A `Stage` holds what `_pipeline` gives (the spectrum,
+its convergence and its warnings) and forms the survival amplitude f_00
+and the occupation pass over its betas at most once each, on first use;
+when it has betas, f_00 comes from that pass, bit for bit the row-0
+pass's, so `dynamics thermal` builds one phase table per block beside the
+unitarity probe.
 `verify` resolves only its oracle model, the config with `n_modes_oracle`
-modes, on its `t_list`, and runs the same spectral stage on it; `n_modes`
-and `samples` do not enter it.
+modes, on its `t_list`, and runs `_pipeline` on it; `n_modes` and
+`samples` do not enter it.
 The spectral stage's `convergence` records what the run resolved: modes
 per linewidth pi*g/delta_omega, whether omega_bar lies inside the mode
 ladder, the cavity recurrence time 2R, and `phase_precision`, the radians
 the phases Omega*t at the largest |t| lose to rounding; above
 PHASE_TOLERANCE (above VERIFY_TOLERANCE for `verify`) the run warns on
-stderr (a sweep once per model) and in the manifest's `warnings`, and the
-exit code does not change.  The `dynamics`, `density` and `entanglement`
-rows and `verify`'s closed form are built from the survival amplitude f_00
-itself, the array `amplitudes(spectrum, t, 0)`.  `density`,
-`entanglement` and `verify` read it from one generator,
-`_closed_form_blocks`, which forms f_00 once and yields the closed-form
-matrices one block of MEASURE_BLOCK samples at a time.  `verify` compares
-each block's matrices with the oracle's; `density` and `entanglement`
-write each block's elements, checks and measures into (T,) float columns,
-so no (T, 4, 4) stack is held, and hand their rows to `csv_body` as a
-`zip` over those columns, as `dynamics` and `thermal` do, so no column is
-ever a T-long list of Python floats.
+stderr, once per invocation (a sweep once per model), and in each
+manifest's `warnings`, and the exit code does not change.  The
+`dynamics`, `density` and `entanglement` rows and `verify`'s closed form
+are built from f_00 itself.  `density`, `entanglement` and `verify` read
+it through one generator, `_closed_form_blocks`, which yields the
+closed-form matrices one block of MEASURE_BLOCK samples at a time; the
+closed form is elementwise in f_00, so each table forms its own.
+`verify` compares each block's matrices with the oracle's; `density` and
+`entanglement` write each block's elements, checks and measures into (T,)
+float columns, so no (T, 4, 4) stack is held, and hand their rows to
+`csv_body` as a `zip` over those columns, as `dynamics` and `thermal` do,
+so no column is ever a T-long list of Python floats.  Every named table
+is built before any is written, so a table that fails leaves no output.
 When `fit_window` is set, `dynamics` fits the decay rate of the survival
 over it and records the fit against the
 golden rule pi*g in its manifest's `decay_fit` (the error message when the
@@ -40,13 +52,12 @@ scales the floor by c0 into a concurrence floor.  `sweep` checks
 once that the shared time grid holds enough samples for its fit window,
 sets that window on every point and resolves every grid point, in index
 order, into a dict keyed by its resolved `ModelParams`, then runs one
-serial loop over those models.  Each gets one spectral stage and one
-occupation pass, in which the weights of all its distinct betas share the
-amplitude blocks and which also gives f_00; the `dynamics` table is built
-from that f_00, and its `decay_fit` fills the gamma and r_squared columns.
-All of the model's points go through one `TableCommand.write` call, the
-step a standalone `dynamics` run ends with: the body is rendered once, and
-every point writes it and its manifest.
+serial loop over those models.  Each gets one `Stage` over its distinct
+betas, whose occupation pass also gives f_00; the `dynamics` table is
+built from that stage, and its `decay_fit` fills the gamma and r_squared
+columns.  All of the model's points go through one `TableCommand.write`
+call, the step a standalone `dynamics` run ends with: the body is
+rendered once, and every point writes it and its manifest.
 `jobs` is kept only because existing configs set it; 1 is its one legal
 value.  `RunConfig` is the one config schema: file keys and flags are its
 fields, coerced by `_coerce`; every float in it is checked finite, and
@@ -54,7 +65,9 @@ t_max, t_list and n0_init in range, before any output is written; beta is
 checked in range when a run resolves (`require_beta`), so in a sweep a
 beta out of range fails only its own points.
 
-Exit codes: 0 success, 1 usage error (including a sweep fit window that
+Exit codes: 0 success, 1 usage error (including a command list that names
+`verify` or `sweep` beside another command, a table twice or is split by
+flags, a sweep fit window that
 holds fewer than 3 samples, --si without both --omega-bar and --radius,
 jobs other than 1, an unreadable config file and an output path that
 cannot be written; a reader that closes stdout early changes no exit code), 2
@@ -90,7 +103,8 @@ from .errors import DomainError, PhysicsError, ResourceCapError
 from .model import RANGE_LIMIT, ModelParams, build_coupling_matrix, natural_from_si, require_beta
 from .reporting import csv_body, write_csv, write_manifest
 from .spectral import EPS, diagonalize, require_component_budget
-from .thermal import OCCUPATION_LIMIT, bose_einstein, occupation_series, occupation_weights
+from .thermal import (OCCUPATION_LIMIT, OccupationSeries, bose_einstein, occupation_series,
+                      occupation_weights)
 
 VERIFY_TOLERANCE = 1e-12
 # Radians of phase Omega*t a table command may lose to rounding before it warns.
@@ -332,6 +346,37 @@ def _say(*lines: str) -> None:
         os.close(devnull)
 
 
+class Stage:
+    """One spectral stage of a resolved run, and what the tables build on it.
+
+    `_pipeline` runs once, here: `spectrum`, `convergence` and `warnings`.
+    `occupation`, the occupation pass over the weights of `betas` at the
+    run's n0_init, and `f00`, f_00 on run.t_grid, are formed at most once
+    each, on first use.  With betas, f_00 is the occupation pass's, bit for
+    bit the row-0 pass's; without, it is the row-0 pass.  The stage holds
+    the spectrum, so a sweep that drops each model's stage holds one at a
+    time."""
+
+    def __init__(self, run: NaturalRun, betas: Iterable[float] = ()):
+        self.run, self.betas = run, tuple(betas)
+        self.spectrum, self.convergence, self.warnings = _pipeline(run)
+
+    @functools.cached_property
+    def occupation(self) -> OccupationSeries:
+        """One pass: a (len(betas), T) occupation, rows in the order of `betas`, and f_00."""
+        run = self.run
+        return occupation_series(
+            self.spectrum,
+            [occupation_weights(run.params, beta, run.config.n0_init) for beta in self.betas],
+            run.t_grid)
+
+    @functools.cached_property
+    def f00(self) -> np.ndarray:
+        if self.betas:
+            return self.occupation.f00
+        return amplitudes(self.spectrum, self.run.t_grid, 0)
+
+
 class Table(NamedTuple):
     """A row builder's CSV rows, extra metadata and manifest fields.  The
     rows are read once, by `csv_body`."""
@@ -343,34 +388,43 @@ class Table(NamedTuple):
 
 @dataclass(frozen=True)
 class TableCommand:
-    """A command table row: CSV file, columns, `build(run, spectrum) -> Table`."""
+    """A command table row: CSV file, columns, `build(stage) -> Table`."""
 
     file: str
     columns: tuple[str, ...]
-    build: Callable[..., Table]
+    build: Callable[[Stage], Table]
 
     def write(self, runs: Iterable[NaturalRun], started: float, table: Table,
-              convergence: dict, warnings: Sequence[str]) -> None:
+              stage: Stage) -> None:
         """Render the table's rows once; write that body under each run's
-        metadata, and its manifest, in the run's `config.out`; then print
-        the warnings once."""
+        metadata, and its manifest with the stage's convergence and
+        warnings, in the run's `config.out`."""
         body = csv_body(self.columns, table.rows)
         for run in runs:
             _write_outputs(Path(run.config.out) / self.file, body, _metadata(run, table.metadata),
-                           run.config, started, run, convergence, warnings,
+                           run.config, started, run, stage.convergence, stage.warnings,
                            **(table.manifest or {}))
-        _warn(warnings)
-
-    def __call__(self, config: RunConfig) -> int:
-        """resolve -> spectral stage -> rows -> `write`."""
-        started = time.monotonic()
-        run = resolve_natural(config, _time_grid(config))
-        spectrum, convergence, warnings = _pipeline(run)
-        self.write([run], started, self.build(run, spectrum), convergence, warnings)
-        return 0
 
 
-def _spectrum_rows(run, spectrum) -> Table:
+def run_tables(config: RunConfig, names: Sequence[str]) -> int:
+    """resolve -> one `Stage` -> every named table -> each table's `write`,
+    into `out` for one name and into `out/<command>/` for several; then the
+    stage's warnings, printed once.  The occupation pass runs at the run's
+    beta when `thermal` is named."""
+    started = time.monotonic()
+    run = resolve_natural(config, _time_grid(config))
+    stage = Stage(run, (run.beta,) if "thermal" in names else ())
+    tables = [TABLES[name].build(stage) for name in names]
+    for name, table in zip(names, tables):
+        out = run if len(names) == 1 else dataclasses.replace(
+            run, config=dataclasses.replace(config, out=str(Path(config.out) / name)))
+        TABLES[name].write([out], started, table, stage)
+    _warn(stage.warnings)
+    return 0
+
+
+def _spectrum_rows(stage: Stage) -> Table:
+    spectrum = stage.spectrum
     return Table([(s, spectrum.omega_dressed[s], spectrum.components[0, s])
                   for s in range(spectrum.size)])
 
@@ -400,60 +454,57 @@ def _stability_bounds(spectrum) -> dict:
             "survival_time_average": float(np.sum(w * w))}
 
 
-def _dynamics_table(run: NaturalRun, spectrum, f00: np.ndarray) -> Table:
-    """The `dynamics` table of f_00 on run.t_grid: survival |f_00|^2 and
-    phase arg f_00, with the survival's minimum, the spectrum's
-    `_stability_bounds` and, when the config's fit_window is set, the
-    survival's decay fit."""
+def _dynamics_table(stage: Stage) -> Table:
+    """The `dynamics` table of the stage's f_00 on run.t_grid: survival
+    |f_00|^2 and phase arg f_00, with the survival's minimum, the
+    spectrum's `_stability_bounds` and, when the config's fit_window is
+    set, the survival's decay fit."""
+    run, f00 = stage.run, stage.f00
     survival, phase = np.abs(f00) ** 2, np.angle(f00)
-    manifest = {"min_survival": float(np.min(survival)), **_stability_bounds(spectrum)}
+    manifest = {"min_survival": float(np.min(survival)), **_stability_bounds(stage.spectrum)}
     if run.config.fit_window is not None:
         manifest["decay_fit"] = _decay_fit(run, survival)
     return Table(zip(run.t_grid, survival, phase), manifest=manifest)
 
 
-def _dynamics_rows(run, spectrum) -> Table:
-    return _dynamics_table(run, spectrum, amplitudes(spectrum, run.t_grid, 0))
-
-
-def _closed_form_blocks(run: NaturalRun, spectrum):
-    """f_00 on run.t_grid, formed once, cut into slices of MEASURE_BLOCK
-    samples, the last one ragged: yields each slice `block`, f_00[block] and
-    its closed-form matrices, whose modulus check names a sample by its
-    index in the series."""
-    f00 = amplitudes(spectrum, run.t_grid, 0)
+def _closed_form_blocks(run: NaturalRun, f00: np.ndarray):
+    """f_00 on run.t_grid cut into slices of MEASURE_BLOCK samples, the
+    last one ragged: yields each slice `block`, f_00[block] and its
+    closed-form matrices, whose modulus check names a sample by its index
+    in the series."""
     for start in range(0, f00.size, MEASURE_BLOCK):
         block = slice(start, start + MEASURE_BLOCK)
         yield block, f00[block], reduced_density_closed(run.state, f00[block], start)
 
 
-def _density_rows(run, spectrum) -> Table:
+def _density_rows(stage: Stage) -> Table:
+    run = stage.run
     columns = np.empty((5, run.t_grid.size))
-    for block, _, closed in _closed_form_blocks(run, spectrum):
+    for block, _, closed in _closed_form_blocks(run, stage.f00):
         rho = closed.matrix
         columns[:, block] = (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
                              rho[:, 2, 1].real, rho[:, 2, 1].imag)
     return Table(zip(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi})
 
 
-def _entanglement_rows(run, spectrum) -> Table:
+def _entanglement_rows(stage: Stage) -> Table:
+    run = stage.run
     columns = np.empty((4, run.t_grid.size))  # survival, concurrence, eof, negativity
-    for block, f00, closed in _closed_form_blocks(run, spectrum):
+    for block, f00, closed in _closed_form_blocks(run, stage.f00):
         m = measures(closed, block.start)
         columns[:, block] = (survival_probability(f00), m.concurrence, m.eof, m.negativity)
-    c0, bounds = family_concurrence(run.state.xi, 1.0), _stability_bounds(spectrum)
+    c0, bounds = family_concurrence(run.state.xi, 1.0), _stability_bounds(stage.spectrum)
     # C(t) = c0 |f_00(t)|^2 on the family, so the survival floor scales to a concurrence floor
     return Table(zip(run.t_grid, *columns), {"xi": run.state.xi, "phi": run.state.phi, "c0": c0},
                  {"min_concurrence": float(np.min(columns[1])), **bounds,
                   "concurrence_floor_bound": c0 * bounds["survival_floor_bound"]})
 
 
-def _thermal_rows(run, spectrum) -> Table:
-    n0_init = run.config.n0_init
-    occupation = occupation_series(
-        spectrum, occupation_weights(run.params, run.beta, n0_init), run.t_grid).occupation
+def _thermal_rows(stage: Stage) -> Table:
+    run = stage.run
+    occupation = stage.occupation.occupation[stage.betas.index(run.beta)]
     return Table(zip(run.t_grid, occupation),
-                 {"n0_init": n0_init,
+                 {"n0_init": run.config.n0_init,
                   "equilibrium_bose_einstein": bose_einstein(run.params.omega_bar, run.beta)})
 
 
@@ -484,7 +535,7 @@ def cmd_verify(config: RunConfig) -> int:
     scheme = "per_level_partition" if config.negative_control else "normalized"
 
     rows = []
-    for block, _, stack in _closed_form_blocks(run, spectrum):
+    for block, _, stack in _closed_form_blocks(run, amplitudes(spectrum, run.t_grid, 0)):
         for t, closed in zip(config.t_list[block], stack.matrix):
             oracles = [thermal_trace_oracle(run.state, spectrum, bath, t,
                                             weight_scheme=scheme).matrix for bath in baths]
@@ -520,29 +571,25 @@ def _sweep_model(points: list) -> list:
     run carries its point's config.
 
     The points share one time grid, run.t_grid, and one n0_init, which is
-    no sweep axis.  The model gets one spectral stage and one occupation
-    pass over the weights of its distinct betas, whose means over the late
-    samples t >= t_max/2 fill the rows; a resolved beta and n0_init lie in
-    the range rule, so no weight vector fails.  The same pass gives f_00,
-    and so the model's `dynamics` table, whose decay fit fills the gamma
-    and r_squared columns (empty when the fit failed).  One
-    `TableCommand.write` call renders the table once and writes each run's
-    `dynamics` CSV and manifest, which lists the model's warnings;
-    they are printed once, for the model.  The spectrum is freed on return,
-    so a sweep holds one at a time.
+    no sweep axis.  The model gets one `Stage` over its distinct betas,
+    whose occupation means over the late samples t >= t_max/2 fill the
+    rows; a resolved beta and n0_init lie in the range rule, so no weight
+    vector fails.  The same pass gives f_00, and so the model's `dynamics`
+    table, whose decay fit fills the gamma and r_squared columns (empty when
+    the fit failed).  One `TableCommand.write` call renders the table once
+    and writes each run's `dynamics` CSV and manifest, which lists the
+    model's warnings; they are printed once, for the model.  The stage is
+    freed on return, so a sweep holds one spectrum at a time.
     """
     started, run = time.monotonic(), points[0][1]
-    spectrum, convergence, warnings = _pipeline(run)
-    betas = list(dict.fromkeys(run.beta for _, run in points))
-    shared = occupation_series(
-        spectrum, [occupation_weights(run.params, beta, run.config.n0_init) for beta in betas],
-        run.t_grid)
+    stage = Stage(run, dict.fromkeys(run.beta for _, run in points))
     late = run.t_grid >= 0.5 * run.t_grid[-1]
-    means = {beta: float(np.mean(row[late])) for beta, row in zip(betas, shared.occupation)}
-    table = _dynamics_table(run, spectrum, shared.f00)
+    means = {beta: float(np.mean(row[late]))
+             for beta, row in zip(stage.betas, stage.occupation.occupation)}
+    table = _dynamics_table(stage)
     decay = table.manifest["decay_fit"]
-    COMMANDS["dynamics"].write([run for _, run in points], started, table, convergence,
-                               warnings)
+    TABLES["dynamics"].write([run for _, run in points], started, table, stage)
+    _warn(stage.warnings)
     return [(*axes, table.manifest["min_survival"], decay.get("rate"), decay.get("r_squared"),
              family_concurrence(run.state.xi, 1.0), means[run.beta], "ok")
             for axes, run in points]
@@ -606,11 +653,11 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-COMMANDS = {
+TABLES = {
     "spectrum": TableCommand("spectrum.csv", ("s[index]", "Omega_s[natural-frequency]",
                                               "t_0_s[dimensionless]"), _spectrum_rows),
     "dynamics": TableCommand("dynamics.csv", ("t[natural-time]", "survival[probability]",
-                                              "phase[rad]"), _dynamics_rows),
+                                              "phase[rad]"), _dynamics_table),
     "density": TableCommand("density.csv", (
         "t[natural-time]", "rho_00_00[probability]", "rho_01_01[probability]",
         "rho_10_10[probability]", "re_rho_10_01[dimensionless]", "im_rho_10_01[dimensionless]"),
@@ -620,9 +667,8 @@ COMMANDS = {
         "eof[ebits]", "negativity[dimensionless]"), _entanglement_rows),
     "thermal": TableCommand("thermal.csv", ("t[natural-time]", "occupation[quanta]"),
                             _thermal_rows),
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
 }
+COMMANDS = {**TABLES, "verify": cmd_verify, "sweep": cmd_sweep}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -631,12 +677,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command, `--config` and one flag per `RunConfig` field, coerced
-    by `_coerce`; flags may come before or after the command."""
+    """The commands, `--config` and one flag per `RunConfig` field, coerced
+    by `_coerce`; flags may come before or after the commands, which form
+    one contiguous list."""
     parser = _Parser(prog="dressedcavity",
                      description="Dressed-atom bipartite entanglement at finite temperature")
     parser.add_argument("--version", action="version", version=f"dressedcavity {__version__}")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", nargs="+", choices=COMMANDS)
     parser.add_argument("--config", type=Path, help="key = value config file")
     for spec in dataclasses.fields(RunConfig):
         flag = "--" + spec.name.replace("_", "-")
@@ -683,8 +730,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        names = args.command
+        if len(names) > 1 and not (set(names) <= TABLES.keys() and len(set(names)) == len(names)):
+            raise UsageError("several commands must be distinct table commands "
+                             f"({', '.join(TABLES)}); verify and sweep run alone, got "
+                             f"{' '.join(names)}")
         config = config_from_args(args)
-        return COMMANDS[args.command](config)
+        if names[0] in TABLES:
+            return run_tables(config, names)
+        return COMMANDS[names[0]](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def experiment_params(name):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,7 +33,7 @@ import dressedcavity.dynamics as dynamics
 import dressedcavity.spectral as spectral
 import dressedcavity.thermal as thermal
 
-from conftest import (SMALL_CAVITY, dense, dense_reference, dressed_spectrum, read_csv,
+from conftest import (SCRIPTS, SMALL_CAVITY, dense, dense_reference, dressed_spectrum, read_csv,
                       si_from_natural)
 
 
@@ -355,10 +356,11 @@ class TestSeriesCommands:
     def test_failed_decay_fit_is_recorded(self, tmp_path, capsys, monkeypatch):
         # survival that has decayed to zero inside the window has no logarithm
         # to fit; the run records why and keeps its exit code
-        table = cli._dynamics_table
-        monkeypatch.setattr(cli, "_dynamics_table",
-                            lambda run, spectrum, f00:
-                            table(run, spectrum, np.where(run.t_grid > 1.0, 0.0, f00)))
+        def decayed(stage):
+            stage.f00 = np.where(stage.run.t_grid > 1.0, 0.0, stage.f00)
+            return cli._dynamics_table(stage)
+        monkeypatch.setitem(cli.TABLES, "dynamics",
+                            dataclasses.replace(cli.TABLES["dynamics"], build=decayed))
         out = tmp_path / "out"
         assert run_cli("dynamics", "--n-modes", 8, "--t-max", 5, "--samples", 50,
                        "--fit-window", "0.5,4", "--out", out) == 0
@@ -451,18 +453,97 @@ class TestSampleBlocks:
         # the rendered body (its buffer, then the string): measured at 189
         # (entanglement) and 310 (density) bytes per sample over these T, so
         # the bound leaves 29% headroom over the larger.
-        table = COMMANDS[command]
+        table = cli.TABLES[command]
         peaks = []
         for samples in (2 * cli.MEASURE_BLOCK, 14 * cli.MEASURE_BLOCK):
             run = resolve_natural(self.CONFIG, np.linspace(0.0, self.CONFIG.t_max, samples))
-            spectrum = dressed_spectrum(run.params)
+            stage = cli.Stage(run)
             tracemalloc.start()
             try:
-                csv_body(table.columns, table.build(run, spectrum).rows)
+                csv_body(table.columns, table.build(stage).rows)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (12 * cli.MEASURE_BLOCK) <= 400
+
+
+# Table commands that one invocation runs together, as the experiments do, and all five.
+TABLE_GROUPS = {"dynamics_thermal": ("dynamics", "thermal"),
+                "entanglement_density": ("entanglement", "density"), "all": TABLE_COMMANDS}
+
+
+def comparable(manifest):
+    """A manifest less what differs between any two runs of one config: the
+    wall clock and the output directory."""
+    payload = json.loads(manifest.read_text())
+    del payload["wall_clock_seconds"], payload["config"]["out"]
+    return payload
+
+
+def run_quietly(*args):
+    """`run_cli` with its stderr captured: the exit code and the stderr text."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(*args)
+    return code, err.getvalue()
+
+
+class TestCombinedTables:
+    """An invocation that names several table commands runs one spectral
+    stage and writes each table into `<out>/<command>/`."""
+
+    CONFIGS = ("compare_csv_bodies_blocks.cfg", "compare_csv_bodies_deflation.cfg")
+
+    @pytest.fixture(scope="class")
+    def singles(self, tmp_path_factory):
+        """Each table of each config run alone: its output directory and its stderr."""
+        root = tmp_path_factory.mktemp("singles")
+        runs = {}
+        for config in self.CONFIGS:
+            for command in TABLE_COMMANDS:
+                out = root / config / command
+                code, err = run_quietly(command, "--config", SCRIPTS / config, "--out", out)
+                assert code == 0, err
+                runs[config, command] = out, err
+        return runs
+
+    @pytest.mark.parametrize("names", TABLE_GROUPS.values(), ids=TABLE_GROUPS)
+    @pytest.mark.parametrize("config", CONFIGS, ids=["blocks", "deflation"])
+    def test_each_table_equals_its_single_run(self, tmp_path, singles, config, names):
+        out = tmp_path / "out"
+        code, err = run_quietly(*names, "--config", SCRIPTS / config, "--out", out)
+        assert code == 0, err
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        for name in names:
+            single, single_err = singles[config, name]
+            assert sorted(path.name for path in (out / name).iterdir()) == \
+                sorted(path.name for path in single.iterdir())
+            csv = f"{name}.csv"
+            assert (out / name / csv).read_bytes() == (single / csv).read_bytes(), name
+            assert comparable(out / name / "manifest.json") == \
+                comparable(single / "manifest.json"), name
+            assert json.loads((out / name / "manifest.json").read_text())["config"]["out"] == \
+                str(out / name)
+            assert err == single_err, name
+
+    @pytest.mark.parametrize("names", TABLE_GROUPS.values(), ids=TABLE_GROUPS)
+    def test_one_stage_per_invocation(self, tmp_path, monkeypatch, names):
+        # one eigensolve, at most one occupation pass, and with `thermal`
+        # named, f_00 from that pass: no row-0 `amplitudes` call, only the
+        # unitarity probe's all-label one
+        calls = count_calls(monkeypatch, "diagonalize", "occupation_series")
+        labels = []
+        amplitudes_of = cli.amplitudes
+
+        def recorded(spectrum, t_grid, selected=slice(None)):
+            labels.append(selected)
+            return amplitudes_of(spectrum, t_grid, selected)
+        monkeypatch.setattr(cli, "amplitudes", recorded)
+        assert run_cli(*names, "--n-modes", 16, "--t-max", 5, "--samples", 40,
+                       "--out", tmp_path / "out") == 0
+        thermal_named = "thermal" in names
+        assert calls == {"diagonalize": 1, "occupation_series": int(thermal_named)}
+        assert labels == [slice(None)] + ([] if thermal_named else [0])
 
 
 class TestPhasePrecision:
@@ -474,6 +555,16 @@ class TestPhasePrecision:
         assert manifest["convergence"]["phase_precision"] > 1e-6
         assert len(manifest["warnings"]) == 1
         assert capsys.readouterr().err == f"warning: {manifest['warnings'][0]}\n"
+
+    def test_combined_run_warns_once(self, tmp_path, capsys):
+        # the tables of one invocation share one stage: each manifest lists
+        # its warning, and stderr says it once
+        out = tmp_path / "out"
+        assert run_cli(*TABLE_COMMANDS, "--t-max", "1e100", "--samples", 5, "--out", out) == 0
+        lists = [json.loads((out / name / "manifest.json").read_text())["warnings"]
+                 for name in TABLE_COMMANDS]
+        assert len(lists[0]) == 1 and all(warnings == lists[0] for warnings in lists)
+        assert capsys.readouterr().err == f"warning: {lists[0][0]}\n"
 
     @pytest.mark.parametrize("argv", [
         *((command,) for command in TABLE_COMMANDS),
@@ -682,6 +773,19 @@ class TestExitCodes:
             monkeypatch.undo()
         assert capsys.readouterr().err == ""
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thermal"), ("sweep", "dynamics", "--xi-grid", "0.3,0.6"),
+        ("dynamics", "dynamics"), ("dynamics", "--n-modes", 8, "thermal")],
+        ids=["verify_beside_a_table", "sweep_beside_a_table", "table_twice", "split_list"])
+    def test_bad_command_list_is_usage_error(self, tmp_path, capsys, argv):
+        # verify and sweep run alone, a table is named once, and the names
+        # form one contiguous list
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

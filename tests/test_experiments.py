@@ -1,9 +1,10 @@
 """The paper's three claims on the configs in `experiments/`: one assertion
 and one printed line each.
 
-A module fixture runs six commands in process through `cli.main`:
-`dynamics` and `thermal` on `free_space.cfg`, `entanglement` and `density`
-on `small_cavity.cfg`, `verify` and `verify --negative-control` on
+A module fixture runs four invocations in process through `cli.main`:
+`dynamics thermal` on `free_space.cfg` and `entanglement density` on
+`small_cavity.cfg`, each table of which writes into its own
+`<out>/<command>/`, and `verify` and `verify --negative-control` on
 `temperature_invariance.cfg`.  The tests read their exit codes, manifests
 and CSVs.  Run with
 
@@ -23,16 +24,19 @@ from dressedcavity.cli import main
 
 from conftest import EXPERIMENTS, read_csv
 
-# Each run: its command and flags, its config in experiments/, the exit code it must give.
+# Each invocation: its commands and flags, its config in experiments/, the exit code it must give.
 RUNS = {
-    "dynamics": (("dynamics",), "free_space", 0),
-    "thermal": (("thermal",), "free_space", 0),
-    "entanglement": (("entanglement",), "small_cavity", 0),
+    "free_space": (("dynamics", "thermal"), "free_space", 0),
     # 20001 samples: many closed-form sample blocks, the last one ragged
-    "density": (("density",), "small_cavity", 0),
+    "small_cavity": (("entanglement", "density"), "small_cavity", 0),
     "verify": (("verify",), "temperature_invariance", 0),
     "negative": (("verify", "--negative-control"), "temperature_invariance", 2),
 }
+# Each output's directory below the fixture's root: an invocation that names
+# several tables writes each into its own <out>/<command>/.
+OUTPUTS = {"dynamics": "free_space/dynamics", "thermal": "free_space/thermal",
+           "entanglement": "small_cavity/entanglement", "density": "small_cavity/density",
+           "verify": "verify", "negative": "negative"}
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +55,24 @@ def runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def manifests(runs):
     root, _ = runs
-    return {name: json.loads((root / name / "manifest.json").read_text()) for name in RUNS}
+    return {name: json.loads((root / path / "manifest.json").read_text())
+            for name, path in OUTPUTS.items()}
 
 
 @pytest.fixture(scope="module")
 def small_cavity(runs):
     """`read_csv` of the small cavity's `density` and `entanglement` tables."""
     root, _ = runs
-    return {name: read_csv(root / name / f"{name}.csv") for name in ("density", "entanglement")}
+    return {name: read_csv(root / OUTPUTS[name] / f"{name}.csv")
+            for name in ("density", "entanglement")}
 
 
-@pytest.mark.parametrize("name", RUNS)
+@pytest.mark.parametrize("name", OUTPUTS)
 def test_exit_code(runs, name):
-    command, config, expected = RUNS[name]
-    code = runs[1][name]
-    print(f"{' '.join(command)} on {config}.cfg: exit {code}, expected {expected}")
+    run = OUTPUTS[name].split("/")[0]  # the invocation that wrote this output
+    command, config, expected = RUNS[run]
+    code = runs[1][run]
+    print(f"{name}: {' '.join(command)} on {config}.cfg: exit {code}, expected {expected}")
     assert code == expected
 
 

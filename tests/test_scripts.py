@@ -4,7 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from conftest import SCRIPTS
+
 
 # 10 code lines: the import, the class line, the method line, the 4-line call,
 # the 2-line string that is not a docstring and the one-line function with
@@ -47,15 +48,18 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
 
 def test_compare_csv_bodies_checks_outputs_streams_and_manifests(tmp_path):
     # the head tree differs from the base only in verify's last stdout line
-    # and one manifest field: every CSV stays the same, and the gate fails
-    # on the stream and on the manifests
+    # and one manifest field, and its combined table invocation echoes
+    # another jobs value than its single runs: every CSV stays the same, and
+    # the gate fails on the stream and on the manifests
     base = Path(__file__).resolve().parents[1] / "src"
     head = tmp_path / "head"
     shutil.copytree(base, head)
     cli = head / "dressedcavity" / "cli.py"
     text = cli.read_text(encoding="utf-8")
     for old, new in (('"VERIFY " + ', '"VERIFY: " + '),
-                     ("verify_passed=all_pass)", "verify_passed=all_pass, extra=1)")):
+                     ("verify_passed=all_pass)", "verify_passed=all_pass, extra=1)"),
+                     ("out=str(Path(config.out) / name)",
+                      "out=str(Path(config.out) / name), jobs=2")):
         assert text.count(old) == 1
         text = text.replace(old, new)
     cli.write_text(text, encoding="utf-8")
@@ -73,9 +77,12 @@ def test_compare_csv_bodies_checks_outputs_streams_and_manifests(tmp_path):
     assert "same tiny.cfg sweep: stdout (1 lines)" in lines
     assert "same tiny.cfg verify: verify.csv (16 lines)" in lines
     assert "same tiny.cfg verify: stderr (0 lines)" in lines
-    assert "DIFF tiny.cfg verify: stdout" in lines
-    assert "DIFF tiny.cfg verify-negative-control: stdout" in lines
-    assert [line for line in lines if line.startswith(("DIFF manifest", "FAIL"))] == [
+    assert "same tiny.cfg combined: thermal.csv (28 lines)" in lines
+    assert "same tiny.cfg combined: stderr of spectrum (0 lines)" in lines
+    assert [line for line in lines if line.startswith(("DIFF", "FAIL"))] == [
+        "DIFF tiny.cfg verify: stdout", "DIFF tiny.cfg verify-negative-control: stdout",
         "DIFF manifest 1/verify/manifest.json: extra",
-        "DIFF manifest 1/verify-negative-control/manifest.json: extra"]
+        "DIFF manifest 1/verify-negative-control/manifest.json: extra",
+        *(f"DIFF combined manifest 1/tables/{command}/manifest.json: config"
+          for command in ("density", "dynamics", "entanglement", "spectrum", "thermal"))]
     assert "checksums ok: 10 manifests" in lines
