@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -144,6 +145,59 @@ def two_atom_reference(params, xi, phi, t):
             "rho_10_10[probability]": np.abs(psi_a) ** 2,
             "re_rho_10_01[dimensionless]": coherence.real,
             "im_rho_10_01[dimensionless]": coherence.imag}
+
+
+def fock_occupation(params, beta, n0, t, max_quanta):
+    """The atom's mean occupation <a_0^dag a_0>(t) from the many-body model,
+    and a bound on what its truncation leaves out: (occupation on t, tail).
+
+    A route to the `thermal` column that shares no formula with it: no
+    amplitude f_0nu and no `occupation_weights`.  h = sqrt(M), the positive
+    root of the dense arrowhead M by `eigh`, is the one-quantum
+    Hamiltonian; H = sum_munu h_munu a_mu^dag a_nu keeps the total number
+    of quanta, so it is built and solved sector by sector, for every total
+    up to `max_quanta`.  The atom starts in Fock |n0> and each bare mode k
+    thermal, so a Fock state s with s_k quanta in mode k starts with
+    probability p(s) = prod_k (1 - x_k) x_k^{s_k}, x_k = exp(-beta omega_k),
+    and evolves in its sector.  A state past `max_quanta` would add
+    p(s) <n_0(t)>_s <= p(s)|s|, with |s| its total quanta, so the sum falls
+    short of the exact occupation by at most tail = sum_{|s| > max_quanta}
+    p(s)|s|.  With K the modes' quanta and L = max_quanta - n0, every left-out
+    state has K >= L + 1, so tail <= y^-(L+1) E[(n0 + K) y^K] for every
+    1 <= y < 1/max x_k, and E[(n0 + K) y^K] = prod_k (1 - x_k)/(1 - x_k y)
+    (n0 + sum_k x_k y/(1 - x_k y)); `tail` is the least of that bound on a
+    grid of y.
+    """
+    lam, vectors = np.linalg.eigh(dense(build_coupling_matrix(params)))
+    h = (vectors * np.sqrt(lam)) @ vectors.T
+    size = len(h)
+    x = np.exp(-beta * params.mode_frequencies)
+    occupation = np.zeros(len(t))
+    for quanta in range(n0, max_quanta + 1):
+        basis = [tuple(np.bincount(labels, minlength=size).tolist())
+                 for labels in itertools.combinations_with_replacement(range(size), quanta)]
+        index = {state: i for i, state in enumerate(basis)}
+        hamiltonian = np.zeros((len(basis), len(basis)))
+        for i, state in enumerate(basis):
+            for mu, nu in itertools.product(range(size), repeat=2):
+                if state[nu]:  # a_mu^dag a_nu |state> = sqrt(state[nu] moved[mu]) |moved>
+                    moved = list(state)
+                    moved[nu] -= 1
+                    moved[mu] += 1
+                    hamiltonian[index[tuple(moved)], i] += h[mu, nu] * math.sqrt(
+                        state[nu] * moved[mu])
+        energy, w = np.linalg.eigh(hamiltonian)
+        atom = np.array([state[0] for state in basis])
+        phases = np.exp(-1j * np.outer(energy, t))
+        for i, state in enumerate(basis):
+            if state[0] == n0:
+                psi = w @ (w[i][:, None] * phases)
+                occupation += np.prod((1.0 - x) * x ** np.array(state[1:])) * (
+                    atom @ np.abs(psi) ** 2)
+    y = 1.0 + (1.0 / np.max(x) - 1.0) * np.linspace(0.0, 1.0, 1001)[1:-1, None]
+    tail = (y[:, 0] ** -(max_quanta - n0 + 1) * np.prod((1.0 - x) / (1.0 - x * y), axis=1)
+            * (n0 + np.sum(x * y / (1.0 - x * y), axis=1)))
+    return occupation, float(np.min(tail))
 
 
 def random_params(rng, n_max=120):

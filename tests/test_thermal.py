@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dressedcavity.dynamics as dynamics
+from dressedcavity.cli import main
 from dressedcavity.dynamics import amplitudes
 from dressedcavity.errors import DomainError
 from dressedcavity.model import RANGE_LIMIT, ModelParams, natural_from_si
+from dressedcavity.spectral import EPS
 from dressedcavity.thermal import (OVERFLOW_THRESHOLD, SERIES_THRESHOLD, bose_einstein,
                                    occupation_series, occupation_weights)
 
-from conftest import dressed_spectrum
+from conftest import dressed_spectrum, fock_occupation, read_csv
 
 
 class TestBoseEinstein:
@@ -243,6 +245,33 @@ def test_free_space_thermalization(free_space_spectrum):
         long_time = occupation[t >= 150.0]
         target = bose_einstein(1.0, beta)
         assert np.mean(long_time) == pytest.approx(target, rel=0.05)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_thermal_matches_the_fock_space_oracle(n_modes, tmp_path):
+    # `thermal.csv` against conftest.fock_occupation, the atom's occupation from the
+    # many-body evolution, which shares no formula with the table.  The atom starts
+    # in |1>, on resonance with the first mode (R = pi, so omega_k = k) and strongly
+    # coupled; each mode is thermal at beta omega_1 = 1.5.  Each side may round by
+    # the dense-reference test's occupation bound, 8 u sum(w), with
+    # u = eps (1 + Omega_max t_max) and sum(w) = n0 + sum_k nbar(omega_k); the
+    # oracle also falls short by at most its bounded tail, here below 1e-16.  The
+    # deviation was 0.37 u sum(w) at N = 1 and 0.24 at N = 2; weights at bare
+    # frequencies 1e-9 too high moved it to 5e-10.
+    params = ModelParams(omega_bar=1.0, g=0.1, radius=math.pi, n_modes=n_modes)
+    beta, n0, t_max, samples = 1.5, 1, 20.0, 41
+    assert main(["thermal", f"--n-modes={n_modes}", "--g=0.1", f"--radius={math.pi!r}",
+                 f"--beta={beta!r}", f"--n0-init={n0}", f"--t-max={t_max!r}",
+                 f"--samples={samples}", f"--out={tmp_path}"]) == 0
+    _, _, rows = read_csv(tmp_path / "thermal.csv")
+    got = np.array(rows, dtype=float)
+    t = np.linspace(0.0, t_max, samples)
+    want, tail = fock_occupation(params, beta, n0, t, max_quanta=30)
+    assert tail < 1e-14
+    u = EPS * (1.0 + dressed_spectrum(params).omega_dressed[-1] * t_max)
+    rounding = 16.0 * u * (n0 + np.sum(1.0 / np.expm1(beta * params.mode_frequencies)))
+    assert np.array_equal(got[:, 0], t)
+    assert np.max(np.abs(got[:, 1] - want)) <= rounding + tail
 
 
 # Frequencies whose squares lie just inside the range rule's ends, 1e-150 and 1e150.
